@@ -27,13 +27,21 @@ explicit "Ns", not both.  "mc.seed" defaults to the top-level seed.
 from CSV instead of drawing it from the seed.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 runtime
-failure (I/O, numerical breakdown).  Identical config and seed give a
+failure (I/O, numerical breakdown, or any other unexpected error, reported
+as one line without a traceback).  Identical config and seed give a
 byte-identical output file; worker counts change wall time only.
+
+`main` sets the bundled OpenBLAS libraries of numpy and scipy to one thread
+before any work runs, so "--workers" ("mc.workers") is the CLI's only
+parallelism; nested BLAS threads would contend with the worker threads for
+the same cores.  Importing this module, or the package, leaves BLAS
+threading as the caller set it.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import math
 import os
@@ -44,6 +52,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .asymptotics import (
@@ -426,22 +435,22 @@ def _run_converge(config: ExperimentConfig):
 
 def _run_sweep_grid(config: ExperimentConfig):
     p = config.params
-    cells = [
-        (i_n, N, i_a, a, j)
-        for i_n, N in enumerate(config.grid_N)
-        for i_a, a in enumerate(config.grid_alpha)
-        for j in range(config.cell_seeds)
-    ]
+    # the parameters and the asymptotic pe depend on (N, alpha) alone, so
+    # they are computed once per grid point rather than once per seed
+    points = []
+    for i_n, N in enumerate(config.grid_N):
+        for i_a, a in enumerate(config.grid_alpha):
+            pc = replace(p, N=N, Ns=sensors_for_load(a, N))
+            points.append((i_n, i_a, a, pc, asymptotic_performance(pc, config.detector).pe))
+    cells = [point + (j,) for point in points for j in range(config.cell_seeds)]
 
     def cell(args):
-        i_n, N, i_a, a, j = args
-        pc = replace(p, N=N, Ns=sensors_for_load(a, N))
+        i_n, i_a, a, pc, pe_asym, j = args
         seed = _derive_seed(config.seed, i_n, i_a, j)
         S = generate(pc.N, pc.Ns, seed)
         pe_exact = exact_performance(pc, S, config.detector).pe
-        pe_asym = asymptotic_performance(pc, config.detector).pe
         rel_gap = abs(pe_exact - pe_asym) / pe_asym
-        return [N, a, pc.Ns, seed, pe_exact, pe_asym, rel_gap]
+        return [pc.N, a, pc.Ns, seed, pe_exact, pe_asym, rel_gap]
 
     rows = _map_cells(cell, cells, config.mc.worker_hint)
     meta = _base_meta(config) + _grid_meta(config, alphas=True)
@@ -517,6 +526,10 @@ def run(config: ExperimentConfig, *, quiet: bool = False) -> int:
     except OSError as exc:
         print(f"i/o failure: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # any other failure is a runtime error, never a traceback
+        message = " ".join(str(exc).split())
+        print(f"error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 2
     if not quiet:
         print(f"wrote {len(rows)} rows to {config.output}")
     return 0
@@ -555,7 +568,30 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
     return config
 
 
+def _pin_blas_threads() -> None:
+    """Set every scipy-openblas library bundled with numpy or scipy to one thread.
+
+    numpy's copy exports the ILP64 setter (suffix "64_"), scipy's the LP64
+    one.  A package without a bundled copy, or a library without either
+    setter (a system BLAS, another build), is left alone.
+    """
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libdir.glob("libscipy_openblas*.so*")):
+            try:
+                lib = ctypes.CDLL(str(path))
+            except OSError:
+                continue
+            for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+                setter = getattr(lib, name, None)
+                if setter is not None:
+                    setter.argtypes, setter.restype = [ctypes.c_int], None
+                    setter(1)
+                    break
+
+
 def main(argv=None) -> int:
+    _pin_blas_threads()
     args = _build_parser().parse_args(argv)
     try:
         text = Path(args.config).read_bytes() if args.config is not None else b"{}"

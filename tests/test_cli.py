@@ -1,16 +1,25 @@
 """Config parsing, CSV artifacts, exit codes, reproducibility of the runner."""
 
+import ctypes
+import inspect
 import json
 import math
 import os
 import statistics
+import subprocess
+import sys
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy
 
-from cdmafusion import ParseError
+from cdmafusion import ParseError, cli
 from cdmafusion.cli import main, parse_config
 from cdmafusion.spreading import generate, save_csv
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def read_csv(path):
@@ -378,6 +387,18 @@ class TestExitCodes:
         cfg = config_file(tmp_path, {"mode": "analyze", "output": str(tmp_path / "a.csv")})
         assert main(["--config", cfg, "--seed", "-3", "--quiet"]) == 1
 
+    def test_underflowing_asymptotic_pe_is_runtime_failure(self, tmp_path, capsys):
+        # pe_asymptotic underflows to 0 here, so the relative gap divides by zero
+        out = tmp_path / "grid.csv"
+        cfg = config_file(tmp_path, {"mode": "sweep-grid", "output": str(out),
+                                     "params": {"P": 1e6, "sigma_v2": 1e-6},
+                                     "grid": {"N": [8], "alpha": [4.0], "seeds": 2}})
+        assert main(["--config", cfg, "--quiet"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ZeroDivisionError")
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert not out.exists()
+
     def test_success_prints_row_count(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"mode": "asymptotic", "params": {"N": 8, "Ns": 8},
                                      "output": str(tmp_path / "a.csv")})
@@ -407,3 +428,101 @@ class TestGridInvariant:
             medians = [statistics.median(cells[(N, a)]) for a in alphas]
             for a, b in zip(medians, medians[1:]):
                 assert b <= a, f"median pe rose with load at N={N}: {medians}"
+
+
+def bundled_openblas():
+    """(library, symbol suffix) of each scipy-openblas copy bundled with numpy or scipy."""
+    found = []
+    for pkg in (np, scipy):
+        libdir = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
+        for path in sorted(libdir.glob("libscipy_openblas*.so*")):
+            lib = ctypes.CDLL(str(path))
+            for suffix in ("64_", ""):
+                if hasattr(lib, f"scipy_openblas_get_num_threads{suffix}"):
+                    found.append((lib, suffix))
+                    break
+    return found
+
+
+def blas_threads(lib, suffix):
+    getter = getattr(lib, f"scipy_openblas_get_num_threads{suffix}")
+    getter.argtypes, getter.restype = [], ctypes.c_int
+    return getter()
+
+
+def child_env(**threads):
+    """This process's environment with PYTHONPATH on src/ and only the given thread variables."""
+    env = {k: v for k, v in os.environ.items() if not k.endswith("_NUM_THREADS")}
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    env.update(threads)
+    return env
+
+
+class TestBlasThreads:
+    def test_main_runs_bundled_openblas_single_threaded(self, tmp_path):
+        libs = bundled_openblas()
+        if not libs:
+            pytest.skip("numpy and scipy bundle no scipy-openblas library here")
+        for lib, suffix in libs:
+            setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
+            setter.argtypes, setter.restype = [ctypes.c_int], None
+            setter(2)  # OpenBLAS caps this at the core count
+        cfg = config_file(tmp_path, {"mode": "asymptotic", "params": {"N": 8, "Ns": 8},
+                                     "output": str(tmp_path / "a.csv")})
+        assert main(["--config", cfg, "--quiet"]) == 0
+        assert [blas_threads(lib, suffix) for lib, suffix in libs] == [1] * len(libs)
+
+    def test_pin_skips_missing_and_foreign_libraries(self, tmp_path, monkeypatch):
+        # a package with no .libs directory, and one whose only matching
+        # file is not a loadable library
+        libs = tmp_path / "fake.libs"
+        libs.mkdir()
+        (libs / "libscipy_openblas-broken.so").write_bytes(b"not a shared object")
+        monkeypatch.setattr(cli, "np", types.SimpleNamespace(
+            __name__="absent", __file__=str(tmp_path / "absent" / "__init__.py")))
+        monkeypatch.setattr(cli, "scipy", types.SimpleNamespace(
+            __name__="fake", __file__=str(tmp_path / "fake" / "__init__.py")))
+        cli._pin_blas_threads()
+        # a library that loads but exports no setter
+        (libs / "libscipy_openblas-broken.so").unlink()
+        others = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libquadmath*.so*"))
+        if others:
+            (libs / "libscipy_openblas-foreign.so").symlink_to(others[0])
+            cli._pin_blas_threads()
+
+    def test_import_leaves_blas_threading_alone(self):
+        # the child reads the thread counts before and after importing the
+        # package, with the helpers above and nothing of cdmafusion loaded
+        probe = "\n".join([
+            "import ctypes, json",
+            "from pathlib import Path",
+            "import numpy as np, scipy, scipy.linalg",
+            inspect.getsource(bundled_openblas),
+            inspect.getsource(blas_threads),
+            "libs = bundled_openblas()",
+            "before = [blas_threads(*lib) for lib in libs]",
+            "import cdmafusion, cdmafusion.cli",
+            "print(json.dumps([before, [blas_threads(*lib) for lib in libs]]))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", probe], env=child_env(OPENBLAS_NUM_THREADS="2"),
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        before, after = json.loads(proc.stdout)
+        assert before == after
+
+    def test_converge_bytes_independent_of_inherited_blas_threads(self, tmp_path):
+        # multithreaded BLAS sums in another order at N=128 and moves the last
+        # digit of decomposition_residual, so the inherited count must not matter
+        cfg = config_file(tmp_path, {"mode": "converge", "seed": 0,
+                                     "params": {"N": 128, "alpha": 2.0},
+                                     "grid": {"N": [128], "seeds": 2}})
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"threads{threads}.csv"
+            proc = subprocess.run(
+                [sys.executable, "-m", "cdmafusion", "--config", cfg, "--out", str(out), "--quiet"],
+                env=child_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True, timeout=300,
+            )
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
