@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DetectorSpec, SystemParams, amplifier_gain, q_function, threshold_for, validate
+from .core import DetectorSpec, SystemParams, amplifier_gain, q_function, threshold_for
 from .errors import DomainError
 from .exact import ASYMPTOTIC, PerformanceReport
 
@@ -44,7 +44,6 @@ def gamma(params: SystemParams, *, zero_noise_limit: bool = False) -> float:
     only returned when zero_noise_limit is set, otherwise it is refused so
     a silently degenerate limit cannot be produced by accident.
     """
-    validate(params)
     if params.sigma_v2 == 0.0:
         if zero_noise_limit:
             return 0.0
@@ -111,7 +110,6 @@ def mu(params: SystemParams, beta0_val: float) -> float:
     second is the channel-plus-interference penalty.  Uses the finite-size
     sensor count Ns of params.
     """
-    validate(params)
     if not (isinstance(beta0_val, (int, float)) and math.isfinite(beta0_val) and beta0_val > 0):
         raise DomainError(f"mu requires beta0 > 0, got {beta0_val!r}")
     return params.sigma_v2 / params.Ns + (params.m**2 + params.sigma_v2) / (params.P * beta0_val)
@@ -119,7 +117,6 @@ def mu(params: SystemParams, beta0_val: float) -> float:
 
 def asymptotic_params(params: SystemParams, *, zero_noise_limit: bool = False) -> AsymptoticParams:
     """Chain alpha -> gamma -> beta0 -> mu for one parameter point."""
-    validate(params)
     a = params.alpha
     g = gamma(params, zero_noise_limit=zero_noise_limit)
     b = beta0(a, g, params.sigma_w2, zero_gamma_limit=zero_noise_limit)
@@ -164,7 +161,6 @@ def large_alpha_pe(params: SystemParams) -> float:
     error probability tends to q(sqrt((P / sigma_w2) / (1 + sigma_v2 / m^2))).
     Total for sigma_v2 >= 0.
     """
-    validate(params)
     return q_function(math.sqrt((params.P / params.sigma_w2) / (1.0 + params.sigma_v2 / params.m**2)))
 
 
@@ -175,7 +171,6 @@ def single_sensor_pe(params: SystemParams) -> float:
     q(1 / sqrt(sigma_v2 / m^2 + (m^2 + sigma_v2) sigma_w2 / (P m^2))), the
     mu-form with Ns = 1 and no interference.  Total for sigma_v2 >= 0.
     """
-    validate(params)
     num = params.P * params.m**2
     den = params.P * params.sigma_v2 + params.sigma_w2 * (params.m**2 + params.sigma_v2)
     return q_function(math.sqrt(num / den))

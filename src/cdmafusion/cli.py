@@ -61,12 +61,7 @@ from .asymptotics import (
     large_alpha_pe,
     single_sensor_pe,
 )
-from .convergence import (
-    cross_term_experiment,
-    diagonal_term_experiment,
-    mil_residual_experiment,
-    quadratic_form_convergence,
-)
+from .convergence import _experiments
 from .core import BAYES, CRITERIA, FIXED, NEYMAN_PEARSON, DetectorSpec, SystemParams, sensors_for_load
 from .errors import (
     DimensionMismatch,
@@ -417,12 +412,8 @@ def _run_converge(config: ExperimentConfig):
             entropy=config.seed, spawn_key=(_CONVERGE_SEED_STREAM,)
         ).generate_state(config.cell_seeds, np.uint64)
     ]
-    N_values = list(config.grid_N)
-    records = []
-    records += quadratic_form_convergence(template, N_values, seeds)
-    records += diagonal_term_experiment(template, N_values, seeds)
-    records += cross_term_experiment(template, N_values, seeds)
-    records += mil_residual_experiment(template, N_values, seeds)
+    # one draw and two factorizations per (N, seed) cell feed all four statistics
+    records = _experiments(template, list(config.grid_N), seeds)
     meta = _base_meta(config) + _instance_meta(config) + _grid_meta(config, alphas=False)
     meta.append(f"seeds_per_cell={config.cell_seeds}")
     columns = ["statistic", "N", "alpha", "Ns", "seed", "observed", "predicted", "abs_error", "rel_error"]

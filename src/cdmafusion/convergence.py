@@ -5,6 +5,12 @@ load ratio of the template held fixed (Ns = round(alpha N)), measures a
 code-dependent quantity, and pairs it with its deterministic limit.
 Convergence is judged across seeds (medians), never from a single draw.
 
+Every statistic comes from one shared pass over the (N, seed) schedule, in
+which each cell draws its matrix once and factorizes two covariances: Sigma
+and sensor 0's leave-one-out Q_0.  The CLI's converge mode computes all
+four statistics from that one draw and those two factorizations per cell;
+each public experiment runs the same pass for its own statistic alone.
+
 All experiments require sigma_v2 > 0 in the template: without relayed
 observation noise there is no multi-access interference and the limits
 collapse to the trivial ones.
@@ -21,7 +27,7 @@ from scipy.linalg import cho_solve
 from .asymptotics import asymptotic_params
 from .core import SystemParams, amplifier_gain, sensors_for_load, validate
 from .errors import DomainError, InvalidParam, NumericalFailure
-from .exact import ChannelModel, _cho, channel_covariance
+from .exact import ChannelModel, _cho, _covariance, channel_covariance
 from .spreading import SpreadingMatrix, generate
 
 _PAIR_STREAM = 0x9A1C
@@ -76,12 +82,110 @@ def _check_schedule(template: SystemParams, N_values, seeds) -> None:
         raise InvalidParam("seeds", seeds, "at least one seed required")
 
 
-def _leave_out_cov(entries: np.ndarray, col: int, c: float, sigma_w2: float) -> np.ndarray:
-    keep = np.delete(entries, col, axis=1)
-    cov = c * (keep @ keep.T)
-    cov = 0.5 * (cov + cov.T)
-    cov[np.diag_indices_from(cov)] += sigma_w2
-    return cov
+def _check_sensor(sensor: int, Ns: int) -> None:
+    if not 0 <= sensor < Ns:
+        raise DomainError(f"sensor index {sensor} out of range [0, {Ns})")
+
+
+def _diag_forms(S: SpreadingMatrix, factor, c: float, sigma_w2: float, sensor: int) -> tuple[float, float]:
+    """(s^T Sigma^{-1} s, q = s^T Q^{-1} s) for one sensor's signature s.
+
+    The first form reuses Sigma's factor; Q, the covariance built without
+    s, gets a factorization of its own.
+    """
+    s = S.entries[:, sensor]
+    full = float(s @ cho_solve(factor, s))
+    cov = _covariance(np.delete(S.entries, sensor, axis=1), c, sigma_w2)
+    return full, float(s @ cho_solve(_cho(cov), s))
+
+
+def _mil_residual(full: float, leave: float, c: float) -> float:
+    return abs(full - leave / (1.0 + c * leave))
+
+
+def _snr_records(params: SystemParams, seed: int, S: SpreadingMatrix, factor, g: float, predicted: float):
+    s1 = S.entries.sum(axis=1)
+    qf = float(s1 @ cho_solve(factor, s1))
+    G = S.entries.T @ cho_solve(factor, S.entries)
+    residual = abs(qf - float(G.sum())) / qf if qf > 0 else abs(float(G.sum()))
+    if not residual <= _DECOMPOSITION_RTOL:
+        raise NumericalFailure(
+            f"quadratic-form decomposition residual {residual!r} exceeds "
+            f"{_DECOMPOSITION_RTOL} at N={params.N}, seed={seed}"
+        )
+    return [
+        _record("snr", params, seed, g * g * qf, predicted),
+        _record("decomposition_residual", params, seed, residual, 0.0),
+    ]
+
+
+def _cross_mean(S: SpreadingMatrix, factor, seed: int, pairs, max_pairs: int) -> float:
+    rows, cols = pairs
+    n_all = rows.size
+    if n_all > max_pairs:
+        pick_rng = np.random.Generator(
+            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(_PAIR_STREAM,)))
+        )
+        idx = pick_rng.choice(n_all, size=max_pairs, replace=False)
+        pi, pj = rows[idx], cols[idx]
+    else:
+        pi, pj = rows, cols
+    uniq, inverse = np.unique(np.concatenate([pi, pj]), return_inverse=True)
+    pos_i, pos_j = inverse[: pi.size], inverse[pi.size:]
+    U = S.entries[:, uniq]
+    G_uu = U.T @ cho_solve(factor, U)
+    return float(np.mean(np.abs(G_uu[pos_i, pos_j])))
+
+
+def _experiments(
+    template: SystemParams,
+    N_values,
+    seeds,
+    wanted=("snr", "diag", "cross", "mil"),
+    *,
+    max_pairs: int = 200,
+    sensor: int = 0,
+) -> list[ConvergenceRecord]:
+    """Records of the wanted statistics from one pass over the (N, seed) schedule.
+
+    The whole schedule is checked before the first draw.  Each cell draws S
+    once and factorizes Sigma once, plus the leave-one-out covariance of
+    `sensor` when "diag" or "mil" is wanted.  Records come back grouped by
+    statistic in the order of wanted, each group in schedule order.
+    """
+    _check_schedule(template, N_values, seeds)
+    if "cross" in wanted and max_pairs < 1:
+        raise InvalidParam("max_pairs", max_pairs, "must be >= 1")
+    scaled = [_scaled(template, N) for N in N_values]
+    for params in scaled:
+        if "cross" in wanted and params.Ns < 2:
+            raise InvalidParam(
+                "Ns", params.Ns, f"cross terms need at least 2 sensors, got Ns={params.Ns} at N={params.N}"
+            )
+        if "mil" in wanted:
+            _check_sensor(sensor, params.Ns)
+    out = {name: [] for name in wanted}
+    for params in scaled:
+        g = amplifier_gain(params)
+        c = g * g * params.sigma_v2
+        ap = asymptotic_params(params) if "snr" in wanted or "diag" in wanted else None
+        pairs = np.triu_indices(params.Ns, k=1) if "cross" in wanted else None
+        for seed in seeds:
+            S = generate(params.N, params.Ns, seed)
+            factor = _cho(channel_covariance(ChannelModel.from_params(params, S)))
+            if "snr" in wanted:
+                out["snr"] += _snr_records(params, seed, S, factor, g, 1.0 / ap.mu)
+            if "diag" in wanted or "mil" in wanted:
+                full, leave = _diag_forms(S, factor, c, params.sigma_w2, sensor)
+            if "diag" in wanted:
+                out["diag"].append(_record("diag_leave_out", params, seed, leave, ap.beta0))
+                out["diag"].append(_record("diag_full", params, seed, full, ap.beta0 / (1.0 + c * ap.beta0)))
+            if "cross" in wanted:
+                observed = _cross_mean(S, factor, seed, pairs, max_pairs)
+                out["cross"].append(_record("cross_mean", params, seed, observed, 0.0))
+            if "mil" in wanted:
+                out["mil"].append(_record("mil_residual", params, seed, _mil_residual(full, leave, c), 0.0))
+    return [r for name in wanted for r in out[name]]
 
 
 def mil_identity_check(S: SpreadingMatrix, params: SystemParams, sensor: int) -> float:
@@ -93,31 +197,18 @@ def mil_identity_check(S: SpreadingMatrix, params: SystemParams, sensor: int) ->
     fresh factorizations; the absolute difference is returned and should
     sit at rounding level (~1e-12) for healthy linear algebra.
     """
-    if not 0 <= sensor < S.Ns:
-        raise DomainError(f"sensor index {sensor} out of range [0, {S.Ns})")
+    _check_sensor(sensor, S.Ns)
     model = ChannelModel.from_params(params, S)
     c = model.g * model.g * model.sigma_v2
-    s_n = S.entries[:, sensor]
-    lhs = float(s_n @ cho_solve(_cho(channel_covariance(model)), s_n))
-    cov_n = _leave_out_cov(S.entries, sensor, c, model.sigma_w2)
-    q_n = float(s_n @ cho_solve(_cho(cov_n), s_n))
-    rhs = q_n / (1.0 + c * q_n)
-    return abs(lhs - rhs)
+    full, leave = _diag_forms(S, _cho(channel_covariance(model)), c, model.sigma_w2, sensor)
+    return _mil_residual(full, leave, c)
 
 
 def mil_residual_experiment(
     template: SystemParams, N_values, seeds, sensor: int = 0
 ) -> list[ConvergenceRecord]:
     """mil_identity_check across the (N, seed) schedule; predicted value 0."""
-    _check_schedule(template, N_values, seeds)
-    records = []
-    for N in N_values:
-        params = _scaled(template, N)
-        for seed in seeds:
-            S = generate(params.N, params.Ns, seed)
-            residual = mil_identity_check(S, params, sensor)
-            records.append(_record("mil_residual", params, seed, residual, 0.0))
-    return records
+    return _experiments(template, N_values, seeds, ("mil",), sensor=sensor)
 
 
 def diagonal_term_experiment(template: SystemParams, N_values, seeds) -> list[ConvergenceRecord]:
@@ -128,25 +219,7 @@ def diagonal_term_experiment(template: SystemParams, N_values, seeds) -> list[Co
     tends to beta0 / (1 + c beta0) with c = g^2 sigma_v2.  Emits statistics
     "diag_leave_out" and "diag_full" for every (N, seed) cell.
     """
-    _check_schedule(template, N_values, seeds)
-    records = []
-    for N in N_values:
-        params = _scaled(template, N)
-        ap = asymptotic_params(params)
-        g = amplifier_gain(params)
-        c = g * g * params.sigma_v2
-        pred_leave = ap.beta0
-        pred_full = ap.beta0 / (1.0 + c * ap.beta0)
-        for seed in seeds:
-            S = generate(params.N, params.Ns, seed)
-            model = ChannelModel.from_params(params, S)
-            s_0 = S.entries[:, 0]
-            full = float(s_0 @ cho_solve(_cho(channel_covariance(model)), s_0))
-            cov_0 = _leave_out_cov(S.entries, 0, c, params.sigma_w2)
-            leave = float(s_0 @ cho_solve(_cho(cov_0), s_0))
-            records.append(_record("diag_leave_out", params, seed, leave, pred_leave))
-            records.append(_record("diag_full", params, seed, full, pred_full))
-    return records
+    return _experiments(template, N_values, seeds, ("diag",))
 
 
 def cross_term_experiment(
@@ -159,37 +232,7 @@ def cross_term_experiment(
     the magnitude shrinks like 1/sqrt(N).  Emits statistic "cross_mean".
     Needs at least two sensors at every N in the schedule.
     """
-    _check_schedule(template, N_values, seeds)
-    if max_pairs < 1:
-        raise InvalidParam("max_pairs", max_pairs, "must be >= 1")
-    records = []
-    for N in N_values:
-        params = _scaled(template, N)
-        if params.Ns < 2:
-            raise InvalidParam(
-                "Ns", params.Ns, f"cross terms need at least 2 sensors, got Ns={params.Ns} at N={N}"
-            )
-        rows, cols = np.triu_indices(params.Ns, k=1)
-        n_all = rows.size
-        for seed in seeds:
-            S = generate(params.N, params.Ns, seed)
-            model = ChannelModel.from_params(params, S)
-            factor = _cho(channel_covariance(model))
-            if n_all > max_pairs:
-                pick_rng = np.random.Generator(
-                    np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(_PAIR_STREAM,)))
-                )
-                idx = pick_rng.choice(n_all, size=max_pairs, replace=False)
-                pi, pj = rows[idx], cols[idx]
-            else:
-                pi, pj = rows, cols
-            uniq, inverse = np.unique(np.concatenate([pi, pj]), return_inverse=True)
-            pos_i, pos_j = inverse[: pi.size], inverse[pi.size:]
-            U = S.entries[:, uniq]
-            G_uu = U.T @ cho_solve(factor, U)
-            observed = float(np.mean(np.abs(G_uu[pos_i, pos_j])))
-            records.append(_record("cross_mean", params, seed, observed, 0.0))
-    return records
+    return _experiments(template, N_values, seeds, ("cross",), max_pairs=max_pairs)
 
 
 def quadratic_form_convergence(template: SystemParams, N_values, seeds) -> list[ConvergenceRecord]:
@@ -201,26 +244,4 @@ def quadratic_form_convergence(template: SystemParams, N_values, seeds) -> list[
     two are the same number in exact arithmetic; a gap above 1e-8 raises
     NumericalFailure because it means the linear algebra is corrupted.
     """
-    _check_schedule(template, N_values, seeds)
-    records = []
-    for N in N_values:
-        params = _scaled(template, N)
-        ap = asymptotic_params(params)
-        g = amplifier_gain(params)
-        predicted = 1.0 / ap.mu
-        for seed in seeds:
-            S = generate(params.N, params.Ns, seed)
-            model = ChannelModel.from_params(params, S)
-            factor = _cho(channel_covariance(model))
-            s1 = S.entries.sum(axis=1)
-            qf = float(s1 @ cho_solve(factor, s1))
-            G = S.entries.T @ cho_solve(factor, S.entries)
-            residual = abs(qf - float(G.sum())) / qf if qf > 0 else abs(float(G.sum()))
-            if not residual <= _DECOMPOSITION_RTOL:
-                raise NumericalFailure(
-                    f"quadratic-form decomposition residual {residual!r} exceeds "
-                    f"{_DECOMPOSITION_RTOL} at N={N}, seed={seed}"
-                )
-            records.append(_record("snr", params, seed, g * g * qf, predicted))
-            records.append(_record("decomposition_residual", params, seed, residual, 0.0))
-    return records
+    return _experiments(template, N_values, seeds, ("snr",))

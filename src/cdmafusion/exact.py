@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .core import DetectorSpec, SystemParams, amplifier_gain, q_function, threshold_for, validate
+from .core import DetectorSpec, SystemParams, amplifier_gain, q_function, threshold_for
 from .errors import DimensionMismatch, NumericalFailure
 from .spreading import SpreadingMatrix
 
@@ -85,10 +85,14 @@ def channel_covariance(model: ChannelModel) -> np.ndarray:
 
     Returned exactly symmetric; with sigma_v2 == 0 it is exactly diagonal.
     """
-    S = model.S.entries
-    cov = (model.g * model.g * model.sigma_v2) * (S @ S.T)
+    return _covariance(model.S.entries, model.g * model.g * model.sigma_v2, model.sigma_w2)
+
+
+def _covariance(A: np.ndarray, c: float, sigma_w2: float) -> np.ndarray:
+    """c A A^T + sigma_w2 I for any set of signature columns A, exactly symmetric."""
+    cov = c * (A @ A.T)
     cov = 0.5 * (cov + cov.T)
-    cov[np.diag_indices_from(cov)] += model.sigma_w2
+    cov[np.diag_indices_from(cov)] += sigma_w2
     return cov
 
 
@@ -139,7 +143,6 @@ def exact_performance(params: SystemParams, S: SpreadingMatrix, spec: DetectorSp
     pf = q((tau + 2 g^2 m^2 qf) / (2 g m sqrt(qf))) and symmetrically for
     pm; pe = p0 pf + p1 pm.  With tau == 0 the two tails coincide exactly.
     """
-    validate(params)
     model = ChannelModel.from_params(params, S)
     qf = quadratic_form(model)
     tau = threshold_for(spec, params, qf)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_solve
 
-from .core import DetectorSpec, SystemParams, amplifier_gain, threshold_for, validate
+from .core import DetectorSpec, SystemParams, amplifier_gain, threshold_for
 from .errors import DimensionMismatch, DomainError, InvalidParam
 from .exact import MONTECARLO, ChannelModel, McDiagnostics, PerformanceReport, _cho, channel_covariance
 from .spreading import SpreadingMatrix
@@ -76,7 +76,6 @@ def simulate_trials(
     r = g S z + w with z = -+m + v.  Consumes 2 blocks of normals from rng
     (sensor noise first, then receiver noise).
     """
-    validate(params)
     if hypothesis not in (0, 1):
         raise DomainError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
     if not isinstance(n_trials, int) or isinstance(n_trials, bool) or n_trials < 1:
@@ -139,7 +138,6 @@ def estimate(
     2 g m Sigma^{-1} S 1.  Ties (T == tau) decide the alternative, which is
     what makes the degenerate qf == 0 channel agree with the closed form.
     """
-    validate(params)
     model = ChannelModel.from_params(params, S)
     factor = _cho(channel_covariance(model))
     s1 = S.entries.sum(axis=1)

@@ -67,8 +67,11 @@ def generate(N: int, Ns: int, seed: int) -> SpreadingMatrix:
     # one double per entry keeps the stream position independent of dtype
     # buffering, which is what makes the column-extension property hold
     draws = rng.random(size=(int(Ns), int(N)))
-    signs = np.where(draws < 0.5, -1.0, 1.0)
-    entries = signs.T / math.sqrt(N)
+    # the sign of u - 0.5 picks each entry, in place: u < 0.5 gives the
+    # negative entry and u == 0.5 gives +0.0, so the positive one
+    entries = np.ascontiguousarray(draws.T)
+    entries -= 0.5
+    np.copysign(1.0 / math.sqrt(N), entries, out=entries)
     return SpreadingMatrix(entries=_freeze(entries), N=int(N), Ns=int(Ns), seed=int(seed))
 
 

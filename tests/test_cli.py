@@ -1,6 +1,7 @@
 """Config parsing, CSV artifacts, exit codes, reproducibility of the runner."""
 
 import ctypes
+import hashlib
 import inspect
 import json
 import math
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 import scipy
 
-from cdmafusion import ParseError, cli
+from cdmafusion import ParseError, cli, convergence, exact
 from cdmafusion.cli import main, parse_config
 from cdmafusion.spreading import generate, save_csv
 
@@ -526,3 +527,55 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+class TestConvergeSinglePass:
+    # sha256 of whole artifacts, frozen from the runner's output: the converge
+    # schedule has an odd N and both sides of the cross term's 200-pair cut
+    GOLDEN = {
+        "converge": ({"mode": "converge", "seed": 4, "params": {"N": 8, "alpha": 2.0},
+                      "grid": {"N": [7, 8, 16], "seeds": 3}},
+                     "978ae4b21e2608c5e3947a516f2a5d60dee02dcf2d1cb5fc70db54bcc7e48d2d"),
+        "sweep-grid": ({"mode": "sweep-grid", "seed": 2,
+                        "grid": {"N": [8, 16], "alpha": [0.5, 2.0], "seeds": 3}},
+                       "10a26c0c6b27022c773722580bc0cb778d271328aa41a8e64752dd4766aa4d7b"),
+    }
+
+    @pytest.mark.parametrize("mode", sorted(GOLDEN))
+    def test_golden_artifact(self, tmp_path, mode):
+        doc, digest = self.GOLDEN[mode]
+        out = tmp_path / "out.csv"
+        assert main(["--config", config_file(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    @staticmethod
+    def count_calls(monkeypatch, module, name, calls):
+        original = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    def test_one_draw_and_two_factorizations_per_cell(self, tmp_path, monkeypatch):
+        calls = {"generate": 0, "cho_factor": 0}
+        self.count_calls(monkeypatch, convergence, "generate", calls)
+        self.count_calls(monkeypatch, exact, "cho_factor", calls)
+        cfg = config_file(tmp_path, {"mode": "converge", "seed": 1, "params": {"N": 8, "alpha": 2.0},
+                                     "grid": {"N": [8, 16, 32], "seeds": 4}})
+        assert main(["--config", cfg, "--out", str(tmp_path / "c.csv"), "--quiet"]) == 0
+        cells = 3 * 4
+        assert calls == {"generate": cells, "cho_factor": 2 * cells}
+
+    def test_single_sensor_at_smallest_N_fails_before_any_draw(self, tmp_path, monkeypatch, capsys):
+        calls = {"generate": 0}
+        self.count_calls(monkeypatch, convergence, "generate", calls)
+        out = tmp_path / "c.csv"
+        # load 1/8 gives one sensor at N=8 and two at N=16
+        cfg = config_file(tmp_path, {"mode": "converge", "params": {"N": 8, "Ns": 1},
+                                     "grid": {"N": [8, 16], "seeds": 2}})
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 1
+        assert "cross terms need at least 2 sensors" in capsys.readouterr().err
+        assert not out.exists()
+        assert calls["generate"] == 0

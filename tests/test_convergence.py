@@ -7,6 +7,7 @@ baked in here, so every check is deterministic at test time.
 
 import math
 import statistics
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,6 +22,8 @@ from cdmafusion import (
     mil_residual_experiment,
     quadratic_form_convergence,
 )
+from cdmafusion import convergence
+from cdmafusion.convergence import _experiments
 from cdmafusion.spreading import generate
 
 TEMPLATE = SystemParams(N=10, Ns=10, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0)
@@ -189,3 +192,27 @@ class TestScheduleValidation:
         assert (snr.N, snr.Ns, snr.alpha, snr.seed) == (8, 8, 1.0, 4)
         assert snr.abs_error == abs(snr.observed - snr.predicted)
         assert snr.rel_error == snr.abs_error / snr.predicted
+
+
+class TestSinglePass:
+    def test_matches_the_four_experiments_in_order(self):
+        # N=24 has 276 sensor pairs, so the cross term's pair subsampling runs too
+        N_values, seeds = [8, 24], SEEDS[:3]
+        expected = (
+            quadratic_form_convergence(TEMPLATE, N_values, seeds)
+            + diagonal_term_experiment(TEMPLATE, N_values, seeds)
+            + cross_term_experiment(TEMPLATE, N_values, seeds)
+            + mil_residual_experiment(TEMPLATE, N_values, seeds)
+        )
+        assert _experiments(TEMPLATE, N_values, seeds) == expected
+
+    def test_schedule_is_checked_before_the_first_draw(self, monkeypatch):
+        def no_draw(*args):
+            raise AssertionError("a matrix was drawn before the schedule check failed")
+
+        monkeypatch.setattr(convergence, "generate", no_draw)
+        tiny_first = SystemParams(N=8, Ns=1, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0)
+        with pytest.raises(InvalidParam, match="cross terms need at least 2 sensors, got Ns=1 at N=8"):
+            cross_term_experiment(tiny_first, [8, 16], [0])
+        with pytest.raises(DomainError, match=r"sensor index 12 out of range \[0, 12\)"):
+            mil_residual_experiment(replace(TEMPLATE, N=12, Ns=12), [12], [0], sensor=12)

@@ -5,6 +5,7 @@ generator contract (Philox keyed by the seed, one uniform draw per entry,
 column-major assignment); the tests then hold the implementation to it.
 """
 
+import hashlib
 import math
 
 import numpy as np
@@ -88,6 +89,29 @@ class TestGenerate:
         with pytest.raises(ValueError):
             s.entries[0, 0] = 9.0
 
+
+
+# sha256 of generate(N, Ns, seed).entries.tobytes(), frozen from the
+# generator's output: any rewrite of how the signs become entries must keep
+# every byte, including at N = 1, odd N and the largest seed
+GOLDEN_ENTRY_SHA256 = {
+    (1, 1, 0): "e77817b649821c634355a917817c1224a360514b1244fe09e832bac4e8ea4440",
+    (1, 6, 3): "efb48a588147892f9efd6aa563d3e341c86a4f8e3386da5c813c24cdd76e355a",
+    (7, 3, 11): "28a5fd1eb137ba6ba18571c39149c1958faf47d4b41407a768c63c677c718364",
+    (8, 4, 1): "66298a9326258b089167a1e3036740b5c60d717a2a3c4a502a75558fdebb2e14",
+    (16, 32, 2): "c51f7fb13e7e25a071caf4e47d18dbb0140a7b09c5318794651e194c846e00ca",
+    (33, 17, 2**64 - 1): "6bc37c7f3505bbd129df0d5a80b101e68242d1c92279c78da07b6fa0f5562978",
+    (128, 512, 5): "23d86f0a678118d881a011eded5bca4d87fbaa328cbd28dbb9e6d30b328f7cbb",
+    (256, 512, 7): "8ac327db5459d75f4a95807ff16435e58a622d93833d3c4002236e59a0f205b5",
+}
+
+
+class TestGoldenBytes:
+    @pytest.mark.parametrize("shape", sorted(GOLDEN_ENTRY_SHA256))
+    def test_entries_sha256(self, shape):
+        s = generate(*shape)
+        assert s.entries.flags.c_contiguous
+        assert hashlib.sha256(s.entries.tobytes()).hexdigest() == GOLDEN_ENTRY_SHA256[shape]
 
 class TestLoad:
     def test_accepts_trivial_matrix(self):
