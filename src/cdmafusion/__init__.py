@@ -66,7 +66,7 @@ from .exact import (
     fusion_statistic,
     quadratic_form,
 )
-from .montecarlo import McConfig, estimate, simulate_trial, simulate_trials
+from .montecarlo import McConfig, estimate, simulate_trials
 from .spreading import GENERATOR_ID, SpreadingMatrix
 
 __all__ = [
@@ -114,7 +114,6 @@ __all__ = [
     "quadratic_form",
     "quadratic_form_convergence",
     "sensors_for_load",
-    "simulate_trial",
     "simulate_trials",
     "single_sensor_pe",
     "threshold_for",

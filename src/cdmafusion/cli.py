@@ -47,7 +47,6 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -62,7 +61,8 @@ from .asymptotics import (
     single_sensor_pe,
 )
 from .convergence import _experiments
-from .core import BAYES, CRITERIA, FIXED, NEYMAN_PEARSON, DetectorSpec, SystemParams, sensors_for_load
+from .core import BAYES, CRITERIA, FIXED, NEYMAN_PEARSON, SEED_MAX, DetectorSpec, SystemParams
+from .core import is_int, map_workers, seed_sequence, sensors_for_load
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -77,7 +77,6 @@ from .spreading import GENERATOR_ID, generate, load_csv
 
 MODES = ("analyze", "asymptotic", "montecarlo", "converge", "sweep-grid", "sweep-limits")
 
-_SEED_MAX = 2**64
 _DEFAULT_GRID_N = (8, 16, 32, 64, 128)
 _DEFAULT_GRID_ALPHA = (0.5, 1.0, 2.0, 4.0)
 _CONVERGE_SEED_STREAM = 101
@@ -120,7 +119,7 @@ def _get_int(section: dict, key: str, where: str, default=None):
     if key not in section:
         return default
     val = section[key]
-    if not isinstance(val, int) or isinstance(val, bool):
+    if not is_int(val):
         raise ParseError(f"{where}.{key} must be an integer, got {val!r}")
     return val
 
@@ -212,7 +211,7 @@ def _parse_grid(doc: dict) -> tuple[tuple[int, ...], tuple[float, ...], int]:
     if not isinstance(grid_N, list) or not grid_N:
         raise ParseError(f"grid.N must be a non-empty list, got {grid_N!r}")
     for v in grid_N:
-        if not isinstance(v, int) or isinstance(v, bool) or v < 1:
+        if not is_int(v) or v < 1:
             raise ParseError(f"grid.N entries must be integers >= 1, got {v!r}")
     _ascending(grid_N, "grid.N")
     grid_alpha = sec.get("alpha", list(_DEFAULT_GRID_ALPHA))
@@ -264,7 +263,7 @@ def parse_config(text: bytes | str, *, mode: str | None = None) -> ExperimentCon
     if eff_mode is None:
         raise ParseError("no mode: give one on the command line or as \"mode\" in the config")
     seed = _get_int(doc, "seed", "top level", default=0)
-    if not 0 <= seed < _SEED_MAX:
+    if not 0 <= seed < SEED_MAX:
         raise ParseError(f"seed must lie in [0, 2**64), got {seed}")
     output = _get_str(doc, "output", "top level")
     matrix_path = _get_str(doc, "matrix_path", "top level")
@@ -292,14 +291,13 @@ def _fmt(v) -> str:
         return ""
     if isinstance(v, str):
         return v
-    if isinstance(v, (int, np.integer)) and not isinstance(v, bool):
+    if is_int(v):
         return str(int(v))
     return format(float(v), ".9g")
 
 
 def _derive_seed(master: int, *key: int) -> int:
-    ss = np.random.SeedSequence(entropy=master, spawn_key=tuple(key))
-    return int(ss.generate_state(1, np.uint64)[0])
+    return int(seed_sequence(master, *key).generate_state(1, np.uint64)[0])
 
 
 def _detector_line(det: DetectorSpec) -> str:
@@ -336,24 +334,13 @@ def _grid_meta(config: ExperimentConfig, alphas: bool) -> list[str]:
     return lines
 
 
-def _load_matrix(path: str):
-    try:
-        return load_csv(path)
-    except OSError as exc:
-        raise ParseError(f"cannot read matrix file {path!r}: {exc}") from None
-
-
 def _signatures(config: ExperimentConfig):
-    if config.matrix_path is not None:
-        return _load_matrix(config.matrix_path)
-    return generate(config.params.N, config.params.Ns, config.seed)
-
-
-def _map_cells(fn, cells, workers: int | None):
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, cells))
-    return [fn(c) for c in cells]
+    if config.matrix_path is None:
+        return generate(config.params.N, config.params.Ns, config.seed)
+    try:
+        return load_csv(config.matrix_path)
+    except OSError as exc:
+        raise ParseError(f"cannot read matrix file {config.matrix_path!r}: {exc}") from None
 
 
 def _run_analyze(config: ExperimentConfig):
@@ -406,12 +393,8 @@ def _run_montecarlo(config: ExperimentConfig):
 
 def _run_converge(config: ExperimentConfig):
     template = config.params
-    seeds = [
-        int(s)
-        for s in np.random.SeedSequence(
-            entropy=config.seed, spawn_key=(_CONVERGE_SEED_STREAM,)
-        ).generate_state(config.cell_seeds, np.uint64)
-    ]
+    state = seed_sequence(config.seed, _CONVERGE_SEED_STREAM).generate_state(config.cell_seeds, np.uint64)
+    seeds = [int(s) for s in state]
     # one draw and two factorizations per (N, seed) cell feed all four statistics
     records = _experiments(template, list(config.grid_N), seeds)
     meta = _base_meta(config) + _instance_meta(config) + _grid_meta(config, alphas=False)
@@ -443,7 +426,7 @@ def _run_sweep_grid(config: ExperimentConfig):
         rel_gap = abs(pe_exact - pe_asym) / pe_asym
         return [pc.N, a, pc.Ns, seed, pe_exact, pe_asym, rel_gap]
 
-    rows = _map_cells(cell, cells, config.mc.worker_hint)
+    rows = map_workers(cell, cells, config.mc.worker_hint)
     meta = _base_meta(config) + _grid_meta(config, alphas=True)
     meta.append(f"seeds_per_cell={config.cell_seeds}")
     columns = ["N", "alpha", "Ns", "seed", "pe_exact", "pe_asymptotic", "rel_gap"]
@@ -460,7 +443,7 @@ def _run_sweep_limits(config: ExperimentConfig):
         rep = asymptotic_performance(pc, config.detector)
         return [N, a, rep.pe, large_alpha_pe(pc), single_sensor_pe(pc)]
 
-    rows = _map_cells(cell, cells, config.mc.worker_hint)
+    rows = map_workers(cell, cells, config.mc.worker_hint)
     meta = _base_meta(config) + _grid_meta(config, alphas=True)
     columns = ["N", "alpha", "pe_asymptotic", "pe_large_alpha_limit", "pe_single_sensor"]
     return meta, columns, rows
@@ -545,7 +528,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
     mc = config.mc
     if args.seed is not None:
-        if not 0 <= args.seed < _SEED_MAX:
+        if not 0 <= args.seed < SEED_MAX:
             raise ParseError(f"--seed must lie in [0, 2**64), got {args.seed}")
         config = replace(config, seed=args.seed)
         mc = replace(mc, seed=args.seed)

@@ -22,12 +22,11 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import cho_solve
 
 from .asymptotics import asymptotic_params
-from .core import SystemParams, amplifier_gain, sensors_for_load, validate
+from .core import SystemParams, amplifier_gain, seed_sequence, sensors_for_load, validate
 from .errors import DomainError, InvalidParam, NumericalFailure
-from .exact import ChannelModel, _cho, _covariance, channel_covariance
+from .exact import ChannelModel, quadratic_form
 from .spreading import SpreadingMatrix, generate
 
 _PAIR_STREAM = 0x9A1C
@@ -87,26 +86,23 @@ def _check_sensor(sensor: int, Ns: int) -> None:
         raise DomainError(f"sensor index {sensor} out of range [0, {Ns})")
 
 
-def _diag_forms(S: SpreadingMatrix, factor, c: float, sigma_w2: float, sensor: int) -> tuple[float, float]:
+def _diag_forms(model: ChannelModel, sensor: int) -> tuple[float, float]:
     """(s^T Sigma^{-1} s, q = s^T Q^{-1} s) for one sensor's signature s.
 
-    The first form reuses Sigma's factor; Q, the covariance built without
-    s, gets a factorization of its own.
+    The first form reuses the model's factor; Q, the covariance of the
+    leave-one-out model without s, gets a factorization of its own.
     """
-    s = S.entries[:, sensor]
-    full = float(s @ cho_solve(factor, s))
-    cov = _covariance(np.delete(S.entries, sensor, axis=1), c, sigma_w2)
-    return full, float(s @ cho_solve(_cho(cov), s))
+    s = model.S.entries[:, sensor]
+    return float(s @ model.solve(s)), float(s @ model.without(sensor).solve(s))
 
 
 def _mil_residual(full: float, leave: float, c: float) -> float:
     return abs(full - leave / (1.0 + c * leave))
 
 
-def _snr_records(params: SystemParams, seed: int, S: SpreadingMatrix, factor, g: float, predicted: float):
-    s1 = S.entries.sum(axis=1)
-    qf = float(s1 @ cho_solve(factor, s1))
-    G = S.entries.T @ cho_solve(factor, S.entries)
+def _snr_records(params: SystemParams, seed: int, model: ChannelModel, predicted: float):
+    qf = quadratic_form(model)
+    G = model.S.entries.T @ model.solve(model.S.entries)
     residual = abs(qf - float(G.sum())) / qf if qf > 0 else abs(float(G.sum()))
     if not residual <= _DECOMPOSITION_RTOL:
         raise NumericalFailure(
@@ -114,26 +110,24 @@ def _snr_records(params: SystemParams, seed: int, S: SpreadingMatrix, factor, g:
             f"{_DECOMPOSITION_RTOL} at N={params.N}, seed={seed}"
         )
     return [
-        _record("snr", params, seed, g * g * qf, predicted),
+        _record("snr", params, seed, model.g * model.g * qf, predicted),
         _record("decomposition_residual", params, seed, residual, 0.0),
     ]
 
 
-def _cross_mean(S: SpreadingMatrix, factor, seed: int, pairs, max_pairs: int) -> float:
+def _cross_mean(model: ChannelModel, seed: int, pairs, max_pairs: int) -> float:
     rows, cols = pairs
     n_all = rows.size
     if n_all > max_pairs:
-        pick_rng = np.random.Generator(
-            np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(_PAIR_STREAM,)))
-        )
+        pick_rng = np.random.Generator(np.random.Philox(seed_sequence(seed, _PAIR_STREAM)))
         idx = pick_rng.choice(n_all, size=max_pairs, replace=False)
         pi, pj = rows[idx], cols[idx]
     else:
         pi, pj = rows, cols
     uniq, inverse = np.unique(np.concatenate([pi, pj]), return_inverse=True)
     pos_i, pos_j = inverse[: pi.size], inverse[pi.size:]
-    U = S.entries[:, uniq]
-    G_uu = U.T @ cho_solve(factor, U)
+    U = model.S.entries[:, uniq]
+    G_uu = U.T @ model.solve(U)
     return float(np.mean(np.abs(G_uu[pos_i, pos_j])))
 
 
@@ -171,17 +165,16 @@ def _experiments(
         ap = asymptotic_params(params) if "snr" in wanted or "diag" in wanted else None
         pairs = np.triu_indices(params.Ns, k=1) if "cross" in wanted else None
         for seed in seeds:
-            S = generate(params.N, params.Ns, seed)
-            factor = _cho(channel_covariance(ChannelModel.from_params(params, S)))
+            model = ChannelModel.from_params(params, generate(params.N, params.Ns, seed))
             if "snr" in wanted:
-                out["snr"] += _snr_records(params, seed, S, factor, g, 1.0 / ap.mu)
+                out["snr"] += _snr_records(params, seed, model, 1.0 / ap.mu)
             if "diag" in wanted or "mil" in wanted:
-                full, leave = _diag_forms(S, factor, c, params.sigma_w2, sensor)
+                full, leave = _diag_forms(model, sensor)
             if "diag" in wanted:
                 out["diag"].append(_record("diag_leave_out", params, seed, leave, ap.beta0))
                 out["diag"].append(_record("diag_full", params, seed, full, ap.beta0 / (1.0 + c * ap.beta0)))
             if "cross" in wanted:
-                observed = _cross_mean(S, factor, seed, pairs, max_pairs)
+                observed = _cross_mean(model, seed, pairs, max_pairs)
                 out["cross"].append(_record("cross_mean", params, seed, observed, 0.0))
             if "mil" in wanted:
                 out["mil"].append(_record("mil_residual", params, seed, _mil_residual(full, leave, c), 0.0))
@@ -200,7 +193,7 @@ def mil_identity_check(S: SpreadingMatrix, params: SystemParams, sensor: int) ->
     _check_sensor(sensor, S.Ns)
     model = ChannelModel.from_params(params, S)
     c = model.g * model.g * model.sigma_v2
-    full, leave = _diag_forms(S, _cho(channel_covariance(model)), c, model.sigma_w2, sensor)
+    full, leave = _diag_forms(model, sensor)
     return _mil_residual(full, leave, c)
 
 

@@ -1,4 +1,5 @@
-"""Scalar foundations: model parameters, Gaussian tails, gains, thresholds.
+"""Scalar foundations: model parameters, integer and seed checks, the worker
+map, Gaussian tails, gains, thresholds.
 
 The model: Ns sensors each observe z_n = +-m + v_n with v_n ~ N(0, sigma_v2),
 scale their observation by a common gain g, and transmit simultaneously over
@@ -13,8 +14,10 @@ from __future__ import annotations
 
 import math
 import numbers
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
+import numpy as np
 from scipy.special import ndtri
 
 from .errors import DomainError, InvalidParam
@@ -27,9 +30,39 @@ FIXED = "fixed"
 
 CRITERIA = (BAYES, NEYMAN_PEARSON, FIXED)
 
+SEED_MAX = 2**64
 
-def _is_int(x: object) -> bool:
+
+def is_int(x: object) -> bool:
+    """True for Python and numpy integers, False for bool."""
     return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def check_count(name: str, value: object, what: str) -> int:
+    """value as a Python int; InvalidParam unless it is an integer >= 1."""
+    if not is_int(value) or value < 1:
+        raise InvalidParam(name, value, f"{what} must be an integer >= 1")
+    return int(value)
+
+
+def check_seed(seed: object) -> int:
+    """seed as a Python int; InvalidParam unless it is an integer in [0, 2**64)."""
+    if not is_int(seed) or not 0 <= seed < SEED_MAX:
+        raise InvalidParam("seed", seed, "seed must be an integer in [0, 2**64)")
+    return int(seed)
+
+
+def seed_sequence(master: int, *key: int) -> np.random.SeedSequence:
+    """The child stream `key` of a master seed; every derived seed comes from here."""
+    return np.random.SeedSequence(entropy=master, spawn_key=key)
+
+
+def map_workers(fn, items, workers: int | None) -> list:
+    """[fn(x) for x in items], on a pool of `workers` threads when workers > 1."""
+    if workers is not None and workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
 
 
 def _is_real(x: object) -> bool:
@@ -71,10 +104,8 @@ def validate(params: SystemParams) -> SystemParams:
     declaration order.
     """
     p = params
-    if not _is_int(p.N) or p.N < 1:
-        raise InvalidParam("N", p.N, "spreading length must be an integer >= 1")
-    if not _is_int(p.Ns) or p.Ns < 1:
-        raise InvalidParam("Ns", p.Ns, "sensor count must be an integer >= 1")
+    check_count("N", p.N, "spreading length")
+    check_count("Ns", p.Ns, "sensor count")
     if not _is_real(p.P) or p.P <= 0:
         raise InvalidParam("P", p.P, "total power must be finite and > 0")
     if not _is_real(p.m) or p.m <= 0:
@@ -97,10 +128,11 @@ def sensors_for_load(alpha: float, N: int) -> int:
 
     Rounds alpha * N half away from zero; the result must be >= 1.
     """
-    if not _is_int(N) or N < 1:
-        raise InvalidParam("N", N, "spreading length must be an integer >= 1")
+    check_count("N", N, "spreading length")
     if not _is_real(alpha) or alpha <= 0:
         raise InvalidParam("alpha", alpha, "load ratio must be finite and > 0")
+    if not math.isfinite(alpha * N):
+        raise InvalidParam("alpha", alpha, f"load {alpha} at N={N} gives a non-finite sensor count")
     Ns = int(math.floor(alpha * N + 0.5))
     if Ns < 1:
         raise InvalidParam("alpha", alpha, f"load {alpha} at N={N} rounds to zero sensors")

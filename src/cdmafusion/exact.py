@@ -11,7 +11,7 @@ qf = (S 1)^T Sigma^{-1} (S 1).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -25,9 +25,27 @@ ASYMPTOTIC = "asymptotic"
 MONTECARLO = "montecarlo"
 
 
+def _once(method):
+    """A read-only attribute computed on first use and kept on the instance, with
+    no class-wide lock (functools.cached_property holds one before Python 3.12)."""
+    name = method.__name__
+
+    def get(self):
+        value = self.__dict__.get(name)
+        if value is None:
+            value = self.__dict__[name] = method(self)
+        return value
+
+    return property(get, doc=method.__doc__)
+
+
 @dataclass(frozen=True)
 class ChannelModel:
-    """A signature matrix plus the scalars entering the received-signal law."""
+    """A signature matrix plus the scalars entering the received-signal law.
+
+    Every route shares it as the factored channel: the Cholesky factor of
+    its covariance is built once, on first use, and serves every solve.
+    """
 
     S: SpreadingMatrix
     g: float
@@ -48,6 +66,33 @@ class ChannelModel:
             sigma_w2=params.sigma_w2,
             m=params.m,
         )
+
+    def without(self, sensor: int) -> "ChannelModel":
+        """The same channel with sensor's signature column removed (leave-one-out)."""
+        entries = np.delete(self.S.entries, sensor, axis=1)
+        entries.setflags(write=False)
+        return replace(self, S=SpreadingMatrix(entries=entries, N=self.S.N, Ns=self.S.Ns - 1))
+
+    @_once
+    def _factor(self):
+        try:
+            return cho_factor(channel_covariance(self), lower=True)
+        except LinAlgError as exc:
+            raise NumericalFailure(f"covariance factorization failed: {exc}") from exc
+
+    def solve(self, B) -> np.ndarray:
+        """Sigma^{-1} B for a vector or matrix B, through the shared factor."""
+        return cho_solve(self._factor, B)
+
+    @_once
+    def s1(self) -> np.ndarray:
+        """The summed signature S 1."""
+        return self.S.entries.sum(axis=1)
+
+    @_once
+    def detector(self) -> np.ndarray:
+        """The detector direction Sigma^{-1} S 1."""
+        return self.solve(self.s1)
 
 
 @dataclass(frozen=True)
@@ -85,34 +130,21 @@ def channel_covariance(model: ChannelModel) -> np.ndarray:
 
     Returned exactly symmetric; with sigma_v2 == 0 it is exactly diagonal.
     """
-    return _covariance(model.S.entries, model.g * model.g * model.sigma_v2, model.sigma_w2)
-
-
-def _covariance(A: np.ndarray, c: float, sigma_w2: float) -> np.ndarray:
-    """c A A^T + sigma_w2 I for any set of signature columns A, exactly symmetric."""
-    cov = c * (A @ A.T)
+    A = model.S.entries
+    cov = (model.g * model.g * model.sigma_v2) * (A @ A.T)
     cov = 0.5 * (cov + cov.T)
-    cov[np.diag_indices_from(cov)] += sigma_w2
+    cov[np.diag_indices_from(cov)] += model.sigma_w2
     return cov
-
-
-def _cho(cov: np.ndarray):
-    try:
-        return cho_factor(cov, lower=True)
-    except LinAlgError as exc:
-        raise NumericalFailure(f"covariance factorization failed: {exc}") from exc
 
 
 def quadratic_form(model: ChannelModel) -> float:
     """Detector quadratic form qf = (S 1)^T Sigma^{-1} (S 1).
 
-    Solved through a Cholesky factorization of Sigma; the covariance is
-    positive definite whenever sigma_w2 > 0, so qf >= 0, with equality
-    exactly when the signature columns sum to zero.
+    Solved through the model's Cholesky factor; the covariance is positive
+    definite whenever sigma_w2 > 0, so qf >= 0, with equality exactly when
+    the signature columns sum to zero.
     """
-    cov = channel_covariance(model)
-    s1 = model.S.entries.sum(axis=1)
-    return float(s1 @ cho_solve(_cho(cov), s1))
+    return float(model.s1 @ model.detector)
 
 
 def fusion_statistic(model: ChannelModel, r) -> float:
@@ -120,9 +152,7 @@ def fusion_statistic(model: ChannelModel, r) -> float:
     r = np.asarray(r, dtype=np.float64)
     if r.shape != (model.S.N,):
         raise DimensionMismatch(f"received vector has shape {r.shape}, expected ({model.S.N},)")
-    cov = channel_covariance(model)
-    s1 = model.S.entries.sum(axis=1)
-    return float(2.0 * model.g * model.m * (s1 @ cho_solve(_cho(cov), r)))
+    return float(2.0 * model.g * model.m * (model.detector @ r))
 
 
 def _tail_probabilities(g: float, m: float, qf: float, tau: float) -> tuple[float, float]:

@@ -12,22 +12,19 @@ or in what order they finish.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_solve
 
-from .core import DetectorSpec, SystemParams, amplifier_gain, threshold_for
-from .errors import DimensionMismatch, DomainError, InvalidParam
-from .exact import MONTECARLO, ChannelModel, McDiagnostics, PerformanceReport, _cho, channel_covariance
+from .core import DetectorSpec, SystemParams, check_count, check_seed, is_int, map_workers, seed_sequence
+from .core import threshold_for
+from .errors import DomainError
+from .exact import MONTECARLO, ChannelModel, McDiagnostics, PerformanceReport, quadratic_form
 from .spreading import SpreadingMatrix
 
 CHUNK_TRIALS = 1 << 14
 RNG_ID = "philox4x64-seedseq-chunk16384-v1"
 NORMAL_SAMPLER_ID = "numpy-ziggurat-v1"
-
-_SEED_MAX = 2**64
 
 
 @dataclass(frozen=True)
@@ -43,24 +40,14 @@ class McConfig:
     worker_hint: int | None = None
 
     def __post_init__(self):
-        if not isinstance(self.trials_per_hypothesis, int) or isinstance(self.trials_per_hypothesis, bool) \
-                or self.trials_per_hypothesis < 1:
-            raise InvalidParam(
-                "trials_per_hypothesis", self.trials_per_hypothesis, "must be an integer >= 1"
-            )
-        if not isinstance(self.seed, int) or isinstance(self.seed, bool) or not 0 <= self.seed < _SEED_MAX:
-            raise InvalidParam("seed", self.seed, "seed must be an integer in [0, 2**64)")
-        if self.worker_hint is not None and (
-            not isinstance(self.worker_hint, int)
-            or isinstance(self.worker_hint, bool)
-            or self.worker_hint < 1
-        ):
-            raise InvalidParam("worker_hint", self.worker_hint, "must be None or an integer >= 1")
+        check_count("trials_per_hypothesis", self.trials_per_hypothesis, "trials per hypothesis")
+        check_seed(self.seed)
+        if self.worker_hint is not None:
+            check_count("worker_hint", self.worker_hint, "worker hint")
 
 
 def _chunk_rng(seed: int, hypothesis: int, chunk_idx: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(hypothesis, chunk_idx))
-    return np.random.Generator(np.random.Philox(ss))
+    return np.random.Generator(np.random.Philox(seed_sequence(seed, hypothesis, chunk_idx)))
 
 
 def simulate_trials(
@@ -78,24 +65,13 @@ def simulate_trials(
     """
     if hypothesis not in (0, 1):
         raise DomainError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
-    if not isinstance(n_trials, int) or isinstance(n_trials, bool) or n_trials < 1:
+    if not is_int(n_trials) or n_trials < 1:
         raise DomainError(f"n_trials must be an integer >= 1, got {n_trials!r}")
-    if (S.N, S.Ns) != (params.N, params.Ns):
-        raise DimensionMismatch(
-            f"signature matrix is {S.N}x{S.Ns} but params declare N={params.N}, Ns={params.Ns}"
-        )
-    g = amplifier_gain(params)
+    g = ChannelModel.from_params(params, S).g  # also checks S against params
     mean = params.m if hypothesis == 1 else -params.m
     z = mean + math.sqrt(params.sigma_v2) * rng.standard_normal((params.Ns, n_trials))
     w = math.sqrt(params.sigma_w2) * rng.standard_normal((params.N, n_trials))
     return g * (S.entries @ z) + w
-
-
-def simulate_trial(
-    params: SystemParams, S: SpreadingMatrix, hypothesis: int, rng: np.random.Generator
-) -> np.ndarray:
-    """One received vector r of length N under the given hypothesis."""
-    return simulate_trials(params, S, hypothesis, 1, rng)[:, 0]
 
 
 def _chunk_plan(total: int) -> list[tuple[int, int]]:
@@ -134,16 +110,14 @@ def estimate(
 
     The detector is the same one exact_performance analyses: the threshold
     is resolved against this channel's quadratic form, and the statistic is
-    computed as a dot product with the precomputed weight vector
-    2 g m Sigma^{-1} S 1.  Ties (T == tau) decide the alternative, which is
-    what makes the degenerate qf == 0 channel agree with the closed form.
+    computed as a dot product with the weight vector 2 g m Sigma^{-1} S 1;
+    the weight and qf take one factorization and one solve.  Ties (T == tau)
+    decide the alternative, which is what makes the degenerate qf == 0
+    channel agree with the closed form.
     """
     model = ChannelModel.from_params(params, S)
-    factor = _cho(channel_covariance(model))
-    s1 = S.entries.sum(axis=1)
-    weight = 2.0 * model.g * params.m * cho_solve(factor, s1)
-    qf = float(s1 @ cho_solve(factor, s1))
-    tau = threshold_for(spec, params, qf)
+    weight = 2.0 * model.g * params.m * model.detector
+    tau = threshold_for(spec, params, quadratic_form(model))
 
     n = mc.trials_per_hypothesis
     jobs = [
@@ -157,12 +131,7 @@ def estimate(
         return hyp, _count_errors(params, S, weight, tau, hyp, mc.seed, idx, size)
 
     counts = [0, 0]
-    if mc.worker_hint is not None and mc.worker_hint > 1:
-        with ThreadPoolExecutor(max_workers=mc.worker_hint) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-    for hyp, c in results:
+    for hyp, c in map_workers(run, jobs, mc.worker_hint):
         counts[hyp] += c
 
     false_alarms, misses = counts

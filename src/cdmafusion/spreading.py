@@ -14,11 +14,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InvalidParam, InvalidSpreadingMatrix, ParseError
+from .core import check_count, check_seed
+from .errors import InvalidSpreadingMatrix, ParseError
 
 GENERATOR_ID = "philox4x64-colmajor-v1"
 
-_SEED_MAX = 2**64
 _NORM_TOL = 1e-12
 _ENTRY_RTOL = 1e-12
 
@@ -36,12 +36,6 @@ class SpreadingMatrix:
     Ns: int
     seed: int | None = None
 
-    def column(self, n: int) -> np.ndarray:
-        """Signature of sensor n (0-based)."""
-        if not isinstance(n, (int, np.integer)) or isinstance(n, bool) or not 0 <= n < self.Ns:
-            raise InvalidParam("n", n, f"sensor index must be an integer in [0, {self.Ns})")
-        return self.entries[:, n]
-
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
     out = np.ascontiguousarray(arr, dtype=np.float64)
@@ -57,30 +51,29 @@ def generate(N: int, Ns: int, seed: int) -> SpreadingMatrix:
     (N, Ns, seed) triples give bit-identical matrices, and
     generate(N, Ns + k, seed) extends generate(N, Ns, seed) by k columns.
     """
-    if not isinstance(N, (int, np.integer)) or isinstance(N, bool) or N < 1:
-        raise InvalidParam("N", N, "spreading length must be an integer >= 1")
-    if not isinstance(Ns, (int, np.integer)) or isinstance(Ns, bool) or Ns < 1:
-        raise InvalidParam("Ns", Ns, "sensor count must be an integer >= 1")
-    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or not 0 <= seed < _SEED_MAX:
-        raise InvalidParam("seed", seed, "seed must be an integer in [0, 2**64)")
-    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    N = check_count("N", N, "spreading length")
+    Ns = check_count("Ns", Ns, "sensor count")
+    seed = check_seed(seed)
+    rng = np.random.Generator(np.random.Philox(key=seed))
     # one double per entry keeps the stream position independent of dtype
     # buffering, which is what makes the column-extension property hold
-    draws = rng.random(size=(int(Ns), int(N)))
+    draws = rng.random(size=(Ns, N))
     # the sign of u - 0.5 picks each entry, in place: u < 0.5 gives the
     # negative entry and u == 0.5 gives +0.0, so the positive one
     entries = np.ascontiguousarray(draws.T)
     entries -= 0.5
     np.copysign(1.0 / math.sqrt(N), entries, out=entries)
-    return SpreadingMatrix(entries=_freeze(entries), N=int(N), Ns=int(Ns), seed=int(seed))
+    return SpreadingMatrix(entries=_freeze(entries), N=N, Ns=Ns, seed=seed)
 
 
 def load(matrix, seed: int | None = None) -> SpreadingMatrix:
     """Wrap an externally supplied matrix after checking the alphabet.
 
     Every entry must equal +1/sqrt(N) or -1/sqrt(N) up to relative
-    rounding of 1e-12, and every column norm must be 1 within 1e-12.
+    rounding of 1e-12, and every column norm must be 1 within 1e-12.  A
+    seed, when given, must be an integer in [0, 2**64).
     """
+    seed = None if seed is None else check_seed(seed)
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidSpreadingMatrix(f"expected a non-empty 2-D matrix, got shape {arr.shape}")
@@ -122,7 +115,7 @@ def load_csv(path) -> SpreadingMatrix:
     """Read a signature matrix written by save_csv (or compatible CSV).
 
     The metadata header is optional; when present its seed is restored.
-    The matrix passes through the same validation as load().
+    The matrix and the seed pass through the same validation as load().
     """
     seed: int | None = None
     rows: list[list[float]] = []

@@ -7,11 +7,13 @@ seeds are fixed; nothing here is stochastic at test time.
 
 import json
 import math
+import os
 import statistics
 import subprocess
 import sys
 import time
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -208,11 +210,14 @@ def test_criterion_8_byte_identical_artifacts(tmp_path):
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(doc))
+    # the child imports the package from this checkout, installed or not
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
 
     def run(out, extra=()):
         cmd = [sys.executable, "-m", "cdmafusion", "--config", str(cfg),
                "--out", str(out), "--quiet", *extra]
-        res = subprocess.run(cmd, capture_output=True, text=True)
+        res = subprocess.run(cmd, capture_output=True, text=True, env=env)
         assert res.returncode == 0, res.stderr
         return out.read_bytes()
 

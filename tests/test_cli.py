@@ -355,6 +355,21 @@ class TestMatrixPath:
         )
         assert main(["--config", cfg, "--quiet"]) == 1
 
+    def test_out_of_range_header_seed_exits_1(self, tmp_path, capsys):
+        S = generate(8, 8, seed=123)
+        mat = tmp_path / "sigs.csv"
+        save_csv(S, mat)
+        mat.write_text(mat.read_text().replace("seed=123", "seed=-7"))
+        out = tmp_path / "a.csv"
+        cfg = config_file(
+            tmp_path,
+            {"mode": "analyze", "params": {"N": 8, "Ns": 8},
+             "matrix_path": str(mat), "output": str(out)},
+        )
+        assert main(["--config", cfg, "--quiet"]) == 1
+        assert capsys.readouterr().err.startswith("error: seed=-7")
+        assert not out.exists()
+
     def test_missing_matrix_exits_1(self, tmp_path):
         cfg = config_file(
             tmp_path,
@@ -372,6 +387,15 @@ class TestExitCodes:
         cfg = config_file(tmp_path, {"mode": "analyze", "params": {"P": -1.0},
                                      "output": str(tmp_path / "a.csv")})
         assert main(["--config", cfg, "--quiet"]) == 1
+
+    def test_overflowing_load_is_config_error(self, tmp_path, capsys):
+        # alpha * N overflows to inf before the sensor count is rounded
+        cfg = config_file(tmp_path, {"mode": "analyze", "params": {"alpha": 1e308},
+                                     "output": str(tmp_path / "a.csv")})
+        assert main(["--config", cfg, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: alpha=1e+308")
+        assert err.count("\n") == 1 and "Traceback" not in err
 
     def test_missing_output(self, tmp_path):
         cfg = config_file(tmp_path, {"mode": "analyze"})

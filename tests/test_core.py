@@ -27,6 +27,7 @@ from cdmafusion import (
     threshold_for,
     validate,
 )
+from cdmafusion.core import SEED_MAX, check_count, check_seed, is_int, seed_sequence
 
 
 def q_oracle(x: float) -> float:
@@ -136,6 +137,49 @@ class TestSensorsForLoad:
             sensors_for_load(-1.0, 8)
         with pytest.raises(InvalidParam):
             sensors_for_load(1.0, 0)
+
+    def test_non_finite_sensor_count_rejected(self):
+        # alpha is finite but alpha * N overflows to inf
+        with pytest.raises(InvalidParam) as info:
+            sensors_for_load(1e308, 128)
+        assert info.value.name == "alpha"
+
+
+class TestIntegerAndSeedChecks:
+    @pytest.mark.parametrize("x", [0, 7, np.int64(7), np.uint64(2**63), 2**70])
+    def test_integers(self, x):
+        assert is_int(x)
+
+    @pytest.mark.parametrize("x", [True, np.bool_(True), 1.0, "1", None])
+    def test_non_integers(self, x):
+        assert not is_int(x)
+
+    @pytest.mark.parametrize("seed", [0, np.int64(5), np.uint64(2**64 - 1), 2**64 - 1])
+    def test_seed_accepted_as_python_int(self, seed):
+        out = check_seed(seed)
+        assert out == seed and type(out) is int
+
+    @pytest.mark.parametrize("seed", [-1, 2**64, 2**80, True, 1.0])
+    def test_seed_rejected(self, seed):
+        with pytest.raises(InvalidParam) as info:
+            check_seed(seed)
+        assert info.value.name == "seed"
+
+    def test_count(self):
+        out = check_count("Ns", np.int64(3), "sensor count")
+        assert out == 3 and type(out) is int
+        for bad in (0, -1, 2.0, True):
+            with pytest.raises(InvalidParam, match="sensor count must be an integer >= 1") as info:
+                check_count("Ns", bad, "sensor count")
+            assert info.value.name == "Ns"
+
+    def test_bound_is_two_to_the_64(self):
+        assert SEED_MAX == 2**64
+
+    def test_seed_sequence_is_the_spawned_child(self):
+        ss = seed_sequence(9, 1, 2)
+        ref = np.random.SeedSequence(entropy=9, spawn_key=(1, 2))
+        np.testing.assert_array_equal(ss.generate_state(4), ref.generate_state(4))
 
 
 class TestQFunction:

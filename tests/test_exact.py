@@ -98,6 +98,36 @@ class TestQuadraticForm:
             quadratic_form(mdl)
 
 
+class TestFactoredChannel:
+    def test_factors_once_across_repeated_calls(self, linalg_calls):
+        mdl = model_for(make_params(N=12, Ns=10), seed=5)
+        r = np.random.default_rng(3).normal(size=12)
+        first = [quadratic_form(mdl), fusion_statistic(mdl, r)]
+        for _ in range(3):
+            assert [quadratic_form(mdl), fusion_statistic(mdl, r)] == first
+        assert linalg_calls == {"cho_factor": 1, "cho_solve": 1}
+
+    def test_solve_against_dense_solve(self):
+        mdl = model_for(make_params(N=16, Ns=24, sigma_v2=1.3, sigma_w2=0.8), seed=2)
+        B = np.random.default_rng(4).normal(size=(16, 3))
+        np.testing.assert_allclose(mdl.solve(B), np.linalg.solve(channel_covariance(mdl), B), rtol=1e-10)
+        np.testing.assert_array_equal(mdl.s1, mdl.S.entries.sum(axis=1))
+        np.testing.assert_allclose(
+            mdl.detector, np.linalg.solve(channel_covariance(mdl), mdl.s1), rtol=1e-10
+        )
+
+    def test_leave_one_out_model(self):
+        mdl = model_for(make_params(N=8, Ns=5, sigma_v2=0.7), seed=1)
+        loo = mdl.without(2)
+        assert (loo.S.N, loo.S.Ns) == (8, 4)
+        assert (loo.g, loo.sigma_v2, loo.sigma_w2, loo.m) == (mdl.g, mdl.sigma_v2, mdl.sigma_w2, mdl.m)
+        A = np.delete(mdl.S.entries, 2, axis=1)
+        np.testing.assert_array_equal(loo.S.entries, A)
+        assert not loo.S.entries.flags.writeable
+        expected = mdl.g**2 * mdl.sigma_v2 * (A @ A.T) + mdl.sigma_w2 * np.eye(8)
+        np.testing.assert_allclose(channel_covariance(loo), expected, rtol=1e-14)
+
+
 class TestFusionStatistic:
     def test_linearity(self):
         mdl = model_for(make_params(N=12, Ns=10), seed=5)

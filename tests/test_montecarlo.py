@@ -17,7 +17,6 @@ from cdmafusion import (
     SystemParams,
     estimate,
     exact_performance,
-    simulate_trial,
     simulate_trials,
 )
 from cdmafusion.montecarlo import CHUNK_TRIALS, NORMAL_SAMPLER_ID, RNG_ID, _chunk_plan
@@ -36,7 +35,6 @@ class TestSimulateTrials:
         S = generate(8, 8, seed=0)
         r = simulate_trials(p, S, 0, 17, np.random.default_rng(0))
         assert r.shape == (8, 17)
-        assert simulate_trial(p, S, 1, np.random.default_rng(0)).shape == (8,)
 
     def test_deterministic_under_fixed_stream(self):
         p = make_params()
@@ -113,6 +111,14 @@ class TestMcConfig:
         with pytest.raises(InvalidParam):
             McConfig(**kw)
 
+    def test_accepts_numpy_integers(self):
+        # the same integer check as SystemParams and generate
+        p = make_params()
+        S = generate(8, 8, seed=0)
+        mc = McConfig(trials_per_hypothesis=np.int64(20_000), seed=np.uint64(7), worker_hint=np.int32(2))
+        ref = McConfig(trials_per_hypothesis=20_000, seed=7, worker_hint=2)
+        assert estimate(p, S, DetectorSpec(), mc) == estimate(p, S, DetectorSpec(), ref)
+
     def test_identifiers_are_stable(self):
         assert RNG_ID == "philox4x64-seedseq-chunk16384-v1"
         assert NORMAL_SAMPLER_ID == "numpy-ziggurat-v1"
@@ -120,6 +126,12 @@ class TestMcConfig:
 
 
 class TestEstimate:
+    def test_one_factorization_and_one_solve(self, linalg_calls):
+        p = make_params()
+        estimate(p, generate(8, 8, seed=0), DetectorSpec(criterion="np", alpha_fa=0.1),
+                 McConfig(trials_per_hypothesis=100, seed=1))
+        assert linalg_calls == {"cho_factor": 1, "cho_solve": 1}
+
     def test_deterministic_given_seed(self):
         p = make_params()
         S = generate(8, 8, seed=0)

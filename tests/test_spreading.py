@@ -67,14 +67,6 @@ class TestGenerate:
         bound = 4.0 / math.sqrt(n * ns * n)
         assert abs(float(np.mean(s.entries))) <= bound
 
-    def test_column_accessor(self):
-        s = generate(8, 4, seed=9)
-        np.testing.assert_array_equal(s.column(2), s.entries[:, 2])
-        with pytest.raises(InvalidParam):
-            s.column(4)
-        with pytest.raises(InvalidParam):
-            s.column(-1)
-
     @pytest.mark.parametrize(
         "N,Ns,seed",
         [(0, 2, 1), (-4, 2, 1), (4, 0, 1), (4, -2, 1), (2.5, 2, 1), (4, 2, -1),
@@ -124,6 +116,11 @@ class TestLoad:
         s = load(np.array(g.entries), seed=3)
         np.testing.assert_array_equal(s.entries, g.entries)
         assert s.seed == 3
+
+    @pytest.mark.parametrize("seed", [-7, 2**64, 2**80, 1.5, True])
+    def test_rejects_bad_seed(self, seed):
+        with pytest.raises(InvalidParam):
+            load(np.array([[1.0]]), seed=seed)
 
     def test_rejects_off_alphabet_entry(self):
         m = np.full((4, 3), 0.5)
@@ -212,6 +209,12 @@ class TestCsv:
         path = tmp_path / "hdr.csv"
         path.write_text("# N=1 Ns=1 seed=abc generator=x\n1.0\n")
         with pytest.raises(ParseError):
+            load_csv(path)
+
+    def test_rejects_out_of_range_header_seed(self, tmp_path):
+        path = tmp_path / "hdr.csv"
+        path.write_text("# N=1 Ns=1 seed=-7 generator=x\n1.0\n")
+        with pytest.raises(InvalidParam):
             load_csv(path)
 
     def test_off_alphabet_body_rejected(self, tmp_path):
