@@ -22,20 +22,28 @@ mode must arrive either in the config or as the command-line positional.
 
 "params" takes either "alpha" (sensor count rounds to alpha * N) or an
 explicit "Ns", not both.  "mc.seed" defaults to the top-level seed.
-"grid.seeds" is the number of per-cell seeds used by converge mode.
+"grid.seeds" is the number of seeds per (N, alpha) point in sweep-grid and
+per N in converge.
 "matrix_path" (analyze and montecarlo only) loads the signature matrix
 from CSV instead of drawing it from the seed.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 runtime
 failure (I/O, numerical breakdown, or any other unexpected error, reported
 as one line without a traceback).  Identical config and seed give a
-byte-identical output file; worker counts change wall time only.
+byte-identical output file.
+
+"--workers" ("mc.workers", which despite its name serves every mode with
+a pool) sets the size of one thread pool: montecarlo runs its trial chunks
+on it, sweep-grid its (N, alpha) grid points and sweep-limits its cells.
+A sweep-grid point runs its seeds in blocks of at most 2**16 stacked
+signature or covariance entries, one batched covariance build per block.
+Worker counts change wall time only.
 
 `main` sets the bundled OpenBLAS libraries of numpy and scipy to one thread
-before any work runs, so "--workers" ("mc.workers") is the CLI's only
-parallelism; nested BLAS threads would contend with the worker threads for
-the same cores.  Importing this module, or the package, leaves BLAS
-threading as the caller set it.
+before any work runs, so the pool is the CLI's only parallelism; nested
+BLAS threads would contend with the worker threads for the same cores.
+Importing this module, or the package, leaves BLAS threading as the caller
+set it.
 """
 
 from __future__ import annotations
@@ -71,7 +79,7 @@ from .errors import (
     NumericalFailure,
     ParseError,
 )
-from .exact import ChannelModel, exact_performance, quadratic_form
+from .exact import exact_performance, exact_report, quadratic_forms
 from .montecarlo import CHUNK_TRIALS, NORMAL_SAMPLER_ID, RNG_ID, McConfig, estimate
 from .spreading import GENERATOR_ID, generate, load_csv
 
@@ -80,6 +88,9 @@ MODES = ("analyze", "asymptotic", "montecarlo", "converge", "sweep-grid", "sweep
 _DEFAULT_GRID_N = (8, 16, 32, 64, 128)
 _DEFAULT_GRID_ALPHA = (0.5, 1.0, 2.0, 4.0)
 _CONVERGE_SEED_STREAM = 101
+# sweep-grid stacks at most this many signature or covariance entries per
+# block of seeds, which bounds the memory a block adds at any (N, alpha)
+_BLOCK_ENTRIES = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -347,12 +358,11 @@ def _run_analyze(config: ExperimentConfig):
     p = config.params
     S = _signatures(config)
     rep = exact_performance(p, S, config.detector)
-    qf = quadratic_form(ChannelModel.from_params(p, S))
     meta = _base_meta(config) + _instance_meta(config)
     if config.matrix_path is not None:
         meta.append(f"matrix_source={config.matrix_path}")
     columns = ["N", "alpha", "Ns", "seed", "tau_prime", "qf", "pf", "pm", "pe"]
-    rows = [[p.N, p.Ns / p.N, p.Ns, S.seed, rep.tau_prime, qf, rep.pf, rep.pm, rep.pe]]
+    rows = [[p.N, p.Ns / p.N, p.Ns, S.seed, rep.tau_prime, rep.qf, rep.pf, rep.pm, rep.pe]]
     return meta, columns, rows
 
 
@@ -370,7 +380,7 @@ def _run_montecarlo(config: ExperimentConfig):
     p = config.params
     S = _signatures(config)
     est = estimate(p, S, config.detector, config.mc)
-    ref = exact_performance(p, S, config.detector)
+    ref = exact_report(p, est.qf, config.detector)
     meta = _base_meta(config) + _instance_meta(config)
     if config.matrix_path is not None:
         meta.append(f"matrix_source={config.matrix_path}")
@@ -416,17 +426,23 @@ def _run_sweep_grid(config: ExperimentConfig):
         for i_a, a in enumerate(config.grid_alpha):
             pc = replace(p, N=N, Ns=sensors_for_load(a, N))
             points.append((i_n, i_a, a, pc, asymptotic_performance(pc, config.detector).pe))
-    cells = [point + (j,) for point in points for j in range(config.cell_seeds)]
 
-    def cell(args):
-        i_n, i_a, a, pc, pe_asym, j = args
-        seed = _derive_seed(config.seed, i_n, i_a, j)
-        S = generate(pc.N, pc.Ns, seed)
-        pe_exact = exact_performance(pc, S, config.detector).pe
-        rel_gap = abs(pe_exact - pe_asym) / pe_asym
-        return [pc.N, a, pc.Ns, seed, pe_exact, pe_asym, rel_gap]
+    def point(args):
+        # one grid point's seeds, in blocks that share one batched covariance build
+        i_n, i_a, a, pc, pe_asym = args
+        seeds = [_derive_seed(config.seed, i_n, i_a, j) for j in range(config.cell_seeds)]
+        size = max(1, _BLOCK_ENTRIES // (pc.N * max(pc.N, pc.Ns)))
+        rows = []
+        for start in range(0, len(seeds), size):
+            block = seeds[start:start + size]
+            qfs = quadratic_forms(pc, np.stack([generate(pc.N, pc.Ns, seed).entries for seed in block]))
+            for seed, qf in zip(block, qfs):
+                pe_exact = exact_report(pc, qf, config.detector).pe
+                rel_gap = abs(pe_exact - pe_asym) / pe_asym
+                rows.append([pc.N, a, pc.Ns, seed, pe_exact, pe_asym, rel_gap])
+        return rows
 
-    rows = map_workers(cell, cells, config.mc.worker_hint)
+    rows = [row for block in map_workers(point, points, config.mc.worker_hint) for row in block]
     meta = _base_meta(config) + _grid_meta(config, alphas=True)
     meta.append(f"seeds_per_cell={config.cell_seeds}")
     columns = ["N", "alpha", "Ns", "seed", "pe_exact", "pe_asymptotic", "rel_gap"]

@@ -58,10 +58,16 @@ def seed_sequence(master: int, *key: int) -> np.random.SeedSequence:
 
 
 def map_workers(fn, items, workers: int | None) -> list:
-    """[fn(x) for x in items], on a pool of `workers` threads when workers > 1."""
+    """[fn(x) for x in items], on a pool of `workers` threads when workers > 1.
+
+    The pool starts the items last to first, so a caller that lists its work
+    cheapest first keeps the costliest item off the end of the schedule.  The
+    results, and the first exception raised, still follow the items' order.
+    """
     if workers is not None and workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items))
+            futures = [pool.submit(fn, x) for x in reversed(items)]
+        return [f.result() for f in reversed(futures)]
     return [fn(x) for x in items]
 
 

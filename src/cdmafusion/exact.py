@@ -75,14 +75,11 @@ class ChannelModel:
 
     @_once
     def _factor(self):
-        try:
-            return cho_factor(channel_covariance(self), lower=True)
-        except LinAlgError as exc:
-            raise NumericalFailure(f"covariance factorization failed: {exc}") from exc
+        return _cholesky(_finite(channel_covariance(self)))
 
     def solve(self, B) -> np.ndarray:
-        """Sigma^{-1} B for a vector or matrix B, through the shared factor."""
-        return cho_solve(self._factor, B)
+        """Sigma^{-1} B for a finite vector or matrix B, through the shared factor."""
+        return _solve(self._factor, B)
 
     @_once
     def s1(self) -> np.ndarray:
@@ -114,7 +111,9 @@ class PerformanceReport:
 
     method records which route produced the numbers ("exact", "asymptotic"
     or "montecarlo"); tau_prime is the resolved threshold actually applied;
-    mc carries simulation diagnostics and is None for analytic routes.
+    mc carries simulation diagnostics and is None for analytic routes; qf
+    is the channel's quadratic form the threshold was resolved against, and
+    is None for the asymptotic route.
     """
 
     pf: float
@@ -123,18 +122,40 @@ class PerformanceReport:
     method: str
     tau_prime: float
     mc: McDiagnostics | None = None
+    qf: float | None = None
 
 
 def channel_covariance(model: ChannelModel) -> np.ndarray:
     """Chip covariance Sigma = g^2 sigma_v2 S S^T + sigma_w2 I.
 
     Returned exactly symmetric; with sigma_v2 == 0 it is exactly diagonal.
+    When model.S.entries is a (k, N, Ns) stack of signature matrices, as
+    in quadratic_forms, the result is the (k, N, N) stack of covariances.
     """
     A = model.S.entries
-    cov = (model.g * model.g * model.sigma_v2) * (A @ A.T)
-    cov = 0.5 * (cov + cov.T)
-    cov[np.diag_indices_from(cov)] += model.sigma_w2
+    cov = (model.g * model.g * model.sigma_v2) * (A @ A.mT)
+    cov = 0.5 * (cov + cov.mT)
+    diag = np.arange(A.shape[-2])
+    cov[..., diag, diag] += model.sigma_w2
     return cov
+
+
+def _finite(cov: np.ndarray) -> np.ndarray:
+    if not np.isfinite(cov).all():
+        raise NumericalFailure("covariance has non-finite entries")
+    return cov
+
+
+def _cholesky(cov: np.ndarray):
+    # the caller has checked cov with _finite, so scipy's own check is skipped
+    try:
+        return cho_factor(cov, lower=True, check_finite=False)
+    except LinAlgError as exc:
+        raise NumericalFailure(f"covariance factorization failed: {exc}") from exc
+
+
+def _solve(factor, B) -> np.ndarray:
+    return cho_solve(factor, B, check_finite=False)
 
 
 def quadratic_form(model: ChannelModel) -> float:
@@ -145,6 +166,24 @@ def quadratic_form(model: ChannelModel) -> float:
     the signature columns sum to zero.
     """
     return float(model.s1 @ model.detector)
+
+
+def quadratic_forms(params: SystemParams, block) -> list[float]:
+    """quadratic_form of every signature matrix in a (k, N, Ns) stack.
+
+    The k covariances come from one batched build and one finiteness check;
+    each is then factored and solved on its own, so every value equals
+    quadratic_form(ChannelModel.from_params(params, S)) for its matrix S.
+    """
+    block = np.asarray(block, dtype=np.float64)
+    if block.ndim != 3 or block.shape[1:] != (params.N, params.Ns):
+        raise DimensionMismatch(
+            f"signature stack has shape {block.shape}, expected (k, {params.N}, {params.Ns})"
+        )
+    stack = SpreadingMatrix(entries=block, N=params.N, Ns=params.Ns)
+    cov = _finite(channel_covariance(ChannelModel.from_params(params, stack)))
+    s1 = block.sum(axis=2)
+    return [float(b @ _solve(_cholesky(c), b)) for c, b in zip(cov, s1)]
 
 
 def fusion_statistic(model: ChannelModel, r) -> float:
@@ -167,15 +206,18 @@ def _tail_probabilities(g: float, m: float, qf: float, tau: float) -> tuple[floa
     return pf, pm
 
 
-def exact_performance(params: SystemParams, S: SpreadingMatrix, spec: DetectorSpec) -> PerformanceReport:
-    """Closed-form error probabilities for one signature matrix.
+def exact_report(params: SystemParams, qf: float, spec: DetectorSpec) -> PerformanceReport:
+    """Closed-form error probabilities for a channel with quadratic form qf.
 
     pf = q((tau + 2 g^2 m^2 qf) / (2 g m sqrt(qf))) and symmetrically for
     pm; pe = p0 pf + p1 pm.  With tau == 0 the two tails coincide exactly.
     """
-    model = ChannelModel.from_params(params, S)
-    qf = quadratic_form(model)
     tau = threshold_for(spec, params, qf)
-    pf, pm = _tail_probabilities(model.g, params.m, qf, tau)
+    pf, pm = _tail_probabilities(amplifier_gain(params), params.m, qf, tau)
     pe = params.p0 * pf + params.p1 * pm
-    return PerformanceReport(pf=pf, pm=pm, pe=pe, method=EXACT, tau_prime=tau)
+    return PerformanceReport(pf=pf, pm=pm, pe=pe, method=EXACT, tau_prime=tau, qf=qf)
+
+
+def exact_performance(params: SystemParams, S: SpreadingMatrix, spec: DetectorSpec) -> PerformanceReport:
+    """Closed-form error probabilities for one signature matrix (see exact_report)."""
+    return exact_report(params, quadratic_form(ChannelModel.from_params(params, S)), spec)

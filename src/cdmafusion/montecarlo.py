@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DetectorSpec, SystemParams, check_count, check_seed, is_int, map_workers, seed_sequence
+from .core import DetectorSpec, SystemParams, check_count, check_seed, map_workers, seed_sequence
 from .core import threshold_for
 from .errors import DomainError
 from .exact import MONTECARLO, ChannelModel, McDiagnostics, PerformanceReport, quadratic_form
@@ -65,8 +65,7 @@ def simulate_trials(
     """
     if hypothesis not in (0, 1):
         raise DomainError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
-    if not is_int(n_trials) or n_trials < 1:
-        raise DomainError(f"n_trials must be an integer >= 1, got {n_trials!r}")
+    n_trials = check_count("n_trials", n_trials, "trial count")
     g = ChannelModel.from_params(params, S).g  # also checks S against params
     mean = params.m if hypothesis == 1 else -params.m
     z = mean + math.sqrt(params.sigma_v2) * rng.standard_normal((params.Ns, n_trials))
@@ -111,13 +110,16 @@ def estimate(
     The detector is the same one exact_performance analyses: the threshold
     is resolved against this channel's quadratic form, and the statistic is
     computed as a dot product with the weight vector 2 g m Sigma^{-1} S 1;
-    the weight and qf take one factorization and one solve.  Ties (T == tau)
+    the weight and qf take one factorization and one solve.  qf rides on
+    the report, so exact_report(params, report.qf, spec) gives the closed
+    form without factorizing again.  Ties (T == tau)
     decide the alternative, which is what makes the degenerate qf == 0
     channel agree with the closed form.
     """
     model = ChannelModel.from_params(params, S)
     weight = 2.0 * model.g * params.m * model.detector
-    tau = threshold_for(spec, params, quadratic_form(model))
+    qf = quadratic_form(model)
+    tau = threshold_for(spec, params, qf)
 
     n = mc.trials_per_hypothesis
     jobs = [
@@ -150,4 +152,4 @@ def estimate(
         stderr_pm=se_pm,
         stderr_pe=se_pe,
     )
-    return PerformanceReport(pf=pf, pm=pm, pe=pe, method=MONTECARLO, tau_prime=tau, mc=diag)
+    return PerformanceReport(pf=pf, pm=pm, pe=pe, method=MONTECARLO, tau_prime=tau, mc=diag, qf=qf)

@@ -10,6 +10,7 @@ keeps all earlier columns unchanged.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -21,6 +22,8 @@ GENERATOR_ID = "philox4x64-colmajor-v1"
 
 _NORM_TOL = 1e-12
 _ENTRY_RTOL = 1e-12
+_SIGN_BIT = np.uint64(1 << 63)
+_STREAMS = threading.local()  # one Philox bit generator per thread, re-keyed per draw
 
 
 @dataclass(frozen=True)
@@ -43,6 +46,27 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _philox(seed: int) -> np.random.Philox:
+    """This thread's Philox bit generator, in the state Philox(key=seed) starts in.
+
+    Setting the state of a kept generator takes a fraction of the time of
+    building Philox(key=seed), whose constructor also reads OS entropy that
+    a keyed stream never uses.
+    """
+    bitgen = getattr(_STREAMS, "philox", None)
+    if bitgen is None:
+        bitgen = _STREAMS.philox = np.random.Philox(key=0)
+    bitgen.state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, np.uint64), "key": np.array([seed, 0], np.uint64)},
+        "buffer": np.zeros(4, np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return bitgen
+
+
 def generate(N: int, Ns: int, seed: int) -> SpreadingMatrix:
     """Draw an N x Ns signature matrix from the frozen Philox stream.
 
@@ -54,16 +78,18 @@ def generate(N: int, Ns: int, seed: int) -> SpreadingMatrix:
     N = check_count("N", N, "spreading length")
     Ns = check_count("Ns", Ns, "sensor count")
     seed = check_seed(seed)
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    # one double per entry keeps the stream position independent of dtype
-    # buffering, which is what makes the column-extension property hold
-    draws = rng.random(size=(Ns, N))
-    # the sign of u - 0.5 picks each entry, in place: u < 0.5 gives the
-    # negative entry and u == 0.5 gives +0.0, so the positive one
-    entries = np.ascontiguousarray(draws.T)
-    entries -= 0.5
-    np.copysign(1.0 / math.sqrt(N), entries, out=entries)
-    return SpreadingMatrix(entries=_freeze(entries), N=N, Ns=Ns, seed=seed)
+    # one 64-bit word per entry keeps the stream position independent of
+    # dtype buffering, which is what makes the column-extension property hold
+    raw = _philox(seed).random_raw(Ns * N).reshape(Ns, N)
+    # the uniform draw is u = (x >> 11) * 2**-53, so u >= 0.5 (the positive
+    # entry; u == 0.5 included) exactly when bit 63 of x is set: the entry's
+    # sign bit is that bit's complement, and its other bits are 1/sqrt(N)'s
+    bits = np.invert(raw.T, order="C")
+    bits &= _SIGN_BIT
+    bits |= np.float64(1.0 / math.sqrt(N)).view(np.uint64)
+    entries = bits.view(np.float64)
+    entries.setflags(write=False)
+    return SpreadingMatrix(entries=entries, N=N, Ns=Ns, seed=seed)
 
 
 def load(matrix, seed: int | None = None) -> SpreadingMatrix:

@@ -603,3 +603,60 @@ class TestConvergeSinglePass:
         assert "cross terms need at least 2 sensors" in capsys.readouterr().err
         assert not out.exists()
         assert calls["generate"] == 0
+
+
+class TestSweepGridBlocks:
+    # sha256 of the whole artifact, frozen from the per-seed runner before
+    # seeds were blocked: at N=128 both points split into several blocks
+    GOLDEN = ({"mode": "sweep-grid", "seed": 0,
+               "grid": {"N": [8, 128], "alpha": [0.5, 4.0], "seeds": 5}},
+              "aa1e99aeb1abf4ef690703619adc592e99f6be5df5aa457fa8f645a33dd1091f")
+
+    def run_grid(self, tmp_path, *extra, name="grid.csv"):
+        doc, _ = self.GOLDEN
+        out = tmp_path / name
+        assert main(["--config", config_file(tmp_path, doc), "--out", str(out), "--quiet", *extra]) == 0
+        return out.read_bytes()
+
+    def test_golden_artifact(self, tmp_path):
+        assert hashlib.sha256(self.run_grid(tmp_path)).hexdigest() == self.GOLDEN[1]
+
+    def test_worker_count_invisible(self, tmp_path):
+        one = self.run_grid(tmp_path, "--workers", "1", name="one.csv")
+        two = self.run_grid(tmp_path, "--workers", "2", name="two.csv")
+        assert one == two
+
+    def test_blocks_are_bounded_and_cover_each_point_in_order(self, tmp_path, monkeypatch):
+        shapes = []
+        original = cli.quadratic_forms
+
+        def recorded(params, block):
+            shapes.append(block.shape)
+            return original(params, block)
+
+        monkeypatch.setattr(cli, "quadratic_forms", recorded)
+        self.run_grid(tmp_path)
+        per_point = {}
+        for k, N, Ns in shapes:
+            assert k == 1 or k * N * max(N, Ns) <= 2**16
+            per_point.setdefault((N, Ns), []).append(k)
+        assert per_point == {(8, 4): [5], (8, 32): [5], (128, 64): [4, 1], (128, 512): [1] * 5}
+
+    def test_one_draw_and_one_factorization_per_cell(self, tmp_path, monkeypatch, linalg_calls):
+        calls = {"generate": 0}
+        TestConvergeSinglePass.count_calls(monkeypatch, cli, "generate", calls)
+        self.run_grid(tmp_path)
+        cells = 2 * 2 * 5
+        assert calls["generate"] == cells
+        assert linalg_calls == {"cho_factor": cells, "cho_solve": cells}
+
+
+class TestOneFactorizationPerRun:
+    @pytest.mark.parametrize("doc", [
+        {"mode": "analyze", "seed": 3, "params": {"N": 16, "Ns": 24}},
+        {"mode": "montecarlo", "seed": 3, "params": {"N": 16, "Ns": 24}, "mc": {"trials": 2000}},
+    ], ids=["analyze", "montecarlo"])
+    def test_sigma_factored_once(self, tmp_path, doc, linalg_calls):
+        out = tmp_path / "out.csv"
+        assert main(["--config", config_file(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+        assert linalg_calls["cho_factor"] == 1

@@ -14,10 +14,13 @@ from cdmafusion import (
     NumericalFailure,
     SystemParams,
     channel_covariance,
+    amplifier_gain,
     exact_performance,
     fusion_statistic,
     quadratic_form,
 )
+from cdmafusion import exact
+from cdmafusion.exact import exact_report, quadratic_forms
 from cdmafusion.spreading import generate, load
 
 
@@ -161,6 +164,7 @@ class TestExactPerformance:
         assert rep.method == "exact"
         assert rep.mc is None
         assert rep.tau_prime == 0.0
+        assert rep.qf == quadratic_form(model_for(p))
         assert 0.0 < rep.pf < 0.5 and 0.0 < rep.pm < 0.5
 
     def test_pe_is_prior_mix(self):
@@ -210,3 +214,66 @@ class TestExactPerformance:
             for P in (1.0, 4.0, 16.0, 64.0)
         ]
         assert all(b < a for a, b in zip(pes, pes[1:]))
+
+
+class TestQuadraticForms:
+    """The stacked route against the one-matrix route and a dense-solve oracle."""
+
+    @staticmethod
+    def dense_qf(params, A):
+        g = amplifier_gain(params)
+        cov = g * g * params.sigma_v2 * (A @ A.T) + params.sigma_w2 * np.eye(params.N)
+        s1 = A.sum(axis=1)
+        return float(s1 @ np.linalg.solve(cov, s1))
+
+    @pytest.mark.parametrize("N,Ns", [(1, 1), (1, 3), (7, 5), (16, 40), (33, 2)])
+    def test_matches_one_matrix_route_and_dense_oracle(self, N, Ns):
+        p = make_params(N=N, Ns=Ns, sigma_v2=1.3, sigma_w2=0.7)
+        matrices = [generate(N, Ns, seed) for seed in range(6)]
+        qfs = quadratic_forms(p, np.stack([S.entries for S in matrices]))
+        assert len(qfs) == len(matrices)
+        for qf, S in zip(qfs, matrices):
+            # bit for bit, which is what keeps the sweep-grid CSV unchanged
+            assert qf == quadratic_form(ChannelModel.from_params(p, S))
+            assert qf == pytest.approx(self.dense_qf(p, S.entries), rel=1e-12)
+
+    def test_cancelling_signatures_give_zero_and_the_tie_rule(self):
+        p = make_params(N=1, Ns=2, P=1.0)
+        block = np.array([[[1.0, -1.0]], [[1.0, 1.0]], [[-1.0, 1.0]]])
+        qfs = quadratic_forms(p, block)
+        assert qfs[0] == 0.0 and qfs[2] == 0.0
+        assert qfs[1] == pytest.approx(self.dense_qf(p, block[1]), rel=1e-12)
+        rep = exact_report(p, qfs[0], DetectorSpec())
+        assert (rep.pf, rep.pm, rep.qf) == (1.0, 0.0, 0.0)
+
+    def test_report_equals_exact_performance(self):
+        p = make_params(N=8, Ns=12)
+        S = generate(8, 12, seed=3)
+        for spec in (DetectorSpec(), DetectorSpec(criterion="np", alpha_fa=0.1)):
+            (qf,) = quadratic_forms(p, S.entries[None])
+            assert exact_report(p, qf, spec) == exact_performance(p, S, spec)
+
+    def test_one_factorization_and_one_solve_per_matrix(self, linalg_calls):
+        p = make_params(N=8, Ns=4)
+        quadratic_forms(p, np.stack([generate(8, 4, seed).entries for seed in range(5)]))
+        assert linalg_calls == {"cho_factor": 5, "cho_solve": 5}
+
+    def test_not_positive_definite_is_numerical_failure(self, monkeypatch):
+        original = exact.channel_covariance
+        monkeypatch.setattr(exact, "channel_covariance", lambda model: -original(model))
+        block = np.stack([generate(4, 4, seed).entries for seed in range(3)])
+        with pytest.raises(NumericalFailure, match="factorization failed"):
+            quadratic_forms(make_params(N=4, Ns=4), block)
+
+    def test_non_finite_covariance_is_numerical_failure(self):
+        p = make_params(N=4, Ns=4, P=1.7e308, sigma_w2=1.7e308)
+        block = np.stack([generate(4, 4, seed).entries for seed in range(2)])
+        with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="non-finite"):
+            quadratic_forms(p, block)
+
+    def test_shape_check(self):
+        p = make_params(N=8, Ns=4)
+        with pytest.raises(DimensionMismatch):
+            quadratic_forms(p, generate(8, 4, seed=0).entries)
+        with pytest.raises(DimensionMismatch):
+            quadratic_forms(p, np.stack([generate(8, 5, seed=0).entries]))

@@ -77,8 +77,9 @@ class TestSimulateTrials:
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
             simulate_trials(p, S, 2, 5, rng)
-        with pytest.raises(DomainError):
-            simulate_trials(p, S, 0, 0, rng)
+        for bad in (0, -3, 2.5, True):
+            with pytest.raises(InvalidParam):
+                simulate_trials(p, S, 0, bad, rng)
         with pytest.raises(DimensionMismatch):
             simulate_trials(p, generate(8, 4, seed=0), 0, 5, rng)
 

@@ -7,7 +7,11 @@ column-major assignment); the tests then hold the implementation to it.
 
 import hashlib
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -104,6 +108,40 @@ class TestGoldenBytes:
         s = generate(*shape)
         assert s.entries.flags.c_contiguous
         assert hashlib.sha256(s.entries.tobytes()).hexdigest() == GOLDEN_ENTRY_SHA256[shape]
+
+
+def uniform_sign_oracle(N, Ns, seed):
+    """The generator contract read off the uniform draws, sharing no bit tricks."""
+    u = np.random.Generator(np.random.Philox(key=seed)).random((Ns, N)).T
+    return np.where(u >= 0.5, 1.0, -1.0) / math.sqrt(N)  # the tie u == 0.5 goes to +
+
+
+class TestAgainstUniformOracle:
+    @hypothesis.seed(20261018)
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.example(N=1, Ns=1, seed=2**64 - 1)
+    @hypothesis.example(N=64, Ns=64, seed=0)
+    @hypothesis.given(
+        N=st.integers(1, 64), Ns=st.integers(1, 64), seed=st.integers(0, 2**64 - 1)
+    )
+    def test_entries_match_byte_for_byte(self, N, Ns, seed):
+        entries = generate(N, Ns, seed).entries
+        assert entries.tobytes() == uniform_sign_oracle(N, Ns, seed).tobytes()
+
+    def test_threads_draw_the_same_bytes(self):
+        # each thread re-keys its own bit generator; more threads than cores
+        # and a short switch interval would expose a stream shared between them
+        jobs = [(N, Ns, seed) for N in (1, 7, 32) for Ns in (1, 9) for seed in range(20)]
+        expected = [uniform_sign_oracle(*job).tobytes() for job in jobs]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                got = list(pool.map(lambda job: generate(*job).entries.tobytes(), jobs, timeout=60))
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == expected
+
 
 class TestLoad:
     def test_accepts_trivial_matrix(self):
