@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 
 from .core import DetectorSpec, SystemParams, amplifier_gain, q_function, threshold_for
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure
 from .exact import ASYMPTOTIC, PerformanceReport
 
 
@@ -116,10 +116,19 @@ def mu(params: SystemParams, beta0_val: float) -> float:
 
 
 def asymptotic_params(params: SystemParams, *, zero_noise_limit: bool = False) -> AsymptoticParams:
-    """Chain alpha -> gamma -> beta0 -> mu for one parameter point."""
+    """Chain alpha -> gamma -> beta0 -> mu for one parameter point.
+
+    Raises NumericalFailure when extreme but valid parameters (P and
+    sigma_w2 near the float range) underflow beta0 to 0.
+    """
     a = params.alpha
     g = gamma(params, zero_noise_limit=zero_noise_limit)
     b = beta0(a, g, params.sigma_w2, zero_gamma_limit=zero_noise_limit)
+    if b == 0.0:
+        raise NumericalFailure(
+            f"beta0 underflows to 0 at N={params.N}, Ns={params.Ns}, P={params.P!r}, "
+            f"sigma_w2={params.sigma_w2!r}"
+        )
     return AsymptoticParams(alpha=a, gamma=g, beta0=b, mu=mu(params, b))
 
 

@@ -298,6 +298,11 @@ def parse_config(text: bytes | str, *, mode: str | None = None) -> ExperimentCon
 # ---------------------------------------------------------------- running
 
 def _fmt(v) -> str:
+    # exact-type fast paths for the common cells skip the numbers.Integral check
+    if type(v) is float:
+        return format(v, ".9g")
+    if type(v) is int:
+        return str(v)
     if v is None:
         return ""
     if isinstance(v, str):
@@ -405,7 +410,8 @@ def _run_converge(config: ExperimentConfig):
     template = config.params
     state = seed_sequence(config.seed, _CONVERGE_SEED_STREAM).generate_state(config.cell_seeds, np.uint64)
     seeds = [int(s) for s in state]
-    # one draw and two factorizations per (N, seed) cell feed all four statistics
+    # one draw, two factorizations and one whitening solve per (N, seed) cell
+    # feed all four statistics
     records = _experiments(template, list(config.grid_N), seeds)
     meta = _base_meta(config) + _instance_meta(config) + _grid_meta(config, alphas=False)
     meta.append(f"seeds_per_cell={config.cell_seeds}")

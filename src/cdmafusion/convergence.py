@@ -7,9 +7,14 @@ Convergence is judged across seeds (medians), never from a single draw.
 
 Every statistic comes from one shared pass over the (N, seed) schedule, in
 which each cell draws its matrix once and factorizes two covariances: Sigma
-and sensor 0's leave-one-out Q_0.  The CLI's converge mode computes all
-four statistics from that one draw and those two factorizations per cell;
-each public experiment runs the same pass for its own statistic alone.
+and sensor 0's leave-one-out Q_0.  One triangular solve per cell whitens
+the signatures, Y = L^{-1} S with Sigma = L L^T, so that every cross form
+s_i^T Sigma^{-1} s_j is the dot product of columns i and j of Y; the
+decomposition check and the cross terms both read Y, and no Ns x Ns
+matrix is formed.  The CLI's converge mode computes all four statistics
+from that one draw, those two factorizations and that one whitening per
+cell; each public experiment runs the same pass for its own statistic
+alone.
 
 All experiments require sigma_v2 > 0 in the template: without relayed
 observation noise there is no multi-access interference and the limits
@@ -100,10 +105,13 @@ def _mil_residual(full: float, leave: float, c: float) -> float:
     return abs(full - leave / (1.0 + c * leave))
 
 
-def _snr_records(params: SystemParams, seed: int, model: ChannelModel, predicted: float):
+def _snr_records(params: SystemParams, seed: int, model: ChannelModel, Y: np.ndarray, predicted: float):
+    # qf from the summed signature against qf = sum_ij y_i^T y_j from the
+    # whitened columns Y = L^{-1} S, which is ||Y 1||^2
     qf = quadratic_form(model)
-    G = model.S.entries.T @ model.solve(model.S.entries)
-    residual = abs(qf - float(G.sum())) / qf if qf > 0 else abs(float(G.sum()))
+    y1 = Y.sum(axis=1)
+    decomposed = float(y1 @ y1)
+    residual = abs(qf - decomposed) / qf if qf > 0 else decomposed
     if not residual <= _DECOMPOSITION_RTOL:
         raise NumericalFailure(
             f"quadratic-form decomposition residual {residual!r} exceeds "
@@ -115,7 +123,8 @@ def _snr_records(params: SystemParams, seed: int, model: ChannelModel, predicted
     ]
 
 
-def _cross_mean(model: ChannelModel, seed: int, pairs, max_pairs: int) -> float:
+def _cross_mean(Y: np.ndarray, seed: int, pairs, max_pairs: int) -> float:
+    # s_i^T Sigma^{-1} s_j is the dot product of whitened columns i and j
     rows, cols = pairs
     n_all = rows.size
     if n_all > max_pairs:
@@ -124,11 +133,7 @@ def _cross_mean(model: ChannelModel, seed: int, pairs, max_pairs: int) -> float:
         pi, pj = rows[idx], cols[idx]
     else:
         pi, pj = rows, cols
-    uniq, inverse = np.unique(np.concatenate([pi, pj]), return_inverse=True)
-    pos_i, pos_j = inverse[: pi.size], inverse[pi.size:]
-    U = model.S.entries[:, uniq]
-    G_uu = U.T @ model.solve(U)
-    return float(np.mean(np.abs(G_uu[pos_i, pos_j])))
+    return float(np.mean(np.abs(np.einsum("ki,ki->i", Y[:, pi], Y[:, pj]))))
 
 
 def _experiments(
@@ -144,8 +149,9 @@ def _experiments(
 
     The whole schedule is checked before the first draw.  Each cell draws S
     once and factorizes Sigma once, plus the leave-one-out covariance of
-    `sensor` when "diag" or "mil" is wanted.  Records come back grouped by
-    statistic in the order of wanted, each group in schedule order.
+    `sensor` when "diag" or "mil" is wanted, and whitens S once when "snr"
+    or "cross" is wanted.  Records come back grouped by statistic in the
+    order of wanted, each group in schedule order.
     """
     _check_schedule(template, N_values, seeds)
     if "cross" in wanted and max_pairs < 1:
@@ -166,15 +172,17 @@ def _experiments(
         pairs = np.triu_indices(params.Ns, k=1) if "cross" in wanted else None
         for seed in seeds:
             model = ChannelModel.from_params(params, generate(params.N, params.Ns, seed))
+            if "snr" in wanted or "cross" in wanted:
+                Y = model.whiten(model.S.entries)
             if "snr" in wanted:
-                out["snr"] += _snr_records(params, seed, model, 1.0 / ap.mu)
+                out["snr"] += _snr_records(params, seed, model, Y, 1.0 / ap.mu)
             if "diag" in wanted or "mil" in wanted:
                 full, leave = _diag_forms(model, sensor)
             if "diag" in wanted:
                 out["diag"].append(_record("diag_leave_out", params, seed, leave, ap.beta0))
                 out["diag"].append(_record("diag_full", params, seed, full, ap.beta0 / (1.0 + c * ap.beta0)))
             if "cross" in wanted:
-                observed = _cross_mean(model, seed, pairs, max_pairs)
+                observed = _cross_mean(Y, seed, pairs, max_pairs)
                 out["cross"].append(_record("cross_mean", params, seed, observed, 0.0))
             if "mil" in wanted:
                 out["mil"].append(_record("mil_residual", params, seed, _mil_residual(full, leave, c), 0.0))
@@ -222,7 +230,9 @@ def cross_term_experiment(
 
     Measures the mean of |s_i^T Sigma^{-1} s_j| over a deterministic random
     subset of at most max_pairs distinct pairs (i < j); the limit is 0 and
-    the magnitude shrinks like 1/sqrt(N).  Emits statistic "cross_mean".
+    the magnitude shrinks like 1/sqrt(N).  Each form is the dot product of
+    two columns of the whitened signatures L^{-1} S, from one triangular
+    solve per matrix.  Emits statistic "cross_mean".
     Needs at least two sensors at every N in the schedule.
     """
     return _experiments(template, N_values, seeds, ("cross",), max_pairs=max_pairs)
@@ -233,8 +243,10 @@ def quadratic_form_convergence(template: SystemParams, N_values, seeds) -> list[
 
     Emits statistic "snr" for every (N, seed) cell, plus
     "decomposition_residual": the relative gap between qf computed from the
-    summed signature and from the full Ns x Ns quadratic-form matrix.  The
-    two are the same number in exact arithmetic; a gap above 1e-8 raises
+    summed signature and from the per-sensor decomposition
+    sum_ij y_i^T y_j = ||Y 1||^2, where Y = L^{-1} S are the signatures
+    whitened by the lower Cholesky factor of Sigma.  The two are the same
+    number in exact arithmetic; a gap above 1e-8 raises
     NumericalFailure because it means the linear algebra is corrupted.
     """
     return _experiments(template, N_values, seeds, ("snr",))

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from .core import DetectorSpec, SystemParams, amplifier_gain, q_function, threshold_for
 from .errors import DimensionMismatch, NumericalFailure
@@ -81,6 +81,11 @@ class ChannelModel:
         """Sigma^{-1} B for a finite vector or matrix B, through the shared factor."""
         return _solve(self._factor, B)
 
+    def whiten(self, B) -> np.ndarray:
+        """L^{-1} B for a finite vector or matrix B, with L the lower Cholesky
+        factor of Sigma, so that (L^{-1} a)^T (L^{-1} b) = a^T Sigma^{-1} b."""
+        return solve_triangular(self._factor[0], B, lower=True, check_finite=False)
+
     @_once
     def s1(self) -> np.ndarray:
         """The summed signature S 1."""
@@ -131,12 +136,15 @@ def channel_covariance(model: ChannelModel) -> np.ndarray:
     Returned exactly symmetric; with sigma_v2 == 0 it is exactly diagonal.
     When model.S.entries is a (k, N, Ns) stack of signature matrices, as
     in quadratic_forms, the result is the (k, N, N) stack of covariances.
+    Entries that overflow come back as inf or nan without a warning; the
+    factoring routes reject them with NumericalFailure.
     """
     A = model.S.entries
-    cov = (model.g * model.g * model.sigma_v2) * (A @ A.mT)
-    cov = 0.5 * (cov + cov.mT)
-    diag = np.arange(A.shape[-2])
-    cov[..., diag, diag] += model.sigma_w2
+    with np.errstate(over="ignore", invalid="ignore"):
+        cov = (model.g * model.g * model.sigma_v2) * (A @ A.mT)
+        cov = 0.5 * (cov + cov.mT)
+        diag = np.arange(A.shape[-2])
+        cov[..., diag, diag] += model.sigma_w2
     return cov
 
 

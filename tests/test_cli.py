@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 import scipy
 
+import cdmafusion
 from cdmafusion import ParseError, cli, convergence, exact
 from cdmafusion.cli import main, parse_config
 from cdmafusion.spreading import generate, save_csv
@@ -271,6 +272,27 @@ class TestRunnerModes:
             assert float(r[6]) == pytest.approx(gap, rel=1e-6)
 
 
+class TestArtifactFormat:
+    # expected strings frozen from the formatter before its exact-type fast paths
+    @pytest.mark.parametrize("value, text", [
+        (0.1, "0.1"), (1.0, "1"), (-0.0, "-0"), (1e-300, "1e-300"), (1.7e308, "1.7e+308"),
+        (2.0 / 3.0, "0.666666667"), (123456789.5, "123456790"),
+        (math.nan, "nan"), (math.inf, "inf"), (-math.inf, "-inf"),
+        (np.float64(0.1), "0.1"), (np.float64(-2.5e-12), "-2.5e-12"), (np.float32(0.1), "0.100000001"),
+        (0, "0"), (3, "3"), (-7, "-7"), (2**70, "1180591620717411303424"),
+        (np.int64(5), "5"), (np.uint64(2**64 - 1), "18446744073709551615"), (np.int32(-4), "-4"),
+        (True, "1"), (False, "0"), (np.True_, "1"),
+        (None, ""), ("", ""), ("snr", "snr"),
+    ])
+    def test_fmt(self, value, text):
+        assert cli._fmt(value) == text
+
+    def test_version_matches_pyproject(self):
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        with open(SRC.parent / "pyproject.toml", "rb") as fh:
+            assert cdmafusion.__version__ == tomllib.load(fh)["project"]["version"]
+
+
 class TestReproducibility:
     def test_byte_identical_reruns(self, tmp_path):
         doc = {"mode": "sweep-grid", "seed": 11,
@@ -424,6 +446,24 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("mode, message", [
+        ("analyze", "numerical failure: covariance has non-finite entries"),
+        ("sweep-grid", "numerical failure: beta0 underflows to 0"),
+    ])
+    def test_extreme_power_and_noise_are_one_line_runtime_failures(self, tmp_path, mode, message):
+        # P and sigma_w2 near the float range overflow the covariance and underflow
+        # beta0; run as a child so any numpy warning printed to stderr is seen
+        out = tmp_path / "out.csv"
+        cfg = config_file(tmp_path, {"mode": mode, "output": str(out),
+                                     "params": {"N": 8, "P": 1.7e308, "sigma_w2": 1.7e308},
+                                     "grid": {"N": [8], "alpha": [1.0], "seeds": 2}})
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(message)
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+
     def test_success_prints_row_count(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"mode": "asymptotic", "params": {"N": 8, "Ns": 8},
                                      "output": str(tmp_path / "a.csv")})
@@ -559,10 +599,10 @@ class TestConvergeSinglePass:
     GOLDEN = {
         "converge": ({"mode": "converge", "seed": 4, "params": {"N": 8, "alpha": 2.0},
                       "grid": {"N": [7, 8, 16], "seeds": 3}},
-                     "978ae4b21e2608c5e3947a516f2a5d60dee02dcf2d1cb5fc70db54bcc7e48d2d"),
+                     "94461fe70a54caf31b60bf9eb70bd7b15f476eed53a22a9ece71dff773f52e3f"),
         "sweep-grid": ({"mode": "sweep-grid", "seed": 2,
                         "grid": {"N": [8, 16], "alpha": [0.5, 2.0], "seeds": 3}},
-                       "10a26c0c6b27022c773722580bc0cb778d271328aa41a8e64752dd4766aa4d7b"),
+                       "17c7dc3064ec200c70815cdb43203673a67c340fa93273f67975985bba33350c"),
     }
 
     @pytest.mark.parametrize("mode", sorted(GOLDEN))
@@ -592,6 +632,15 @@ class TestConvergeSinglePass:
         cells = 3 * 4
         assert calls == {"generate": cells, "cho_factor": 2 * cells}
 
+    def test_one_whitening_solve_per_cell(self, tmp_path, linalg_calls):
+        # per cell: Sigma and Q_0 factored; Sigma^{-1} S 1, Sigma^{-1} s_0 and
+        # Q_0^{-1} s_0 solved; one whitening L^{-1} S for the residual and cross terms
+        cfg = config_file(tmp_path, {"mode": "converge", "seed": 1, "params": {"N": 8, "alpha": 2.0},
+                                     "grid": {"N": [8, 16, 32], "seeds": 4}})
+        assert main(["--config", cfg, "--out", str(tmp_path / "c.csv"), "--quiet"]) == 0
+        cells = 3 * 4
+        assert linalg_calls == {"cho_factor": 2 * cells, "cho_solve": 3 * cells, "solve_triangular": cells}
+
     def test_single_sensor_at_smallest_N_fails_before_any_draw(self, tmp_path, monkeypatch, capsys):
         calls = {"generate": 0}
         self.count_calls(monkeypatch, convergence, "generate", calls)
@@ -610,7 +659,7 @@ class TestSweepGridBlocks:
     # seeds were blocked: at N=128 both points split into several blocks
     GOLDEN = ({"mode": "sweep-grid", "seed": 0,
                "grid": {"N": [8, 128], "alpha": [0.5, 4.0], "seeds": 5}},
-              "aa1e99aeb1abf4ef690703619adc592e99f6be5df5aa457fa8f645a33dd1091f")
+              "3cf02e489d2508e9dc6ff4d57de6a20ae35482240a1a2ce2a303ad695f9bec70")
 
     def run_grid(self, tmp_path, *extra, name="grid.csv"):
         doc, _ = self.GOLDEN

@@ -24,6 +24,7 @@ from cdmafusion import (
 )
 from cdmafusion import convergence
 from cdmafusion.convergence import _experiments
+from cdmafusion.core import amplifier_gain, seed_sequence
 from cdmafusion.spreading import generate
 
 TEMPLATE = SystemParams(N=10, Ns=10, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0)
@@ -216,3 +217,33 @@ class TestSinglePass:
             cross_term_experiment(tiny_first, [8, 16], [0])
         with pytest.raises(DomainError, match=r"sensor index 12 out of range \[0, 12\)"):
             mil_residual_experiment(replace(TEMPLATE, N=12, Ns=12), [12], [0], sensor=12)
+
+
+class TestWhitenedStatistics:
+    @staticmethod
+    def dense_gram(params, seed):
+        """S^T Sigma^{-1} S from a dense solve against an independently built covariance."""
+        S = generate(params.N, params.Ns, seed).entries
+        g = amplifier_gain(params)
+        cov = g * g * params.sigma_v2 * (S @ S.T) + params.sigma_w2 * np.eye(params.N)
+        return g, S.T @ np.linalg.solve(cov, S)
+
+    # 21, 190 and 210 sensor pairs: every pair below the 200-pair cut, a subset above it
+    @pytest.mark.parametrize("N", [7, 20, 21])
+    def test_against_dense_gram_matrix(self, N):
+        seeds = SEEDS[:3]
+        params = replace(TEMPLATE, N=N, Ns=N)
+        records = _experiments(TEMPLATE, [N], seeds, ("snr", "cross"))
+        by_stat = {(r.statistic, r.seed): r for r in records}
+        rows, cols = np.triu_indices(N, k=1)
+        for seed in seeds:
+            g, G = self.dense_gram(params, seed)
+            pi, pj = rows, cols
+            if rows.size > 200:
+                pick = np.random.Generator(np.random.Philox(seed_sequence(seed, convergence._PAIR_STREAM)))
+                idx = pick.choice(rows.size, size=200, replace=False)
+                pi, pj = rows[idx], cols[idx]
+            expected = float(np.mean(np.abs(G[pi, pj])))
+            assert by_stat["cross_mean", seed].observed == pytest.approx(expected, rel=1e-12, abs=0)
+            assert by_stat["snr", seed].observed == pytest.approx(g * g * G.sum(), rel=1e-12, abs=0)
+            assert 0.0 <= by_stat["decomposition_residual", seed].observed <= 1e-12

@@ -119,6 +119,17 @@ class TestFactoredChannel:
             mdl.detector, np.linalg.solve(channel_covariance(mdl), mdl.s1), rtol=1e-10
         )
 
+    @pytest.mark.parametrize("N, Ns", [(1, 3), (17, 26), (33, 66)])
+    def test_whiten_against_dense_cholesky(self, N, Ns, linalg_calls):
+        mdl = model_for(make_params(N=N, Ns=Ns, sigma_v2=1.3, sigma_w2=0.8), seed=N)
+        A = mdl.S.entries
+        cov = mdl.g**2 * mdl.sigma_v2 * (A @ A.T) + mdl.sigma_w2 * np.eye(N)
+        L = np.linalg.cholesky(cov)
+        B = np.column_stack([A, np.random.default_rng(N).normal(size=(N, 2))])
+        np.testing.assert_allclose(mdl.whiten(B), np.linalg.solve(L, B), rtol=0, atol=1e-12)
+        np.testing.assert_allclose(mdl.whiten(B[:, 0]), np.linalg.solve(L, B[:, 0]), rtol=0, atol=1e-12)
+        assert linalg_calls == {"cho_factor": 1, "solve_triangular": 2}
+
     def test_leave_one_out_model(self):
         mdl = model_for(make_params(N=8, Ns=5, sigma_v2=0.7), seed=1)
         loo = mdl.without(2)
