@@ -208,6 +208,8 @@ def _tail_probabilities(g: float, m: float, qf: float, tau: float) -> tuple[floa
         # signature columns cancel: T is identically zero and the tie rule decides
         return (1.0, 0.0) if tau <= 0.0 else (0.0, 1.0)
     scale = 2.0 * g * m * math.sqrt(qf)
+    if scale == 0.0:
+        raise NumericalFailure(f"statistic scale 2 g m sqrt(qf) underflows to 0 (g={g!r}, qf={qf!r})")
     shift = 2.0 * g * g * m * m * qf
     pf = q_function((tau + shift) / scale)
     pm = q_function((shift - tau) / scale)

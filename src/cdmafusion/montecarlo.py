@@ -2,8 +2,11 @@
 
 Each trial draws sensor observations z = -+m + v, amplifies them, spreads
 them through the signature matrix and adds receiver noise, then thresholds
-the fusion statistic.  Trials are produced in fixed-size chunks, each chunk
-from its own Philox stream spawned from (seed, hypothesis, chunk index).
+the fusion statistic.  The statistic is linear in the two noise vectors, so
+a trial is one weighted sum of its Ns + N standard normals (see estimate);
+the received chip vector itself is never formed.  Trials are produced in
+fixed-size chunks, each chunk from its own SFC64 stream spawned from
+(seed, hypothesis, chunk index).
 Chunk counts are integers merged by addition, so the estimate is a pure
 function of (inputs, seed) regardless of how many workers execute chunks
 or in what order they finish.
@@ -23,7 +26,7 @@ from .exact import MONTECARLO, ChannelModel, McDiagnostics, PerformanceReport, q
 from .spreading import SpreadingMatrix
 
 CHUNK_TRIALS = 1 << 14
-RNG_ID = "philox4x64-seedseq-chunk16384-v1"
+RNG_ID = "sfc64-seedseq-chunk16384-v2"
 NORMAL_SAMPLER_ID = "numpy-ziggurat-v1"
 
 
@@ -47,7 +50,7 @@ class McConfig:
 
 
 def _chunk_rng(seed: int, hypothesis: int, chunk_idx: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(seed_sequence(seed, hypothesis, chunk_idx)))
+    return np.random.Generator(np.random.SFC64(seed_sequence(seed, hypothesis, chunk_idx)))
 
 
 def simulate_trials(
@@ -61,7 +64,12 @@ def simulate_trials(
 
     Returns an (N, n_trials) array: columns are independent trials of
     r = g S z + w with z = -+m + v.  Consumes 2 blocks of normals from rng
-    (sensor noise first, then receiver noise).
+    (sensor noise first, then receiver noise), the same normals in the same
+    order as one (Ns + N, n_trials) draw.
+
+    estimate does not call this: it draws those normals and applies the
+    collapsed weight directly.  This is the reference path that the
+    collapsed statistic is tested against, weight @ r for a chunk's stream.
     """
     if hypothesis not in (0, 1):
         raise DomainError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
@@ -84,10 +92,18 @@ def _chunk_plan(total: int) -> list[tuple[int, int]]:
     return sizes
 
 
+def _collapsed_weight(model: ChannelModel) -> tuple[np.ndarray, float]:
+    """(noise_weight, shift) with T(r) == -+shift + noise_weight . [n_v, n_w] for
+    r = g S (-+m 1 + sqrt(sigma_v2) n_v) + sqrt(sigma_w2) n_w (see estimate)."""
+    weight = 2.0 * model.g * model.m * model.detector
+    u = model.g * (model.S.entries.T @ weight)
+    noise_weight = np.concatenate((math.sqrt(model.sigma_v2) * u, math.sqrt(model.sigma_w2) * weight))
+    return noise_weight, model.m * u.sum()
+
+
 def _count_errors(
-    params: SystemParams,
-    S: SpreadingMatrix,
-    weight: np.ndarray,
+    noise_weight: np.ndarray,
+    offset: float,
     tau: float,
     hypothesis: int,
     seed: int,
@@ -95,8 +111,7 @@ def _count_errors(
     size: int,
 ) -> int:
     rng = _chunk_rng(seed, hypothesis, chunk_idx)
-    r = simulate_trials(params, S, hypothesis, size, rng)
-    t = weight @ r
+    t = offset + noise_weight @ rng.standard_normal((noise_weight.size, size))
     if hypothesis == 0:
         return int(np.count_nonzero(t >= tau))
     return int(np.count_nonzero(t < tau))
@@ -109,15 +124,21 @@ def estimate(
 
     The detector is the same one exact_performance analyses: the threshold
     is resolved against this channel's quadratic form, and the statistic is
-    computed as a dot product with the weight vector 2 g m Sigma^{-1} S 1;
-    the weight and qf take one factorization and one solve.  qf rides on
-    the report, so exact_report(params, report.qf, spec) gives the closed
-    form without factorizing again.  Ties (T == tau)
-    decide the alternative, which is what makes the degenerate qf == 0
-    channel agree with the closed form.
+    T = weight . r with weight = 2 g m Sigma^{-1} S 1; the weight and qf
+    take one factorization and one solve.  With r = g S (-+m 1 + sqrt(sigma_v2)
+    n_v) + sqrt(sigma_w2) n_w and u = g S^T weight, that is
+
+        T = -+m sum(u) + [sqrt(sigma_v2) u, sqrt(sigma_w2) weight] . [n_v, n_w],
+
+    so each chunk draws its (Ns + N, size) block of standard normals and
+    takes one weighted sum per trial.  qf rides on the report, so
+    exact_report(params, report.qf, spec) gives the closed form without
+    factorizing again.  Ties (T == tau) decide the alternative, which is
+    what makes the degenerate qf == 0 channel agree with the closed form.
     """
     model = ChannelModel.from_params(params, S)
-    weight = 2.0 * model.g * params.m * model.detector
+    noise_weight, shift = _collapsed_weight(model)
+    offset = (-shift, shift)
     qf = quadratic_form(model)
     tau = threshold_for(spec, params, qf)
 
@@ -130,7 +151,7 @@ def estimate(
 
     def run(job: tuple[int, int, int]) -> tuple[int, int]:
         hyp, idx, size = job
-        return hyp, _count_errors(params, S, weight, tau, hyp, mc.seed, idx, size)
+        return hyp, _count_errors(noise_weight, offset[hyp], tau, hyp, mc.seed, idx, size)
 
     counts = [0, 0]
     for hyp, c in map_workers(run, jobs, mc.worker_hint):

@@ -208,7 +208,7 @@ class TestRunnerModes:
             "pf_exact", "pm_exact", "pe_exact",
         ]
         assert rows[0][4] == "4000"
-        assert any("mc_rng=philox4x64-seedseq-chunk16384-v1" in line for line in meta)
+        assert any("mc_rng=sfc64-seedseq-chunk16384-v2" in line for line in meta)
         assert any("normal_sampler=numpy-ziggurat-v1" in line for line in meta)
         # worker hints must never appear in the artifact
         assert not any("worker" in line for line in meta)
@@ -464,6 +464,32 @@ class TestExitCodes:
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
 
+    @staticmethod
+    def run_child(tmp_path, mode, params):
+        out = tmp_path / "out.csv"
+        cfg = config_file(tmp_path, {"mode": mode, "output": str(out), "params": params,
+                                     "grid": {"N": [8], "alpha": [1.0], "seeds": 2}})
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.stderr.count("\n") == 1
+        assert not out.exists()
+        return proc
+
+    @pytest.mark.parametrize("mode", ["analyze", "asymptotic", "montecarlo", "converge",
+                                      "sweep-grid", "sweep-limits"])
+    def test_overflowing_signal_power_is_config_error(self, tmp_path, mode):
+        # m**2 overflows in the gain and in gamma
+        proc = self.run_child(tmp_path, mode, {"N": 8, "Ns": 8, "m": 1e200})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: m=1e+200 violates:")
+
+    @pytest.mark.parametrize("mode", ["analyze", "montecarlo"])
+    def test_vanishing_gain_is_one_line_runtime_failure(self, tmp_path, mode):
+        # Ns (m^2 + sigma_v2) overflows, so g and the statistic's scale are 0
+        proc = self.run_child(tmp_path, mode, {"N": 8, "Ns": 8, "sigma_v2": 1.7e308})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("numerical failure: statistic scale 2 g m sqrt(qf) underflows to 0")
+
     def test_success_prints_row_count(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"mode": "asymptotic", "params": {"N": 8, "Ns": 8},
                                      "output": str(tmp_path / "a.csv")})
@@ -599,10 +625,10 @@ class TestConvergeSinglePass:
     GOLDEN = {
         "converge": ({"mode": "converge", "seed": 4, "params": {"N": 8, "alpha": 2.0},
                       "grid": {"N": [7, 8, 16], "seeds": 3}},
-                     "94461fe70a54caf31b60bf9eb70bd7b15f476eed53a22a9ece71dff773f52e3f"),
+                     "d7ae476a616ae169915148881d25a943f0e5ae52bba69800b29660cd96fddc96"),
         "sweep-grid": ({"mode": "sweep-grid", "seed": 2,
                         "grid": {"N": [8, 16], "alpha": [0.5, 2.0], "seeds": 3}},
-                       "17c7dc3064ec200c70815cdb43203673a67c340fa93273f67975985bba33350c"),
+                       "f2a0a90862c84c2c566624fdc0dcb1266295d3709c15f1f6ae1bceb4fbb6951e"),
     }
 
     @pytest.mark.parametrize("mode", sorted(GOLDEN))
@@ -659,7 +685,7 @@ class TestSweepGridBlocks:
     # seeds were blocked: at N=128 both points split into several blocks
     GOLDEN = ({"mode": "sweep-grid", "seed": 0,
                "grid": {"N": [8, 128], "alpha": [0.5, 4.0], "seeds": 5}},
-              "3cf02e489d2508e9dc6ff4d57de6a20ae35482240a1a2ce2a303ad695f9bec70")
+              "3f230dded00d06645397bae225ecde00c4bc41aff4d1f9580e3053995389590c")
 
     def run_grid(self, tmp_path, *extra, name="grid.csv"):
         doc, _ = self.GOLDEN
@@ -698,6 +724,20 @@ class TestSweepGridBlocks:
         cells = 2 * 2 * 5
         assert calls["generate"] == cells
         assert linalg_calls == {"cho_factor": cells, "cho_solve": cells}
+
+
+class TestMontecarloGolden:
+    # sha256 of the whole artifact: two full chunks and a remainder per
+    # hypothesis on the sfc64 chunk stream, run on the two-worker pool
+    GOLDEN = ({"mode": "montecarlo", "seed": 3, "params": {"N": 12, "Ns": 20, "P": 4.0, "sigma_v2": 0.5},
+               "mc": {"trials": 2 * 16384 + 5, "workers": 2}},
+              "a406cb44066639a956382b1694dd25bcbb2f7a3ed639d8ec0ecfbe29004354e7")
+
+    def test_golden_artifact(self, tmp_path):
+        doc, digest = self.GOLDEN
+        out = tmp_path / "mc.csv"
+        assert main(["--config", config_file(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
 
 
 class TestOneFactorizationPerRun:

@@ -102,6 +102,16 @@ class TestSystemParams:
             make_params(**{field: value})
         assert err.value.name == field
 
+    @pytest.mark.parametrize("m, sigma_v2", [(1e200, 1.0), (1e154, 1.7e308), (1.4e154, 0.0)])
+    def test_overflowing_signal_power_rejected(self, m, sigma_v2):
+        # the gain and gamma both need m^2 + sigma_v2 as a finite float
+        with pytest.raises(InvalidParam, match=r"m\^2 \+ sigma_v2 must be finite") as err:
+            make_params(m=m, sigma_v2=sigma_v2)
+        assert err.value.name == "m"
+
+    def test_largest_finite_signal_power_allowed(self):
+        assert make_params(m=1e154, sigma_v2=0.0).m == 1e154
+
     def test_priors_must_sum_to_one(self):
         with pytest.raises(InvalidParam):
             make_params(p0=0.6, p1=0.6)

@@ -95,6 +95,12 @@ class TestQuadraticForm:
         mdl = ChannelModel.from_params(p, load(np.array([[1.0, -1.0]])))
         assert quadratic_form(mdl) == 0.0
 
+    def test_vanishing_gain_is_numerical_failure(self):
+        # Ns (m^2 + sigma_v2) overflows, so g == 0 and the statistic has no scale
+        p = make_params(N=8, Ns=8, sigma_v2=1.7e308)
+        with pytest.raises(NumericalFailure, match="scale 2 g m sqrt\\(qf\\) underflows to 0"):
+            exact_performance(p, generate(8, 8, seed=0), DetectorSpec())
+
     def test_rejects_indefinite_covariance(self):
         mdl = ChannelModel(S=generate(4, 4, seed=0), g=1.0, sigma_v2=1.0, sigma_w2=-10.0, m=1.0)
         with pytest.raises(NumericalFailure):

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from cdmafusion import (
+    ChannelModel,
     DetectorSpec,
     DimensionMismatch,
     DomainError,
@@ -19,7 +20,16 @@ from cdmafusion import (
     exact_performance,
     simulate_trials,
 )
-from cdmafusion.montecarlo import CHUNK_TRIALS, NORMAL_SAMPLER_ID, RNG_ID, _chunk_plan
+from cdmafusion import montecarlo
+from cdmafusion.montecarlo import (
+    CHUNK_TRIALS,
+    NORMAL_SAMPLER_ID,
+    RNG_ID,
+    _chunk_plan,
+    _chunk_rng,
+    _collapsed_weight,
+    _count_errors,
+)
 from cdmafusion.spreading import generate, load
 
 
@@ -121,7 +131,7 @@ class TestMcConfig:
         assert estimate(p, S, DetectorSpec(), mc) == estimate(p, S, DetectorSpec(), ref)
 
     def test_identifiers_are_stable(self):
-        assert RNG_ID == "philox4x64-seedseq-chunk16384-v1"
+        assert RNG_ID == "sfc64-seedseq-chunk16384-v2"
         assert NORMAL_SAMPLER_ID == "numpy-ziggurat-v1"
         assert CHUNK_TRIALS == 16384
 
@@ -217,3 +227,66 @@ class TestEstimate:
             McConfig(trials_per_hypothesis=50_000, seed=9),
         )
         assert rep.pf == pytest.approx(0.1, abs=3 * np.sqrt(0.1 * 0.9 / 50_000))
+
+
+class TestCollapsedKernel:
+    """The per-chunk weighted sum against the full chain r = g S z + w."""
+
+    SEED = 12
+
+    @pytest.mark.parametrize("N, Ns", [(1, 1), (12, 5), (5, 12)], ids=["1x1", "N>Ns", "N<Ns"])
+    @pytest.mark.parametrize("idx, size", [(0, CHUNK_TRIALS), (3, 37)], ids=["full", "remainder"])
+    def test_statistic_and_counts_match_received_vectors(self, N, Ns, idx, size):
+        p = make_params(N=N, Ns=Ns, m=0.7, sigma_v2=0.4, sigma_w2=1.9, P=6.0)
+        S = generate(N, Ns, seed=5)
+        model = ChannelModel.from_params(p, S)
+        weight = 2.0 * model.g * p.m * model.detector
+        noise_weight, shift = _collapsed_weight(model)
+        tau = 0.3
+        for hyp, offset in ((0, -shift), (1, shift)):
+            ref = weight @ simulate_trials(p, S, hyp, size, _chunk_rng(self.SEED, hyp, idx))
+            noise = _chunk_rng(self.SEED, hyp, idx).standard_normal((Ns + N, size))
+            np.testing.assert_allclose(offset + noise_weight @ noise, ref,
+                                       rtol=1e-12, atol=1e-12 * np.abs(ref).max())
+            want = np.count_nonzero(ref >= tau) if hyp == 0 else np.count_nonzero(ref < tau)
+            assert _count_errors(noise_weight, offset, tau, hyp, self.SEED, idx, size) == want
+
+    def test_estimate_counts_match_reference_path(self):
+        # every chunk of both hypotheses, remainder included, through simulate_trials
+        p = make_params(N=6, Ns=9)
+        S = generate(6, 9, seed=2)
+        model = ChannelModel.from_params(p, S)
+        weight = 2.0 * model.g * p.m * model.detector
+        n = 2 * CHUNK_TRIALS + 101
+        counts = [0, 0]
+        for hyp in (0, 1):
+            for idx, size in _chunk_plan(n):
+                t = weight @ simulate_trials(p, S, hyp, size, _chunk_rng(self.SEED, hyp, idx))
+                counts[hyp] += int(np.count_nonzero(t >= 0.0) if hyp == 0 else np.count_nonzero(t < 0.0))
+        rep = estimate(p, S, DetectorSpec(), McConfig(trials_per_hypothesis=n, seed=self.SEED, worker_hint=2))
+        assert (rep.mc.false_alarms, rep.mc.misses) == tuple(counts)
+
+    @pytest.mark.parametrize("seed, hyp, idx", [(0, 0, 0), (12, 1, 5), (2**64 - 1, 1, 61)])
+    def test_chunk_stream_is_seeded_sfc64(self, seed, hyp, idx):
+        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(hyp, idx))))
+        rng = _chunk_rng(seed, hyp, idx)
+        assert isinstance(rng.bit_generator, np.random.SFC64)
+        np.testing.assert_array_equal(rng.standard_normal((7, 33)), want.standard_normal((7, 33)))
+
+    def test_draws_only_through_standard_normal_of_a_shape(self, monkeypatch):
+        # a benchmark harness stands in for the chunk generator with exactly this method
+        class OnlyStandardNormal:
+            def __init__(self, rng):
+                self.rng = rng
+
+            def standard_normal(self, size):
+                assert isinstance(size, tuple)
+                return self.rng.standard_normal(size)
+
+        p = make_params()
+        S = generate(8, 8, seed=0)
+        mc = McConfig(trials_per_hypothesis=CHUNK_TRIALS + 9, seed=4)
+        want = estimate(p, S, DetectorSpec(), mc)
+        chunk_rng = montecarlo._chunk_rng
+        monkeypatch.setattr(montecarlo, "_chunk_rng", lambda *a: OnlyStandardNormal(chunk_rng(*a)))
+        assert estimate(p, S, DetectorSpec(), mc) == want
