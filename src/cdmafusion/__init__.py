@@ -18,7 +18,6 @@ from .asymptotics import (
     asymptotic_params,
     asymptotic_performance,
     beta0,
-    beta0_large_load_limit,
     gamma,
     large_alpha_pe,
     minimum_error_probability,
@@ -29,7 +28,6 @@ from .convergence import (
     ConvergenceRecord,
     cross_term_experiment,
     diagonal_term_experiment,
-    mil_identity_check,
     mil_residual_experiment,
     quadratic_form_convergence,
 )
@@ -95,7 +93,6 @@ __all__ = [
     "asymptotic_performance",
     "bayes_threshold",
     "beta0",
-    "beta0_large_load_limit",
     "channel_covariance",
     "cross_term_experiment",
     "diagonal_term_experiment",
@@ -105,7 +102,6 @@ __all__ = [
     "gamma",
     "inv_q",
     "large_alpha_pe",
-    "mil_identity_check",
     "mil_residual_experiment",
     "minimum_error_probability",
     "mu",

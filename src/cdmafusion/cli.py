@@ -431,11 +431,11 @@ def _run_sweep_grid(config: ExperimentConfig):
     for i_n, N in enumerate(config.grid_N):
         for i_a, a in enumerate(config.grid_alpha):
             pc = replace(p, N=N, Ns=sensors_for_load(a, N))
-            points.append((i_n, i_a, a, pc, asymptotic_performance(pc, config.detector).pe))
+            points.append((i_n, i_a, a, pc, asymptotic_performance(pc, config.detector)))
 
     def point(args):
         # one grid point's seeds, in blocks that share one batched covariance build
-        i_n, i_a, a, pc, pe_asym = args
+        i_n, i_a, a, pc, asym = args
         seeds = [_derive_seed(config.seed, i_n, i_a, j) for j in range(config.cell_seeds)]
         size = max(1, _BLOCK_ENTRIES // (pc.N * max(pc.N, pc.Ns)))
         rows = []
@@ -443,9 +443,12 @@ def _run_sweep_grid(config: ExperimentConfig):
             block = seeds[start:start + size]
             qfs = quadratic_forms(pc, np.stack([generate(pc.N, pc.Ns, seed).entries for seed in block]))
             for seed, qf in zip(block, qfs):
-                pe_exact = exact_report(pc, qf, config.detector).pe
-                rel_gap = abs(pe_exact - pe_asym) / pe_asym
-                rows.append([pc.N, a, pc.Ns, seed, pe_exact, pe_asym, rel_gap])
+                rep = exact_report(pc, qf, config.detector)
+                # |pe_exact / pe_asymptotic - 1| from the logs, which stay finite
+                # after both tails underflow; a ratio past e^709 is inf
+                with np.errstate(over="ignore"):
+                    rel_gap = float(abs(np.expm1(rep.log_pe - asym.log_pe)))
+                rows.append([pc.N, a, pc.Ns, seed, rep.pe, asym.pe, rel_gap])
         return rows
 
     rows = [row for block in map_workers(point, points, config.mc.worker_hint) for row in block]

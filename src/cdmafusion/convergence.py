@@ -32,7 +32,7 @@ from .asymptotics import asymptotic_params
 from .core import SystemParams, amplifier_gain, seed_sequence, sensors_for_load, validate
 from .errors import DomainError, InvalidParam, NumericalFailure
 from .exact import ChannelModel, quadratic_form
-from .spreading import SpreadingMatrix, generate
+from .spreading import generate
 
 _PAIR_STREAM = 0x9A1C
 _DECOMPOSITION_RTOL = 1e-8
@@ -189,26 +189,18 @@ def _experiments(
     return [r for name in wanted for r in out[name]]
 
 
-def mil_identity_check(S: SpreadingMatrix, params: SystemParams, sensor: int) -> float:
-    """Residual of the leave-one-out inversion identity at one sensor.
-
-    With c = g^2 sigma_v2 and Q_n the covariance built without sensor n's
-    signature, s_n^T Sigma^{-1} s_n must equal q_n / (1 + c q_n) where
-    q_n = s_n^T Q_n^{-1} s_n.  Both sides are computed from independent
-    fresh factorizations; the absolute difference is returned and should
-    sit at rounding level (~1e-12) for healthy linear algebra.
-    """
-    _check_sensor(sensor, S.Ns)
-    model = ChannelModel.from_params(params, S)
-    c = model.g * model.g * model.sigma_v2
-    full, leave = _diag_forms(model, sensor)
-    return _mil_residual(full, leave, c)
-
-
 def mil_residual_experiment(
     template: SystemParams, N_values, seeds, sensor: int = 0
 ) -> list[ConvergenceRecord]:
-    """mil_identity_check across the (N, seed) schedule; predicted value 0."""
+    """Residual of the leave-one-out inversion identity across the (N, seed) schedule.
+
+    With c = g^2 sigma_v2 and Q the covariance built without `sensor`'s
+    signature s, s^T Sigma^{-1} s must equal q / (1 + c q) where
+    q = s^T Q^{-1} s.  Both sides come from their own factorizations; the
+    absolute difference is the observed value, predicted 0, and sits at
+    rounding level (~1e-12) for healthy linear algebra.  DomainError when
+    `sensor` is out of range at any N in the schedule.
+    """
     return _experiments(template, N_values, seeds, ("mil",), sensor=sensor)
 
 

@@ -18,7 +18,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
+from scipy.special import log_ndtr, ndtri
 
 from .errors import DomainError, InvalidParam
 
@@ -173,11 +173,31 @@ def amplifier_gain(params: SystemParams) -> float:
     return math.sqrt(params.P / (params.Ns * (params.m**2 + params.sigma_v2)))
 
 
+def log_tails(x: float, m: float, tau: float) -> tuple[float, float]:
+    """(log pf, log pm) of the threshold tau on a fusion statistic of detection SNR x.
+
+    Every route reduces to x: g^2 qf for a fixed channel, 1/mu in the
+    large-system limit.  The statistic is N(-+ 2 m^2 x, 4 m^2 x) under H0 and
+    H1 and declares H1 when T >= tau, so pf = Q(m sqrt(x) + tau / (2 m sqrt(x)))
+    and pm = Q(m sqrt(x) - tau / (2 m sqrt(x))).  Both are carried in the log
+    domain, where they stay finite far past the point where the tails
+    themselves underflow.  At x == 0 the statistic is identically zero and
+    the tie rule decides: H1 whenever tau <= 0.
+    """
+    if x == 0.0:
+        return (0.0, -math.inf) if tau <= 0.0 else (-math.inf, 0.0)
+    sqrt_x = math.sqrt(x)
+    # tau / (2 m sqrt(x)) without the product, which can underflow to 0 for x > 0
+    root, half = m * sqrt_x, tau / (2.0 * m) / sqrt_x
+    log_pf, log_pm = log_ndtr((-half - root, half - root))
+    return float(log_pf), float(log_pm)
+
+
 def bayes_threshold(p0: float, p1: float) -> float:
     """Threshold on the fusion statistic minimizing p0 Pf + p1 Pm.
 
-    The statistic is Gaussian with conditional means -+ 2 g^2 m^2 qf and
-    common variance 4 g^2 m^2 qf, so the minimizer is log(p0 / p1),
+    The statistic is Gaussian with conditional means -+ 2 m^2 x and common
+    variance 4 m^2 x (see log_tails), so the minimizer is log(p0 / p1),
     independent of the channel realization.
     """
     for name, val in (("p0", p0), ("p1", p1)):
@@ -188,22 +208,20 @@ def bayes_threshold(p0: float, p1: float) -> float:
     return math.log(p0 / p1)
 
 
-def np_threshold(qf: float, g: float, m: float, alpha_fa: float) -> float:
+def np_threshold(x: float, m: float, alpha_fa: float) -> float:
     """Threshold pinning the false-alarm probability at alpha_fa.
 
-    qf is the detector quadratic form of the channel in use; the statistic
-    under the null is N(-2 g^2 m^2 qf, 4 g^2 m^2 qf), so the threshold is
-    2 g m sqrt(qf) inv_q(alpha_fa) - 2 g^2 m^2 qf.
+    x is the detection SNR of the channel in use; the statistic under the
+    null is N(-2 m^2 x, 4 m^2 x), so the threshold is
+    2 m sqrt(x) inv_q(alpha_fa) - 2 m^2 x.
     """
-    if not (_is_real(qf) and qf > 0):
-        raise DomainError(f"np_threshold requires qf > 0, got {qf!r}")
-    if not (_is_real(g) and g > 0):
-        raise DomainError(f"np_threshold requires g > 0, got {g!r}")
+    if not (_is_real(x) and x > 0):
+        raise DomainError(f"np_threshold requires x > 0, got {x!r}")
     if not (_is_real(m) and m > 0):
         raise DomainError(f"np_threshold requires m > 0, got {m!r}")
     if not (_is_real(alpha_fa) and 0.0 < alpha_fa < 1.0):
         raise DomainError(f"np_threshold requires alpha_fa in (0, 1), got {alpha_fa!r}")
-    return 2.0 * g * m * math.sqrt(qf) * inv_q(alpha_fa) - 2.0 * g * g * m * m * qf
+    return 2.0 * m * math.sqrt(x) * inv_q(alpha_fa) - 2.0 * m * m * x
 
 
 @dataclass(frozen=True)
@@ -230,10 +248,10 @@ class DetectorSpec:
                 raise InvalidParam("tau_prime", self.tau_prime, "criterion 'fixed' needs a finite tau_prime")
 
 
-def threshold_for(spec: DetectorSpec, params: SystemParams, qf: float) -> float:
-    """Resolve the effective threshold for a channel with quadratic form qf."""
+def threshold_for(spec: DetectorSpec, params: SystemParams, x: float) -> float:
+    """Resolve the effective threshold for a channel of detection SNR x."""
     if spec.criterion == BAYES:
         return bayes_threshold(params.p0, params.p1)
     if spec.criterion == NEYMAN_PEARSON:
-        return np_threshold(qf, amplifier_gain(params), params.m, spec.alpha_fa)
+        return np_threshold(x, params.m, spec.alpha_fa)
     return float(spec.tau_prime)

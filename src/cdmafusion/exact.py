@@ -3,9 +3,11 @@
 Conditioned on either hypothesis the received chip vector is Gaussian,
 r ~ N(-+ g m S 1, Sigma) with Sigma = g^2 sigma_v2 S S^T + sigma_w2 I.
 Because the covariance is hypothesis-independent, the log-likelihood ratio
-is the linear statistic T(r) = 2 g m (S 1)^T Sigma^{-1} r, and both error
-probabilities are Gaussian tails in the quadratic form
-qf = (S 1)^T Sigma^{-1} (S 1).
+is the linear statistic T(r) = 2 g m (S 1)^T Sigma^{-1} r.  Both error
+probabilities depend on the channel only through the detection SNR
+x = g^2 qf, with qf = (S 1)^T Sigma^{-1} (S 1) the quadratic form; tail_report
+turns x and a threshold into the report every analytic route returns, with
+its tails carried in the log domain by core.log_tails.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
-from .core import DetectorSpec, SystemParams, amplifier_gain, q_function, threshold_for
+from .core import DetectorSpec, SystemParams, amplifier_gain, log_tails, threshold_for
 from .errors import DimensionMismatch, NumericalFailure
 from .spreading import SpreadingMatrix
 
@@ -114,16 +116,19 @@ class McDiagnostics:
 class PerformanceReport:
     """Error probabilities of one detector on one channel.
 
-    method records which route produced the numbers ("exact", "asymptotic"
-    or "montecarlo"); tau_prime is the resolved threshold actually applied;
+    pe = p0 pf + p1 pm, and log_pe is its natural log, finite on the
+    analytic routes long after pe itself underflows to 0.  method records
+    which route produced the numbers ("exact", "asymptotic" or
+    "montecarlo"); tau_prime is the resolved threshold actually applied;
     mc carries simulation diagnostics and is None for analytic routes; qf
-    is the channel's quadratic form the threshold was resolved against, and
-    is None for the asymptotic route.
+    is the channel's quadratic form, whose detection SNR g^2 qf the
+    threshold was resolved against, and is None for the asymptotic route.
     """
 
     pf: float
     pm: float
     pe: float
+    log_pe: float
     method: str
     tau_prime: float
     mc: McDiagnostics | None = None
@@ -202,30 +207,40 @@ def fusion_statistic(model: ChannelModel, r) -> float:
     return float(2.0 * model.g * model.m * (model.detector @ r))
 
 
-def _tail_probabilities(g: float, m: float, qf: float, tau: float) -> tuple[float, float]:
-    # statistic is N(-+ 2 g^2 m^2 qf, 4 g^2 m^2 qf); H1 declared when T >= tau
-    if qf == 0.0:
-        # signature columns cancel: T is identically zero and the tie rule decides
-        return (1.0, 0.0) if tau <= 0.0 else (0.0, 1.0)
-    scale = 2.0 * g * m * math.sqrt(qf)
-    if scale == 0.0:
+def tail_report(
+    params: SystemParams, x: float, tau: float, method: str, qf: float | None = None
+) -> PerformanceReport:
+    """Error probabilities of the threshold tau on a statistic of detection SNR x.
+
+    pf and pm are the exponentials of core.log_tails, pe = p0 pf + p1 pm,
+    and log_pe is the log of the same mix, summed in the log domain.
+    """
+    log_pf, log_pm = log_tails(x, params.m, tau)
+    pf, pm = math.exp(log_pf), math.exp(log_pm)
+    log_pe = float(np.logaddexp(math.log(params.p0) + log_pf, math.log(params.p1) + log_pm))
+    return PerformanceReport(
+        pf=pf, pm=pm, pe=params.p0 * pf + params.p1 * pm, log_pe=log_pe, method=method, tau_prime=tau, qf=qf
+    )
+
+
+def detection_snr(params: SystemParams, qf: float) -> float:
+    """x = g^2 qf; NumericalFailure when the gain leaves no SNR from qf > 0."""
+    g = amplifier_gain(params)
+    x = g * g * qf
+    if x == 0.0 and qf > 0.0:
         raise NumericalFailure(f"statistic scale 2 g m sqrt(qf) underflows to 0 (g={g!r}, qf={qf!r})")
-    shift = 2.0 * g * g * m * m * qf
-    pf = q_function((tau + shift) / scale)
-    pm = q_function((shift - tau) / scale)
-    return pf, pm
+    return x
 
 
 def exact_report(params: SystemParams, qf: float, spec: DetectorSpec) -> PerformanceReport:
     """Closed-form error probabilities for a channel with quadratic form qf.
 
-    pf = q((tau + 2 g^2 m^2 qf) / (2 g m sqrt(qf))) and symmetrically for
-    pm; pe = p0 pf + p1 pm.  With tau == 0 the two tails coincide exactly.
+    The tails of tail_report at x = g^2 qf; with tau == 0 the two coincide
+    exactly.  A vanishing gain raises NumericalFailure before the threshold
+    is resolved, whatever the detector.
     """
-    tau = threshold_for(spec, params, qf)
-    pf, pm = _tail_probabilities(amplifier_gain(params), params.m, qf, tau)
-    pe = params.p0 * pf + params.p1 * pm
-    return PerformanceReport(pf=pf, pm=pm, pe=pe, method=EXACT, tau_prime=tau, qf=qf)
+    x = detection_snr(params, qf)
+    return tail_report(params, x, threshold_for(spec, params, x), EXACT, qf=qf)
 
 
 def exact_performance(params: SystemParams, S: SpreadingMatrix, spec: DetectorSpec) -> PerformanceReport:

@@ -22,7 +22,7 @@ import numpy as np
 from .core import DetectorSpec, SystemParams, check_count, check_seed, map_workers, seed_sequence
 from .core import threshold_for
 from .errors import DomainError
-from .exact import MONTECARLO, ChannelModel, McDiagnostics, PerformanceReport, quadratic_form
+from .exact import MONTECARLO, ChannelModel, McDiagnostics, PerformanceReport, detection_snr, quadratic_form
 from .spreading import SpreadingMatrix
 
 CHUNK_TRIALS = 1 << 14
@@ -123,7 +123,7 @@ def estimate(
     """Monte Carlo error probabilities with binomial standard errors.
 
     The detector is the same one exact_performance analyses: the threshold
-    is resolved against this channel's quadratic form, and the statistic is
+    is resolved against this channel's detection SNR g^2 qf, and the statistic is
     T = weight . r with weight = 2 g m Sigma^{-1} S 1; the weight and qf
     take one factorization and one solve.  With r = g S (-+m 1 + sqrt(sigma_v2)
     n_v) + sqrt(sigma_w2) n_w and u = g S^T weight, that is
@@ -140,7 +140,7 @@ def estimate(
     noise_weight, shift = _collapsed_weight(model)
     offset = (-shift, shift)
     qf = quadratic_form(model)
-    tau = threshold_for(spec, params, qf)
+    tau = threshold_for(spec, params, detection_snr(params, qf))
 
     n = mc.trials_per_hypothesis
     jobs = [
@@ -173,4 +173,7 @@ def estimate(
         stderr_pm=se_pm,
         stderr_pe=se_pe,
     )
-    return PerformanceReport(pf=pf, pm=pm, pe=pe, method=MONTECARLO, tau_prime=tau, mc=diag, qf=qf)
+    log_pe = math.log(pe) if pe > 0.0 else -math.inf
+    return PerformanceReport(
+        pf=pf, pm=pm, pe=pe, log_pe=log_pe, method=MONTECARLO, tau_prime=tau, mc=diag, qf=qf
+    )

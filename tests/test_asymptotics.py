@@ -21,7 +21,6 @@ from cdmafusion import (
     asymptotic_params,
     asymptotic_performance,
     beta0,
-    beta0_large_load_limit,
     exact_performance,
     gamma,
     large_alpha_pe,
@@ -61,11 +60,12 @@ class TestGamma:
     def test_reference_point(self):
         assert gamma(make_params()) == pytest.approx(0.5, rel=1e-15)
 
-    def test_zero_noise_needs_flag(self):
-        p = make_params(sigma_v2=0.0)
-        with pytest.raises(DomainError):
-            gamma(p)
-        assert gamma(p, zero_noise_limit=True) == 0.0
+    def test_zero_noise_gives_no_interference(self):
+        assert gamma(make_params(sigma_v2=0.0)) == 0.0
+
+    def test_huge_noise_stays_finite(self):
+        # (P/N) sigma_v2 would overflow; the noise fraction tends to 1, so gamma -> P/N
+        assert gamma(make_params(N=8, Ns=8, sigma_v2=1.7e308)) == 10.0 / 8
 
 
 class TestBeta0:
@@ -87,10 +87,10 @@ class TestBeta0:
     def test_zero_load_exact(self):
         assert beta0(0.0, 0.7, 0.25) == 1.0 / 0.25
 
-    def test_zero_gamma_flagged(self):
-        with pytest.raises(DomainError):
-            beta0(1.0, 0.0, 2.0)
-        assert beta0(1.0, 0.0, 2.0, zero_gamma_limit=True) == 0.5
+    def test_zero_gamma_is_interference_free_root(self):
+        # gamma == 0 leaves the linear equation sigma_w2 b = 1
+        assert beta0(1.0, 0.0, 2.0) == 0.5
+        assert beta0(3.0, 0.0, 0.25) == pytest.approx(4.0, rel=1e-15)
 
     def test_extreme_loads_stay_finite(self):
         b = beta0(1e4, 5e-6, 1.0)
@@ -103,8 +103,8 @@ class TestBeta0:
         assert all(b < a for a, b in zip(roots, roots[1:]))
 
     def test_large_load_limit(self):
-        lim = beta0_large_load_limit(1.0, 1.0)
-        assert lim == 0.5
+        # at fixed gamma, beta0 -> 1/(gamma + sigma_w2) as alpha -> infinity
+        lim = 1.0 / (1.0 + 1.0)
         assert abs(beta0(1e6, 1.0, 1.0) - lim) < 1e-5
 
     @pytest.mark.parametrize(
@@ -171,13 +171,18 @@ class TestAsymptoticPerformance:
         assert rep.pe == p.p0 * rep.pf + p.p1 * rep.pm
         assert rep.tau_prime == pytest.approx(math.log(1.0 / 3.0), rel=1e-14)
 
-    def test_zero_noise_limit_flag(self):
+    def test_zero_noise_limit(self):
         p = make_params(sigma_v2=0.0)
-        with pytest.raises(DomainError):
-            asymptotic_performance(p, DetectorSpec())
-        rep = asymptotic_performance(p, DetectorSpec(), zero_noise_limit=True)
+        ap = asymptotic_params(p)
         # no observation noise, no interference: mu = m^2 sigma_w2 / P
-        assert rep.pe == pytest.approx(q_function(math.sqrt(p.P / p.sigma_w2)), rel=1e-12)
+        assert (ap.gamma, ap.beta0) == (0.0, 1.0 / p.sigma_w2)
+        assert ap.mu == pytest.approx(p.m**2 * p.sigma_w2 / p.P, rel=1e-15)
+        rep = asymptotic_performance(p, DetectorSpec())
+        want = q_function(math.sqrt(p.P / p.sigma_w2))
+        assert rep.pe == pytest.approx(want, rel=1e-12)
+        assert minimum_error_probability(p) == pytest.approx(want, rel=1e-12)
+        assert large_alpha_pe(p) == pytest.approx(want, rel=1e-12)
+        assert single_sensor_pe(p) == pytest.approx(want, rel=1e-12)
 
 
 class TestLimits:

@@ -12,6 +12,7 @@ import sys
 import types
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 import scipy
@@ -35,6 +36,32 @@ def read_csv(path):
         else:
             rows.append(line.split(","))
     return meta, header, rows
+
+
+def mp_rel_gap(p, N, Ns, seed):
+    """|pe_exact / pe_asymptotic - 1| of the zero-threshold detector at 50 digits.
+
+    Builds the channel covariance of generate(N, Ns, seed) and solves it in
+    mpmath, and solves the fixed-point quadratic for beta0 by its textbook
+    root, so no double-precision tail, solve or formula of the package is used.
+    """
+    with mpmath.workdps(50):
+        P, m, sv, sw = (mpmath.mpf(p[k]) for k in ("P", "m", "sigma_v2", "sigma_w2"))
+        g2 = P / (Ns * (m**2 + sv))
+        S = mpmath.matrix(generate(N, Ns, seed).entries.tolist())
+        cov = g2 * sv * S * S.T + sw * mpmath.eye(N)
+        s1 = S * mpmath.matrix([1] * Ns)
+        qf = (s1.T * mpmath.lu_solve(cov, s1))[0]
+        gamma = (P / N) * sv / (m**2 + sv)
+        alpha = mpmath.mpf(Ns) / N
+        a, b = gamma * sw, alpha * (gamma + sw) - gamma
+        beta0 = (mpmath.sqrt(b**2 + 4 * a * alpha) - b) / (2 * a)
+        mu = sv / Ns + (m**2 + sv) / (P * beta0)
+
+        def pe(x):
+            return mpmath.erfc(m * mpmath.sqrt(x / 2)) / 2
+
+        return float(abs(pe(g2 * qf) / pe(1 / mu) - 1))
 
 
 def config_file(tmp_path, doc, name="cfg.json"):
@@ -434,17 +461,22 @@ class TestExitCodes:
         cfg = config_file(tmp_path, {"mode": "analyze", "output": str(tmp_path / "a.csv")})
         assert main(["--config", cfg, "--seed", "-3", "--quiet"]) == 1
 
-    def test_underflowing_asymptotic_pe_is_runtime_failure(self, tmp_path, capsys):
-        # pe_asymptotic underflows to 0 here, so the relative gap divides by zero
+    def test_underflowing_tails_keep_a_log_domain_gap(self, tmp_path):
+        # both pe columns underflow to 0 here, while their logs differ by ~1e5:
+        # the gap is |pe_exact / pe_asymptotic - 1| rounded from e^(+-1e5)
         out = tmp_path / "grid.csv"
-        cfg = config_file(tmp_path, {"mode": "sweep-grid", "output": str(out),
-                                     "params": {"P": 1e6, "sigma_v2": 1e-6},
+        params = {"P": 1e6, "sigma_v2": 1e-6}
+        cfg = config_file(tmp_path, {"mode": "sweep-grid", "output": str(out), "params": params,
                                      "grid": {"N": [8], "alpha": [4.0], "seeds": 2}})
-        assert main(["--config", cfg, "--quiet"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ZeroDivisionError")
-        assert err.count("\n") == 1 and "Traceback" not in err
-        assert not out.exists()
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, header, rows = read_csv(out)
+        assert len(rows) == 2
+        row = [dict(zip(header, r)) for r in rows]
+        gaps = [float(r["rel_gap"]) for r in row]
+        assert gaps == [mp_rel_gap(dict(params, m=1.0, sigma_w2=1.0), 8, 32, int(r["seed"])) for r in row]
+        assert sorted(gaps) == [1.0, math.inf]
 
     @pytest.mark.parametrize("mode, message", [
         ("analyze", "numerical failure: covariance has non-finite entries"),
@@ -465,10 +497,13 @@ class TestExitCodes:
         assert not out.exists()
 
     @staticmethod
-    def run_child(tmp_path, mode, params):
+    def run_child(tmp_path, mode, params, detector=None):
         out = tmp_path / "out.csv"
-        cfg = config_file(tmp_path, {"mode": mode, "output": str(out), "params": params,
-                                     "grid": {"N": [8], "alpha": [1.0], "seeds": 2}})
+        doc = {"mode": mode, "output": str(out), "params": params,
+               "grid": {"N": [8], "alpha": [1.0], "seeds": 2}}
+        if detector is not None:
+            doc["detector"] = detector
+        cfg = config_file(tmp_path, doc)
         proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
                               env=child_env(), capture_output=True, text=True, timeout=120)
         assert proc.stderr.count("\n") == 1
@@ -483,12 +518,43 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: m=1e+200 violates:")
 
-    @pytest.mark.parametrize("mode", ["analyze", "montecarlo"])
-    def test_vanishing_gain_is_one_line_runtime_failure(self, tmp_path, mode):
-        # Ns (m^2 + sigma_v2) overflows, so g and the statistic's scale are 0
-        proc = self.run_child(tmp_path, mode, {"N": 8, "Ns": 8, "sigma_v2": 1.7e308})
+    @pytest.mark.parametrize("mode, detector", [
+        ("analyze", None), ("montecarlo", None), ("analyze", "np"), ("montecarlo", "np"), ("sweep-grid", "np"),
+    ], ids=["analyze", "montecarlo", "analyze-np", "montecarlo-np", "sweep-grid-np"])
+    def test_vanishing_gain_is_one_line_runtime_failure(self, tmp_path, mode, detector):
+        # Ns (m^2 + sigma_v2) overflows, so g and the statistic's scale are 0; the
+        # gain is checked before the threshold, so every detector fails alike
+        spec = None if detector is None else {"criterion": "np", "alpha_fa": 0.05}
+        proc = self.run_child(tmp_path, mode, {"N": 8, "Ns": 8, "sigma_v2": 1.7e308}, spec)
         assert proc.returncode == 2
         assert proc.stderr.startswith("numerical failure: statistic scale 2 g m sqrt(qf) underflows to 0")
+
+    def test_huge_observation_noise_has_a_finite_limit(self, tmp_path):
+        # gamma stays near P/N although (P/N) sigma_v2 overflows; the limit is a coin flip
+        out = tmp_path / "a.csv"
+        cfg = config_file(tmp_path, {"mode": "asymptotic", "output": str(out),
+                                     "params": {"N": 8, "Ns": 8, "sigma_v2": 1.7e308}})
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert float(row["gamma"]) == 1.25
+        assert float(row["pe"]) == pytest.approx(0.5, abs=1e-9)
+
+    @pytest.mark.parametrize("mode", ["asymptotic", "sweep-limits", "sweep-grid"])
+    def test_noiseless_sensors_give_the_interference_free_limit(self, tmp_path, capsys, mode):
+        out = tmp_path / "out.csv"
+        cfg = config_file(tmp_path, {"mode": mode, "output": str(out), "params": {"sigma_v2": 0.0},
+                                     "grid": {"N": [8, 16], "alpha": [1.0, 4.0], "seeds": 2}})
+        assert main(["--config", cfg, "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        _, header, rows = read_csv(out)
+        column = "pe" if mode == "asymptotic" else "pe_asymptotic"
+        # no interference at any load: pe = Q(sqrt(P / sigma_w2)) with P = 10, sigma_w2 = 1
+        want = 0.5 * math.erfc(math.sqrt(10.0 / 2.0))
+        for r in rows:
+            assert float(dict(zip(header, r))[column]) == pytest.approx(want, rel=1e-8)
 
     def test_success_prints_row_count(self, tmp_path, capsys):
         cfg = config_file(tmp_path, {"mode": "asymptotic", "params": {"N": 8, "Ns": 8},

@@ -18,7 +18,6 @@ from cdmafusion import (
     SystemParams,
     cross_term_experiment,
     diagonal_term_experiment,
-    mil_identity_check,
     mil_residual_experiment,
     quadratic_form_convergence,
 )
@@ -51,26 +50,22 @@ def med_obs_by_N(records, statistic):
 
 class TestMilIdentity:
     def test_residual_at_rounding_level(self):
-        worst = 0.0
-        for N, seed in [(8, 0), (8, 5), (32, 1), (128, 2), (64, 7)]:
-            params = SystemParams(N=N, Ns=N, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0)
-            S = generate(N, N, seed)
-            worst = max(worst, mil_identity_check(S, params, sensor=0))
-        assert worst <= 1e-12
+        recs = mil_residual_experiment(TEMPLATE, [8, 32, 64, 128], (0, 1, 2, 5, 7))
+        assert len(recs) == 4 * 5
+        assert max(r.observed for r in recs) <= 1e-12
 
     def test_any_sensor(self):
         params = SystemParams(N=16, Ns=12, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0)
-        S = generate(16, 12, 3)
         for sensor in (0, 5, 11):
-            assert mil_identity_check(S, params, sensor) <= 1e-12
+            (rec,) = mil_residual_experiment(params, [16], [3], sensor=sensor)
+            assert rec.observed <= 1e-12
 
     def test_sensor_range(self):
         params = SystemParams(N=16, Ns=12, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0)
-        S = generate(16, 12, 3)
         with pytest.raises(DomainError):
-            mil_identity_check(S, params, 12)
+            mil_residual_experiment(params, [16], [3], sensor=12)
         with pytest.raises(DomainError):
-            mil_identity_check(S, params, -1)
+            mil_residual_experiment(params, [16], [3], sensor=-1)
 
     def test_experiment_records(self):
         recs = mil_residual_experiment(TEMPLATE, [8, 32], SEEDS[:5])

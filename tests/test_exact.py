@@ -4,6 +4,10 @@ The quadratic form is cross-checked against a dense np.linalg.solve oracle,
 which shares no code path with the Cholesky route used by the library.
 """
 
+import math
+
+import hypothesis
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 
@@ -15,6 +19,8 @@ from cdmafusion import (
     SystemParams,
     channel_covariance,
     amplifier_gain,
+    asymptotic_params,
+    asymptotic_performance,
     exact_performance,
     fusion_statistic,
     quadratic_form,
@@ -186,8 +192,10 @@ class TestExactPerformance:
 
     def test_pe_is_prior_mix(self):
         p = make_params(p0=0.3, p1=0.7)
-        rep = exact_performance(p, generate(16, 16, seed=1), DetectorSpec())
-        assert rep.pe == p.p0 * rep.pf + p.p1 * rep.pm
+        for spec in (DetectorSpec(), DetectorSpec(criterion="fixed", tau_prime=1.5)):
+            rep = exact_performance(p, generate(16, 16, seed=1), spec)
+            assert rep.pe == p.p0 * rep.pf + p.p1 * rep.pm
+            assert rep.log_pe == pytest.approx(math.log(rep.pe), rel=1e-14)
 
     def test_symmetric_at_zero_threshold(self):
         rep = exact_performance(
@@ -216,6 +224,7 @@ class TestExactPerformance:
         S = load(np.array([[1.0, -1.0]]))
         at_zero = exact_performance(p, S, DetectorSpec(criterion="fixed", tau_prime=0.0))
         assert (at_zero.pf, at_zero.pm) == (1.0, 0.0)
+        assert at_zero.log_pe == math.log(0.5)
         above = exact_performance(p, S, DetectorSpec(criterion="fixed", tau_prime=0.5))
         assert (above.pf, above.pm) == (0.0, 1.0)
 
@@ -231,6 +240,59 @@ class TestExactPerformance:
             for P in (1.0, 4.0, 16.0, 64.0)
         ]
         assert all(b < a for a, b in zip(pes, pes[1:]))
+
+
+detectors = st.one_of(
+    st.just(DetectorSpec()),
+    st.builds(lambda a: DetectorSpec(criterion="np", alpha_fa=a), st.floats(1e-6, 0.999)),
+    st.builds(lambda t: DetectorSpec(criterion="fixed", tau_prime=t), st.floats(-50.0, 50.0)),
+)
+system_params = st.builds(
+    lambda N, Ns, P, m, sigma_v2, sigma_w2, p0: SystemParams(
+        N=N, Ns=Ns, P=P, m=m, sigma_v2=sigma_v2, sigma_w2=sigma_w2, p0=p0, p1=1.0 - p0
+    ),
+    N=st.integers(1, 512),
+    Ns=st.integers(1, 2048),
+    P=st.floats(1e-3, 1e4),
+    m=st.floats(0.05, 20.0),
+    sigma_v2=st.one_of(st.just(0.0), st.floats(1e-6, 1e3)),
+    sigma_w2=st.floats(1e-3, 1e3),
+    p0=st.floats(0.01, 0.99),
+)
+
+
+class TestTailReport:
+    """The one tail function, seen through the reports every analytic route returns."""
+
+    def test_log_pe_outlives_pe(self):
+        # at this SNR both tails underflow to 0, their logs stay finite
+        p = make_params(N=8, Ns=32, P=1e6, sigma_v2=1e-6)
+        rep = exact_performance(p, generate(8, 32, seed=0), DetectorSpec())
+        assert (rep.pf, rep.pm, rep.pe) == (0.0, 0.0, 0.0)
+        assert -1e7 < rep.log_pe < -1e3
+
+    @hypothesis.seed(20261018)
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(params=system_params, qf=st.floats(0.0, 1e6))
+    def test_bayes_beats_deciding_blind(self, params, qf):
+        # always declaring the likelier hypothesis errs with min(p0, p1); the
+        # slack is the rounding of p0 pf + p1 pm
+        rep = exact_report(params, qf, DetectorSpec())
+        assert rep.pe <= min(params.p0, params.p1) * (1.0 + 4e-16)
+        assert rep.log_pe <= math.log(min(params.p0, params.p1)) + 4e-16
+
+    @hypothesis.seed(20261018)
+    @hypothesis.settings(max_examples=300, deadline=None, database=None)
+    @hypothesis.given(params=system_params, spec=detectors)
+    def test_exact_at_the_limiting_form_is_the_asymptotic_report(self, params, spec):
+        # the limit is g^2 qf = 1/mu, so the exact route at that qf is the asymptotic one
+        g = amplifier_gain(params)
+        qf = 1.0 / (asymptotic_params(params).mu * g * g)
+        ex, asym = exact_report(params, qf, spec), asymptotic_performance(params, spec)
+        assert ex.tau_prime == pytest.approx(asym.tau_prime, rel=1e-12, abs=1e-12)
+        assert ex.log_pe == pytest.approx(asym.log_pe, rel=1e-12)
+        for a, b in ((ex.pf, asym.pf), (ex.pm, asym.pm), (ex.pe, asym.pe)):
+            assert a == pytest.approx(b, rel=1e-12, abs=1e-300)
 
 
 class TestQuadraticForms:
