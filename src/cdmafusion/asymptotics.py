@@ -21,7 +21,8 @@ interference: gamma = 0, beta0 = 1/sigma_w2 and mu = m^2 sigma_w2 / P.
 Every error probability here is the Gaussian tail of core.log_tails at its
 own detection SNR x: 1/mu in the large-system limit,
 P / (sigma_w2 (m^2 + sigma_v2)) at infinite load, and
-P / (P sigma_v2 + sigma_w2 (m^2 + sigma_v2)) for a single sensor.
+P / (P sigma_v2 + sigma_w2 (m^2 + sigma_v2)) for a single sensor.  Where
+mu or that denominator underflows to 0, x is +inf: pe = 0, log_pe = -inf.
 """
 
 from __future__ import annotations
@@ -118,8 +119,13 @@ def asymptotic_performance(params: SystemParams, spec: DetectorSpec) -> Performa
     the threshold is resolved against the same x, so Bayes, fixed and
     false-alarm-pinned detectors all remain meaningful.
     """
-    x = 1.0 / asymptotic_params(params).mu
+    x = _snr(1.0, asymptotic_params(params).mu)
     return tail_report(params, x, threshold_for(spec, params, x), ASYMPTOTIC)
+
+
+def _snr(num: float, den: float) -> float:
+    # a denominator that underflowed to 0 leaves an SNR past every float, where the tails vanish
+    return num / den if den > 0.0 else math.inf
 
 
 def _zero_threshold_pe(x: float, m: float) -> float:
@@ -132,7 +138,7 @@ def minimum_error_probability(params: SystemParams) -> float:
 
     This is the Bayes-optimal value under equal priors.
     """
-    return _zero_threshold_pe(1.0 / asymptotic_params(params).mu, params.m)
+    return _zero_threshold_pe(_snr(1.0, asymptotic_params(params).mu), params.m)
 
 
 def large_alpha_pe(params: SystemParams) -> float:
@@ -153,4 +159,4 @@ def single_sensor_pe(params: SystemParams) -> float:
     Ns = 1 and no interference.  Total for sigma_v2 >= 0.
     """
     den = params.P * params.sigma_v2 + params.sigma_w2 * (params.m**2 + params.sigma_v2)
-    return _zero_threshold_pe(params.P / den, params.m)
+    return _zero_threshold_pe(_snr(params.P, den), params.m)

@@ -118,8 +118,8 @@ def validate(params: SystemParams) -> SystemParams:
         raise InvalidParam("m", p.m, "signal amplitude must be finite and > 0")
     if not _is_real(p.sigma_v2) or p.sigma_v2 < 0:
         raise InvalidParam("sigma_v2", p.sigma_v2, "observation noise variance must be finite and >= 0")
-    if not math.isfinite(p.m * p.m + p.sigma_v2):
-        raise InvalidParam("m", p.m, "sensor observation power m^2 + sigma_v2 must be finite")
+    if not 0.0 < p.m * p.m + p.sigma_v2 < math.inf:
+        raise InvalidParam("m", p.m, "sensor observation power m^2 + sigma_v2 must be finite and > 0")
     if not _is_real(p.sigma_w2) or p.sigma_w2 <= 0:
         raise InvalidParam("sigma_w2", p.sigma_w2, "receiver noise variance must be finite and > 0")
     if not _is_real(p.p0) or not 0.0 < p.p0 < 1.0:

@@ -184,6 +184,14 @@ class TestAsymptoticPerformance:
         assert large_alpha_pe(p) == pytest.approx(want, rel=1e-12)
         assert single_sensor_pe(p) == pytest.approx(want, rel=1e-12)
 
+    def test_underflowing_mu_is_an_infinite_snr(self):
+        # mu = m^2 sigma_w2 / P underflows to 0 where the true SNR is ~1e341: every tail vanishes
+        p = make_params(N=8, Ns=8, sigma_v2=0.0, sigma_w2=1e-300, m=1e-20)
+        assert asymptotic_params(p).mu == 0.0
+        rep = asymptotic_performance(p, DetectorSpec())
+        assert (rep.pf, rep.pm, rep.pe, rep.log_pe) == (0.0, 0.0, 0.0, -math.inf)
+        assert minimum_error_probability(p) == large_alpha_pe(p) == single_sensor_pe(p) == 0.0
+
 
 class TestLimits:
     def test_large_alpha_below_single_sensor(self):

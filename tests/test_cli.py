@@ -518,6 +518,28 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: m=1e+200 violates:")
 
+    @pytest.mark.parametrize("mode", ["analyze", "asymptotic", "montecarlo", "converge",
+                                      "sweep-grid", "sweep-limits"])
+    def test_underflowing_signal_power_is_config_error(self, tmp_path, mode):
+        # m**2 underflows to 0 with noiseless sensors, and the gain divides by it
+        proc = self.run_child(tmp_path, mode, {"N": 8, "Ns": 8, "m": 1e-200, "sigma_v2": 0.0})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: m=1e-200 violates:")
+
+    @pytest.mark.parametrize("mode", ["asymptotic", "sweep-limits"])
+    def test_overflowing_limit_snr_vanishes_the_tails(self, tmp_path, capsys, mode):
+        # mu = m^2 sigma_w2 / P underflows to 0, so the limiting SNR (~1e341) is +inf
+        out = tmp_path / "out.csv"
+        cfg = config_file(tmp_path, {"mode": mode, "output": str(out),
+                                     "params": {"N": 8, "Ns": 8, "sigma_v2": 0.0, "sigma_w2": 1e-300, "m": 1e-20},
+                                     "grid": {"N": [8], "alpha": [1.0], "seeds": 2}})
+        assert main(["--config", cfg, "--quiet"]) == 0
+        assert capsys.readouterr().err == ""
+        _, header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        columns = ["pe"] if mode == "asymptotic" else ["pe_asymptotic", "pe_large_alpha_limit", "pe_single_sensor"]
+        assert [float(row[c]) for c in columns] == [0.0] * len(columns)
+
     @pytest.mark.parametrize("mode, detector", [
         ("analyze", None), ("montecarlo", None), ("analyze", "np"), ("montecarlo", "np"), ("sweep-grid", "np"),
     ], ids=["analyze", "montecarlo", "analyze-np", "montecarlo-np", "sweep-grid-np"])

@@ -112,6 +112,14 @@ class TestSystemParams:
             make_params(m=m, sigma_v2=sigma_v2)
         assert err.value.name == "m"
 
+    @pytest.mark.parametrize("m", [1e-200, 1e-162])
+    def test_underflowing_signal_power_rejected(self, m):
+        # with sigma_v2 == 0, m^2 rounds to 0 and the gain would divide by it
+        with pytest.raises(InvalidParam, match=r"m\^2 \+ sigma_v2 must be finite and > 0") as err:
+            make_params(m=m, sigma_v2=0.0)
+        assert err.value.name == "m"
+        assert make_params(m=m, sigma_v2=1e-300).m == m
+
     def test_largest_finite_signal_power_allowed(self):
         assert make_params(m=1e154, sigma_v2=0.0).m == 1e154
 

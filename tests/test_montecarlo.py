@@ -5,6 +5,8 @@ replicate, 45-of-50 coverage, 5 percent Frobenius error at 200k trials) so a
 correct implementation fails only with negligible probability.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -234,7 +236,9 @@ class TestCollapsedKernel:
 
     SEED = 12
 
-    @pytest.mark.parametrize("N, Ns", [(1, 1), (12, 5), (5, 12)], ids=["1x1", "N>Ns", "N<Ns"])
+    @pytest.mark.parametrize(
+        "N, Ns", [(1, 1), (12, 5), (5, 12), (3, 5), (8, 8)], ids=["1x1", "N>Ns", "N<Ns", "one-block", "two-blocks"]
+    )
     @pytest.mark.parametrize("idx, size", [(0, CHUNK_TRIALS), (3, 37)], ids=["full", "remainder"])
     def test_statistic_and_counts_match_received_vectors(self, N, Ns, idx, size):
         p = make_params(N=N, Ns=Ns, m=0.7, sigma_v2=0.4, sigma_w2=1.9, P=6.0)
@@ -250,6 +254,18 @@ class TestCollapsedKernel:
                                        rtol=1e-12, atol=1e-12 * np.abs(ref).max())
             want = np.count_nonzero(ref >= tau) if hyp == 0 else np.count_nonzero(ref < tau)
             assert _count_errors(noise_weight, offset, tau, hyp, self.SEED, idx, size) == want
+
+    @pytest.mark.parametrize("rows", [24, 1024])
+    def test_chunk_memory_does_not_grow_with_system_size(self, rows):
+        # one full chunk holds a fixed block of normals, not all Ns + N rows of them
+        noise_weight = np.random.default_rng(rows).standard_normal(rows)
+        tracemalloc.start()
+        try:
+            _count_errors(noise_weight, 0.1, 0.0, 1, self.SEED, 0, CHUNK_TRIALS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_estimate_counts_match_reference_path(self):
         # every chunk of both hypotheses, remainder included, through simulate_trials
