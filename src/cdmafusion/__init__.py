@@ -20,7 +20,6 @@ from .asymptotics import (
     beta0,
     gamma,
     large_alpha_pe,
-    minimum_error_probability,
     mu,
     single_sensor_pe,
 )
@@ -39,9 +38,7 @@ from .core import (
     SystemParams,
     amplifier_gain,
     bayes_threshold,
-    inv_q,
     np_threshold,
-    q_function,
     sensors_for_load,
     threshold_for,
     validate,
@@ -61,7 +58,6 @@ from .exact import (
     PerformanceReport,
     channel_covariance,
     exact_performance,
-    fusion_statistic,
     quadratic_form,
 )
 from .montecarlo import McConfig, estimate, simulate_trials
@@ -98,15 +94,11 @@ __all__ = [
     "diagonal_term_experiment",
     "estimate",
     "exact_performance",
-    "fusion_statistic",
     "gamma",
-    "inv_q",
     "large_alpha_pe",
     "mil_residual_experiment",
-    "minimum_error_probability",
     "mu",
     "np_threshold",
-    "q_function",
     "quadratic_form",
     "quadratic_form_convergence",
     "sensors_for_load",

@@ -99,14 +99,17 @@ def asymptotic_params(params: SystemParams) -> AsymptoticParams:
     """Chain alpha -> gamma -> beta0 -> mu for one parameter point.
 
     Raises NumericalFailure when extreme but valid parameters (P and
-    sigma_w2 near the float range) underflow beta0 to 0.
+    sigma_w2 near the float range) overflow beta0 to inf, or underflow
+    beta0 or the product P beta0 that mu divides by to 0.
     """
     a = params.alpha
     g = gamma(params)
     b = beta0(a, g, params.sigma_w2)
-    if b == 0.0:
+    if b == math.inf or params.P * b == 0.0:
+        name = "beta0" if b in (0.0, math.inf) else "P beta0"
+        limit = "overflows to inf" if b == math.inf else "underflows to 0"
         raise NumericalFailure(
-            f"beta0 underflows to 0 at N={params.N}, Ns={params.Ns}, P={params.P!r}, "
+            f"{name} {limit} at N={params.N}, Ns={params.Ns}, P={params.P!r}, "
             f"sigma_w2={params.sigma_w2!r}"
         )
     return AsymptoticParams(alpha=a, gamma=g, beta0=b, mu=mu(params, b))
@@ -131,14 +134,6 @@ def _snr(num: float, den: float) -> float:
 def _zero_threshold_pe(x: float, m: float) -> float:
     # at tau == 0 the two tails coincide, so either one is the error probability
     return math.exp(log_tails(x, m, 0.0)[0])
-
-
-def minimum_error_probability(params: SystemParams) -> float:
-    """Large-system error probability of the zero-threshold detector: q(m/sqrt(mu)).
-
-    This is the Bayes-optimal value under equal priors.
-    """
-    return _zero_threshold_pe(_snr(1.0, asymptotic_params(params).mu), params.m)
 
 
 def large_alpha_pe(params: SystemParams) -> float:

@@ -445,9 +445,11 @@ def _run_sweep_grid(config: ExperimentConfig):
             for seed, qf in zip(block, qfs):
                 rep = exact_report(pc, qf, config.detector)
                 # |pe_exact / pe_asymptotic - 1| from the logs, which stay finite
-                # after both tails underflow; a ratio past e^709 is inf
+                # after both tails underflow; a ratio past e^709 is inf, and equal
+                # logs, -inf included, give 0
+                gap = 0.0 if rep.log_pe == asym.log_pe else rep.log_pe - asym.log_pe
                 with np.errstate(over="ignore"):
-                    rel_gap = float(abs(np.expm1(rep.log_pe - asym.log_pe)))
+                    rel_gap = float(abs(np.expm1(gap)))
                 rows.append([pc.N, a, pc.Ns, seed, rep.pe, asym.pe, rel_gap])
         return rows
 

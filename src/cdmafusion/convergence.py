@@ -29,13 +29,17 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import asymptotic_params
-from .core import SystemParams, amplifier_gain, seed_sequence, sensors_for_load, validate
+from .core import SystemParams, amplifier_gain, seed_sequence, sensors_for_load
 from .errors import DomainError, InvalidParam, NumericalFailure
 from .exact import ChannelModel, quadratic_form
 from .spreading import generate
 
 _PAIR_STREAM = 0x9A1C
 _DECOMPOSITION_RTOL = 1e-8
+_PROBE_SENSOR = 0
+"""The sensor whose diagonal forms the "diag" and "mil" statistics measure."""
+_MAX_PAIRS = 200
+"""Most distinct sensor pairs the "cross" statistic averages over per cell."""
 
 
 @dataclass(frozen=True)
@@ -75,7 +79,6 @@ def _scaled(template: SystemParams, N: int) -> SystemParams:
 
 
 def _check_schedule(template: SystemParams, N_values, seeds) -> None:
-    validate(template)
     if template.sigma_v2 <= 0.0:
         raise DomainError("convergence experiments require sigma_v2 > 0")
     if len(N_values) == 0:
@@ -86,19 +89,14 @@ def _check_schedule(template: SystemParams, N_values, seeds) -> None:
         raise InvalidParam("seeds", seeds, "at least one seed required")
 
 
-def _check_sensor(sensor: int, Ns: int) -> None:
-    if not 0 <= sensor < Ns:
-        raise DomainError(f"sensor index {sensor} out of range [0, {Ns})")
-
-
-def _diag_forms(model: ChannelModel, sensor: int) -> tuple[float, float]:
-    """(s^T Sigma^{-1} s, q = s^T Q^{-1} s) for one sensor's signature s.
+def _diag_forms(model: ChannelModel) -> tuple[float, float]:
+    """(s^T Sigma^{-1} s, q = s^T Q^{-1} s) for the probe sensor's signature s.
 
     The first form reuses the model's factor; Q, the covariance of the
     leave-one-out model without s, gets a factorization of its own.
     """
-    s = model.S.entries[:, sensor]
-    return float(s @ model.solve(s)), float(s @ model.without(sensor).solve(s))
+    s = model.S.entries[:, _PROBE_SENSOR]
+    return float(s @ model.solve(s)), float(s @ model.without(_PROBE_SENSOR).solve(s))
 
 
 def _mil_residual(full: float, leave: float, c: float) -> float:
@@ -123,13 +121,13 @@ def _snr_records(params: SystemParams, seed: int, model: ChannelModel, Y: np.nda
     ]
 
 
-def _cross_mean(Y: np.ndarray, seed: int, pairs, max_pairs: int) -> float:
+def _cross_mean(Y: np.ndarray, seed: int, pairs) -> float:
     # s_i^T Sigma^{-1} s_j is the dot product of whitened columns i and j
     rows, cols = pairs
     n_all = rows.size
-    if n_all > max_pairs:
+    if n_all > _MAX_PAIRS:
         pick_rng = np.random.Generator(np.random.Philox(seed_sequence(seed, _PAIR_STREAM)))
-        idx = pick_rng.choice(n_all, size=max_pairs, replace=False)
+        idx = pick_rng.choice(n_all, size=_MAX_PAIRS, replace=False)
         pi, pj = rows[idx], cols[idx]
     else:
         pi, pj = rows, cols
@@ -141,29 +139,22 @@ def _experiments(
     N_values,
     seeds,
     wanted=("snr", "diag", "cross", "mil"),
-    *,
-    max_pairs: int = 200,
-    sensor: int = 0,
 ) -> list[ConvergenceRecord]:
     """Records of the wanted statistics from one pass over the (N, seed) schedule.
 
     The whole schedule is checked before the first draw.  Each cell draws S
     once and factorizes Sigma once, plus the leave-one-out covariance of
-    `sensor` when "diag" or "mil" is wanted, and whitens S once when "snr"
+    sensor 0 when "diag" or "mil" is wanted, and whitens S once when "snr"
     or "cross" is wanted.  Records come back grouped by statistic in the
     order of wanted, each group in schedule order.
     """
     _check_schedule(template, N_values, seeds)
-    if "cross" in wanted and max_pairs < 1:
-        raise InvalidParam("max_pairs", max_pairs, "must be >= 1")
     scaled = [_scaled(template, N) for N in N_values]
     for params in scaled:
         if "cross" in wanted and params.Ns < 2:
             raise InvalidParam(
                 "Ns", params.Ns, f"cross terms need at least 2 sensors, got Ns={params.Ns} at N={params.N}"
             )
-        if "mil" in wanted:
-            _check_sensor(sensor, params.Ns)
     out = {name: [] for name in wanted}
     for params in scaled:
         g = amplifier_gain(params)
@@ -177,31 +168,28 @@ def _experiments(
             if "snr" in wanted:
                 out["snr"] += _snr_records(params, seed, model, Y, 1.0 / ap.mu)
             if "diag" in wanted or "mil" in wanted:
-                full, leave = _diag_forms(model, sensor)
+                full, leave = _diag_forms(model)
             if "diag" in wanted:
                 out["diag"].append(_record("diag_leave_out", params, seed, leave, ap.beta0))
                 out["diag"].append(_record("diag_full", params, seed, full, ap.beta0 / (1.0 + c * ap.beta0)))
             if "cross" in wanted:
-                observed = _cross_mean(Y, seed, pairs, max_pairs)
+                observed = _cross_mean(Y, seed, pairs)
                 out["cross"].append(_record("cross_mean", params, seed, observed, 0.0))
             if "mil" in wanted:
                 out["mil"].append(_record("mil_residual", params, seed, _mil_residual(full, leave, c), 0.0))
     return [r for name in wanted for r in out[name]]
 
 
-def mil_residual_experiment(
-    template: SystemParams, N_values, seeds, sensor: int = 0
-) -> list[ConvergenceRecord]:
+def mil_residual_experiment(template: SystemParams, N_values, seeds) -> list[ConvergenceRecord]:
     """Residual of the leave-one-out inversion identity across the (N, seed) schedule.
 
-    With c = g^2 sigma_v2 and Q the covariance built without `sensor`'s
+    With c = g^2 sigma_v2 and Q the covariance built without sensor 0's
     signature s, s^T Sigma^{-1} s must equal q / (1 + c q) where
     q = s^T Q^{-1} s.  Both sides come from their own factorizations; the
     absolute difference is the observed value, predicted 0, and sits at
-    rounding level (~1e-12) for healthy linear algebra.  DomainError when
-    `sensor` is out of range at any N in the schedule.
+    rounding level (~1e-12) for healthy linear algebra.
     """
-    return _experiments(template, N_values, seeds, ("mil",), sensor=sensor)
+    return _experiments(template, N_values, seeds, ("mil",))
 
 
 def diagonal_term_experiment(template: SystemParams, N_values, seeds) -> list[ConvergenceRecord]:
@@ -215,19 +203,17 @@ def diagonal_term_experiment(template: SystemParams, N_values, seeds) -> list[Co
     return _experiments(template, N_values, seeds, ("diag",))
 
 
-def cross_term_experiment(
-    template: SystemParams, N_values, seeds, max_pairs: int = 200
-) -> list[ConvergenceRecord]:
+def cross_term_experiment(template: SystemParams, N_values, seeds) -> list[ConvergenceRecord]:
     """Decay of cross quadratic forms between distinct sensors.
 
     Measures the mean of |s_i^T Sigma^{-1} s_j| over a deterministic random
-    subset of at most max_pairs distinct pairs (i < j); the limit is 0 and
+    subset of at most 200 distinct pairs (i < j); the limit is 0 and
     the magnitude shrinks like 1/sqrt(N).  Each form is the dot product of
     two columns of the whitened signatures L^{-1} S, from one triangular
     solve per matrix.  Emits statistic "cross_mean".
     Needs at least two sensors at every N in the schedule.
     """
-    return _experiments(template, N_values, seeds, ("cross",), max_pairs=max_pairs)
+    return _experiments(template, N_values, seeds, ("cross",))
 
 
 def quadratic_form_convergence(template: SystemParams, N_values, seeds) -> list[ConvergenceRecord]:

@@ -22,8 +22,6 @@ from scipy.special import log_ndtr, ndtri
 
 from .errors import DomainError, InvalidParam
 
-_SQRT2 = math.sqrt(2.0)
-
 BAYES = "bayes"
 NEYMAN_PEARSON = "np"
 FIXED = "fixed"
@@ -147,23 +145,6 @@ def sensors_for_load(alpha: float, N: int) -> int:
     return Ns
 
 
-def q_function(x: float) -> float:
-    """Upper tail P(Z >= x) of a standard normal variable.
-
-    Computed through the complementary error function; absolute error is at
-    the level of double-precision rounding.  Non-increasing in x, with
-    q_function(0) == 0.5 exactly.
-    """
-    return 0.5 * math.erfc(x / _SQRT2)
-
-
-def inv_q(p: float) -> float:
-    """The x with q_function(x) == p, for p strictly inside (0, 1)."""
-    if not 0.0 < p < 1.0:
-        raise DomainError(f"inv_q requires p in (0, 1), got {p!r}")
-    return float(-ndtri(p))
-
-
 def amplifier_gain(params: SystemParams) -> float:
     """Per-sensor relay gain that spends the power budget exactly.
 
@@ -213,7 +194,7 @@ def np_threshold(x: float, m: float, alpha_fa: float) -> float:
 
     x is the detection SNR of the channel in use; the statistic under the
     null is N(-2 m^2 x, 4 m^2 x), so the threshold is
-    2 m sqrt(x) inv_q(alpha_fa) - 2 m^2 x.
+    2 m sqrt(x) Q^{-1}(alpha_fa) - 2 m^2 x, with Q the standard normal upper tail.
     """
     if not (_is_real(x) and x > 0):
         raise DomainError(f"np_threshold requires x > 0, got {x!r}")
@@ -221,7 +202,7 @@ def np_threshold(x: float, m: float, alpha_fa: float) -> float:
         raise DomainError(f"np_threshold requires m > 0, got {m!r}")
     if not (_is_real(alpha_fa) and 0.0 < alpha_fa < 1.0):
         raise DomainError(f"np_threshold requires alpha_fa in (0, 1), got {alpha_fa!r}")
-    return 2.0 * m * math.sqrt(x) * inv_q(alpha_fa) - 2.0 * m * m * x
+    return 2.0 * m * math.sqrt(x) * float(-ndtri(alpha_fa)) - 2.0 * m * m * x
 
 
 @dataclass(frozen=True)

@@ -199,14 +199,6 @@ def quadratic_forms(params: SystemParams, block) -> list[float]:
     return [float(b @ _solve(_cholesky(c), b)) for c, b in zip(cov, s1)]
 
 
-def fusion_statistic(model: ChannelModel, r) -> float:
-    """Log-likelihood ratio T(r) = 2 g m (S 1)^T Sigma^{-1} r."""
-    r = np.asarray(r, dtype=np.float64)
-    if r.shape != (model.S.N,):
-        raise DimensionMismatch(f"received vector has shape {r.shape}, expected ({model.S.N},)")
-    return float(2.0 * model.g * model.m * (model.detector @ r))
-
-
 def tail_report(
     params: SystemParams, x: float, tau: float, method: str, qf: float | None = None
 ) -> PerformanceReport:

@@ -24,7 +24,7 @@ import numpy as np
 
 from .core import DetectorSpec, SystemParams, check_count, check_seed, map_workers, seed_sequence
 from .core import threshold_for
-from .errors import DomainError
+from .errors import DomainError, NumericalFailure
 from .exact import MONTECARLO, ChannelModel, McDiagnostics, PerformanceReport, detection_snr, quadratic_form
 from .spreading import SpreadingMatrix
 
@@ -104,11 +104,16 @@ def _chunk_plan(total: int) -> list[tuple[int, int]]:
 
 def _collapsed_weight(model: ChannelModel) -> tuple[np.ndarray, float]:
     """(noise_weight, shift) with T(r) == -+shift + noise_weight . [n_v, n_w] for
-    r = g S (-+m 1 + sqrt(sigma_v2) n_v) + sqrt(sigma_w2) n_w (see estimate)."""
-    weight = 2.0 * model.g * model.m * model.detector
-    u = model.g * (model.S.entries.T @ weight)
-    noise_weight = np.concatenate((math.sqrt(model.sigma_v2) * u, math.sqrt(model.sigma_w2) * weight))
-    return noise_weight, model.m * u.sum()
+    r = g S (-+m 1 + sqrt(sigma_v2) n_v) + sqrt(sigma_w2) n_w (see estimate);
+    NumericalFailure when either overflows, instead of counting comparisons with nan."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        weight = 2.0 * model.g * model.m * model.detector
+        u = model.g * (model.S.entries.T @ weight)
+        noise_weight = np.concatenate((math.sqrt(model.sigma_v2) * u, math.sqrt(model.sigma_w2) * weight))
+        shift = model.m * u.sum()
+    if not (np.isfinite(noise_weight).all() and math.isfinite(shift)):
+        raise NumericalFailure("Monte Carlo statistic weight overflows: noise_weight or shift is not finite")
+    return noise_weight, shift
 
 
 def _count_errors(

@@ -1,10 +1,21 @@
-"""Fixtures shared across the test modules."""
+"""Fixtures and reference helpers shared across the test modules."""
 
+import math
 from collections import Counter
 
 import pytest
 
-from cdmafusion import exact
+from cdmafusion import DetectorSpec, SystemParams, asymptotic_performance, exact
+
+
+def q(x: float) -> float:
+    """Upper tail P(Z >= x) of a standard normal variable, through erfc."""
+    return 0.5 * math.erfc(x / math.sqrt(2.0))
+
+
+def zero_threshold_pe(params: SystemParams) -> float:
+    """Large-system error probability of the zero-threshold detector, q(m/sqrt(mu))."""
+    return asymptotic_performance(params, DetectorSpec(criterion="fixed", tau_prime=0.0)).pe
 
 
 @pytest.fixture

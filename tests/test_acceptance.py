@@ -27,13 +27,12 @@ from cdmafusion import (
     exact_performance,
     large_alpha_pe,
     mil_residual_experiment,
-    minimum_error_probability,
-    q_function,
     quadratic_form_convergence,
     sensors_for_load,
     single_sensor_pe,
 )
 from cdmafusion.spreading import generate, load
+from conftest import q, zero_threshold_pe
 
 MASTER = 20240816
 
@@ -86,7 +85,7 @@ def test_criterion_2_scalar_oracle_chain():
     S = load(np.array([[1.0]]))
     ex = exact_performance(params, S, spec)
     closed = single_sensor_pe(params)
-    direct = q_function(1.0 / math.sqrt(2.0))
+    direct = q(1.0 / math.sqrt(2.0))
     mc = estimate(params, S, spec, McConfig(trials_per_hypothesis=1_000_000, seed=_derived(3, 0), worker_hint=4))
     spread = max(abs(ex.pe - closed), abs(closed - direct), abs(ex.pe - frozen))
     z = abs(mc.pe - ex.pe) / max(mc.mc.stderr_pe, 1e-12)
@@ -176,7 +175,7 @@ def test_criterion_7_load_monotonicity_and_limits():
     loads = (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
     base = SystemParams(N=128, Ns=128, **DEFAULTS)
     pes = [
-        minimum_error_probability(replace(base, Ns=sensors_for_load(a, base.N)))
+        zero_threshold_pe(replace(base, Ns=sensors_for_load(a, base.N)))
         for a in loads
     ]
     monotone = all(b <= a for a, b in zip(pes, pes[1:]))
@@ -192,7 +191,7 @@ def test_criterion_7_load_monotonicity_and_limits():
             floor_beats_single = False
 
     huge = SystemParams(N=10**6, Ns=10**10, **DEFAULTS)
-    gap = abs(minimum_error_probability(huge) - large_alpha_pe(huge))
+    gap = abs(zero_threshold_pe(huge) - large_alpha_pe(huge))
     ok = monotone and floor_beats_single and gap < 1e-3
     verdict(ok, "criterion-7",
             f"pe non-increasing over loads {loads}: {monotone}; "

@@ -24,12 +24,11 @@ from cdmafusion import (
     exact_performance,
     gamma,
     large_alpha_pe,
-    minimum_error_probability,
     mu,
-    q_function,
     single_sensor_pe,
 )
 from cdmafusion.spreading import load
+from conftest import q, zero_threshold_pe
 
 
 def make_params(**kw) -> SystemParams:
@@ -154,10 +153,12 @@ class TestAsymptoticPerformance:
         assert rep.pf == rep.pm
 
     def test_matches_minimum_error_probability(self):
+        # the zero-threshold report is q(m / sqrt(mu)), the Bayes pe under equal priors
         for kw in ({}, {"N": 64, "Ns": 16}, {"P": 3.0, "sigma_v2": 2.0}):
             p = make_params(**kw)
-            rep = asymptotic_performance(p, DetectorSpec(criterion="fixed", tau_prime=0.0))
-            assert minimum_error_probability(p) == pytest.approx(rep.pe, rel=1e-14)
+            pe = zero_threshold_pe(p)
+            assert q(p.m / math.sqrt(asymptotic_params(p).mu)) == pytest.approx(pe, rel=1e-14)
+            assert asymptotic_performance(p, DetectorSpec()).pe == pe
 
     def test_np_pins_false_alarm(self):
         p = make_params(N=40, Ns=20)
@@ -178,9 +179,9 @@ class TestAsymptoticPerformance:
         assert (ap.gamma, ap.beta0) == (0.0, 1.0 / p.sigma_w2)
         assert ap.mu == pytest.approx(p.m**2 * p.sigma_w2 / p.P, rel=1e-15)
         rep = asymptotic_performance(p, DetectorSpec())
-        want = q_function(math.sqrt(p.P / p.sigma_w2))
+        want = q(math.sqrt(p.P / p.sigma_w2))
         assert rep.pe == pytest.approx(want, rel=1e-12)
-        assert minimum_error_probability(p) == pytest.approx(want, rel=1e-12)
+        assert zero_threshold_pe(p) == pytest.approx(want, rel=1e-12)
         assert large_alpha_pe(p) == pytest.approx(want, rel=1e-12)
         assert single_sensor_pe(p) == pytest.approx(want, rel=1e-12)
 
@@ -190,7 +191,7 @@ class TestAsymptoticPerformance:
         assert asymptotic_params(p).mu == 0.0
         rep = asymptotic_performance(p, DetectorSpec())
         assert (rep.pf, rep.pm, rep.pe, rep.log_pe) == (0.0, 0.0, 0.0, -math.inf)
-        assert minimum_error_probability(p) == large_alpha_pe(p) == single_sensor_pe(p) == 0.0
+        assert zero_threshold_pe(p) == large_alpha_pe(p) == single_sensor_pe(p) == 0.0
 
 
 class TestLimits:
@@ -211,14 +212,14 @@ class TestLimits:
         assert single_sensor_pe(p) == pytest.approx(rep.pe, rel=1e-12)
 
     def test_large_alpha_is_joint_limit_of_chain(self):
-        # minimum_error_probability at huge alpha and N approaches the floor
+        # the zero-threshold pe at huge alpha and N approaches the floor
         p = make_params(N=10**6, Ns=10**10)
-        assert abs(minimum_error_probability(p) - large_alpha_pe(p)) < 1e-3
+        assert abs(zero_threshold_pe(p) - large_alpha_pe(p)) < 1e-3
 
     def test_min_pe_decreasing_in_load(self):
         for N in (8, 32, 128):
             pes = [
-                minimum_error_probability(make_params(N=N, Ns=max(1, int(a * N))))
+                zero_threshold_pe(make_params(N=N, Ns=max(1, int(a * N))))
                 for a in (0.25, 0.5, 1.0, 2.0, 4.0, 8.0)
             ]
             assert all(b < a for a, b in zip(pes, pes[1:]))

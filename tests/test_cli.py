@@ -551,6 +551,35 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith("numerical failure: statistic scale 2 g m sqrt(qf) underflows to 0")
 
+    @pytest.mark.parametrize("mode, params, detector, message", [
+        # Sigma^{-1} S 1 is ~1e300 at sigma_w2 = 1e-300, and g S^T of it overflows
+        ("montecarlo", {"N": 8, "Ns": 8, "sigma_v2": 0, "sigma_w2": 1e-300, "m": 1e-20}, None,
+         "Monte Carlo statistic weight overflows"),
+        # mu divides by P beta0, which is inf here, or underflows to 0 in the next case
+        ("asymptotic", {"N": 2, "Ns": 1, "P": 2.88e196, "m": 4.27e-125, "sigma_v2": 3.58e-18,
+                        "sigma_w2": 7.92e-138, "p0": 0.01}, None, "beta0 overflows to inf at N=2"),
+        ("asymptotic", {"N": 2, "Ns": 1, "P": 6.29e-271, "m": 1.67e148, "sigma_v2": 0, "sigma_w2": 4.45e68},
+         {"criterion": "fixed", "tau_prime": 0.0}, "P beta0 underflows to 0 at N=2"),
+    ], ids=["montecarlo-weight-overflows", "asymptotic-beta0-overflows", "asymptotic-P-beta0-underflows"])
+    def test_out_of_range_intermediate_is_one_line_runtime_failure(self, tmp_path, mode, params, detector, message):
+        # no RuntimeWarning, no error probability counted against inf or nan, no file
+        proc = self.run_child(tmp_path, mode, params, detector)
+        assert proc.returncode == 2
+        assert proc.stderr.startswith(f"numerical failure: {message}")
+
+    def test_equal_vanishing_tails_have_no_gap(self, tmp_path):
+        # both x overflow to inf, so both log_pe are -inf: equal logs give rel_gap 0, not nan
+        out = tmp_path / "grid.csv"
+        cfg = config_file(tmp_path, {"mode": "sweep-grid", "output": str(out),
+                                     "params": {"sigma_v2": 0, "sigma_w2": 1e-300, "m": 1e-20},
+                                     "grid": {"N": [8], "alpha": [1.0], "seeds": 2}})
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, header, rows = read_csv(out)
+        assert [[float(dict(zip(header, r))[c]) for c in ("pe_exact", "pe_asymptotic", "rel_gap")]
+                for r in rows] == [[0.0, 0.0, 0.0]] * 2
+
     def test_huge_observation_noise_has_a_finite_limit(self, tmp_path):
         # gamma stays near P/N although (P/N) sigma_v2 overflows; the limit is a coin flip
         out = tmp_path / "a.csv"

@@ -23,14 +23,13 @@ from cdmafusion import (
     SystemParams,
     amplifier_gain,
     bayes_threshold,
-    inv_q,
     np_threshold,
-    q_function,
     sensors_for_load,
     threshold_for,
     validate,
 )
 from cdmafusion.core import SEED_MAX, check_count, check_seed, is_int, log_tails, seed_sequence
+from conftest import q
 
 
 def q_oracle(x: float) -> float:
@@ -204,31 +203,31 @@ class TestIntegerAndSeedChecks:
 
 
 class TestQFunction:
-    """q_function matches the quadrature oracle and is a proper tail."""
+    """The reference tail q matches the quadrature oracle and is a proper tail."""
 
     def test_against_oracle_grid(self):
         for x in np.linspace(-8.0, 8.0, 33):
-            assert abs(q_function(float(x)) - q_oracle(float(x))) <= 1e-10
+            assert abs(q(float(x)) - q_oracle(float(x))) <= 1e-10
 
     def test_against_oracle_random(self):
         rng = np.random.default_rng(42)
         for x in rng.uniform(-6.0, 6.0, size=50):
-            assert abs(q_function(float(x)) - q_oracle(float(x))) <= 1e-10
+            assert abs(q(float(x)) - q_oracle(float(x))) <= 1e-10
 
     def test_frozen_value(self):
-        assert q_function(1.2816) == pytest.approx(Q_AT_1_2816, abs=1e-12)
+        assert q(1.2816) == pytest.approx(Q_AT_1_2816, abs=1e-12)
 
     def test_half_at_zero(self):
-        assert q_function(0.0) == 0.5
+        assert q(0.0) == 0.5
 
     def test_monotone_non_increasing(self):
         xs = np.sort(np.random.default_rng(7).uniform(-9.0, 9.0, size=200))
-        vals = [q_function(float(x)) for x in xs]
+        vals = [q(float(x)) for x in xs]
         assert all(b <= a for a, b in zip(vals, vals[1:]))
 
     def test_complement_symmetry(self):
         for x in np.linspace(-5.0, 5.0, 21):
-            assert q_function(float(x)) + q_function(-float(x)) == pytest.approx(1.0, abs=1e-14)
+            assert q(float(x)) + q(-float(x)) == pytest.approx(1.0, abs=1e-14)
 
 
 def log_tails_oracle(x: float, m: float, tau: float) -> tuple[float, float]:
@@ -255,7 +254,7 @@ class TestLogTails:
 
     def test_finite_where_q_function_underflows(self):
         log_pf, log_pm = log_tails(1e6, 1.0, 0.0)
-        assert q_function(1e3) == 0.0
+        assert q(1e3) == 0.0
         assert log_pf == log_pm == pytest.approx(log_tails_oracle(1e6, 1.0, 0.0)[0], rel=1e-14)
         assert -5.0e5 - 10.0 < log_pf < -5.0e5
 
@@ -290,12 +289,17 @@ class TestLogTails:
         assert pm_lo <= pm_hi
 
 
+def inv_q(p: float) -> float:
+    """The normal quantile inside np_threshold: at x = 1, m = 1/2 the threshold is Q^{-1}(p) - 1/2."""
+    return np_threshold(1.0, 0.5, p) + 0.5
+
+
 class TestInvQ:
-    """inv_q inverts q_function and matches the bisection oracle."""
+    """The quantile of np_threshold inverts q and matches the bisection oracle."""
 
     def test_roundtrip_band(self):
         for x in np.linspace(-6.0, 6.0, 49):
-            assert abs(inv_q(q_function(float(x))) - float(x)) <= 1e-8
+            assert abs(inv_q(q(float(x))) - float(x)) <= 1e-8
 
     def test_against_bisection_oracle(self):
         for p in (0.001, 0.01, 0.05, 0.1, 0.25, 0.5, 0.75, 0.9, 0.99, 0.999):
@@ -387,7 +391,7 @@ class TestNpThreshold:
             tau = np_threshold(g * g * qf, m, a)
             scale = 2.0 * g * m * math.sqrt(qf)
             shift = 2.0 * g * g * m * m * qf
-            assert q_function((tau + shift) / scale) == pytest.approx(a, abs=1e-9)
+            assert q((tau + shift) / scale) == pytest.approx(a, abs=1e-9)
 
     @pytest.mark.parametrize(
         "qf,g,m,a",

@@ -1,4 +1,4 @@
-"""Finite-size closed forms: covariance, quadratic form, fusion statistic, tails.
+"""Finite-size closed forms: covariance, quadratic form, detector direction, tails.
 
 The quadratic form is cross-checked against a dense np.linalg.solve oracle,
 which shares no code path with the Cholesky route used by the library.
@@ -22,7 +22,6 @@ from cdmafusion import (
     asymptotic_params,
     asymptotic_performance,
     exact_performance,
-    fusion_statistic,
     quadratic_form,
 )
 from cdmafusion import exact
@@ -116,10 +115,10 @@ class TestQuadraticForm:
 class TestFactoredChannel:
     def test_factors_once_across_repeated_calls(self, linalg_calls):
         mdl = model_for(make_params(N=12, Ns=10), seed=5)
-        r = np.random.default_rng(3).normal(size=12)
-        first = [quadratic_form(mdl), fusion_statistic(mdl, r)]
+        qf, detector = quadratic_form(mdl), mdl.detector
         for _ in range(3):
-            assert [quadratic_form(mdl), fusion_statistic(mdl, r)] == first
+            assert quadratic_form(mdl) == qf
+            np.testing.assert_array_equal(mdl.detector, detector)
         assert linalg_calls == {"cho_factor": 1, "cho_solve": 1}
 
     def test_solve_against_dense_solve(self):
@@ -152,32 +151,6 @@ class TestFactoredChannel:
         assert not loo.S.entries.flags.writeable
         expected = mdl.g**2 * mdl.sigma_v2 * (A @ A.T) + mdl.sigma_w2 * np.eye(8)
         np.testing.assert_allclose(channel_covariance(loo), expected, rtol=1e-14)
-
-
-class TestFusionStatistic:
-    def test_linearity(self):
-        mdl = model_for(make_params(N=12, Ns=10), seed=5)
-        rng = np.random.default_rng(8)
-        r1 = rng.normal(size=12)
-        r2 = rng.normal(size=12)
-        lhs = fusion_statistic(mdl, 0.7 * r1 - 1.9 * r2)
-        rhs = 0.7 * fusion_statistic(mdl, r1) - 1.9 * fusion_statistic(mdl, r2)
-        assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-12)
-
-    def test_at_mean_equals_twice_shift(self):
-        # T evaluated at the H1 mean g m S 1 equals 2 g^2 m^2 qf
-        mdl = model_for(make_params(N=16, Ns=12, m=1.7), seed=6)
-        s1 = mdl.S.entries.sum(axis=1)
-        mean = mdl.g * mdl.m * s1
-        expected = 2.0 * mdl.g**2 * mdl.m**2 * quadratic_form(mdl)
-        assert fusion_statistic(mdl, mean) == pytest.approx(expected, rel=1e-10)
-
-    def test_shape_check(self):
-        mdl = model_for(make_params(N=16, Ns=12))
-        with pytest.raises(DimensionMismatch):
-            fusion_statistic(mdl, np.zeros(15))
-        with pytest.raises(DimensionMismatch):
-            fusion_statistic(mdl, np.zeros((16, 1)))
 
 
 class TestExactPerformance:

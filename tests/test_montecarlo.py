@@ -20,6 +20,7 @@ from cdmafusion import (
     SystemParams,
     estimate,
     exact_performance,
+    quadratic_form,
     simulate_trials,
 )
 from cdmafusion import montecarlo
@@ -254,6 +255,12 @@ class TestCollapsedKernel:
                                        rtol=1e-12, atol=1e-12 * np.abs(ref).max())
             want = np.count_nonzero(ref >= tau) if hyp == 0 else np.count_nonzero(ref < tau)
             assert _count_errors(noise_weight, offset, tau, hyp, self.SEED, idx, size) == want
+
+    def test_shift_is_the_statistic_at_the_h1_mean(self):
+        # T evaluated at the H1 mean g m S 1 equals 2 g^2 m^2 qf
+        model = ChannelModel.from_params(make_params(N=16, Ns=12, m=1.7), generate(16, 12, seed=6))
+        expected = 2.0 * model.g**2 * model.m**2 * quadratic_form(model)
+        assert _collapsed_weight(model)[1] == pytest.approx(expected, rel=1e-10)
 
     @pytest.mark.parametrize("rows", [24, 1024])
     def test_chunk_memory_does_not_grow_with_system_size(self, rows):
