@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DetectorSpec, SystemParams, log_tails, threshold_for
+from .core import DetectorSpec, SystemParams, log_tails
 from .errors import DomainError, NumericalFailure
 from .exact import ASYMPTOTIC, PerformanceReport, tail_report
 
@@ -75,12 +75,16 @@ def beta0(alpha: float, gamma_val: float, sigma_w2: float) -> float:
         return 1.0 / sigma_w2
     a = gamma_val * sigma_w2
     b = alpha * (gamma_val + sigma_w2) - gamma_val
-    disc = b * b + 4.0 * a * alpha
-    root = math.sqrt(disc)
     if b >= 0.0:
-        # conjugate form: avoids root - b cancellation for large alpha
-        return 2.0 * alpha / (b + root)
-    return (root - b) / (2.0 * a)
+        # conjugate form: avoids root - b cancellation for large alpha.  The
+        # root sqrt(b^2 + 4 a alpha) is taken in scaled form, through hypot and
+        # with sqrt(a) from its factors, so it survives where b^2 or a alpha
+        # underflow; the denominator is then 0 only if sqrt(a alpha) underflows
+        # with b == 0, where the root sqrt(alpha / a) is past every float
+        root = math.hypot(b, 2.0 * math.sqrt(gamma_val) * math.sqrt(sigma_w2) * math.sqrt(alpha))
+        den = b + root
+        return 2.0 * alpha / den if den > 0.0 else math.inf
+    return (math.sqrt(b * b + 4.0 * a * alpha) - b) / (2.0 * a)
 
 
 def mu(params: SystemParams, beta0_val: float) -> float:
@@ -122,8 +126,7 @@ def asymptotic_performance(params: SystemParams, spec: DetectorSpec) -> Performa
     the threshold is resolved against the same x, so Bayes, fixed and
     false-alarm-pinned detectors all remain meaningful.
     """
-    x = _snr(1.0, asymptotic_params(params).mu)
-    return tail_report(params, x, threshold_for(spec, params, x), ASYMPTOTIC)
+    return tail_report(params, _snr(1.0, asymptotic_params(params).mu), spec, ASYMPTOTIC)
 
 
 def _snr(num: float, den: float) -> float:

@@ -36,14 +36,16 @@ byte-identical output file.
 a pool) sets the size of one thread pool: montecarlo runs its trial chunks
 on it, sweep-grid its (N, alpha) grid points and sweep-limits its cells.
 A sweep-grid point runs its seeds in blocks of at most 2**16 stacked
-signature or covariance entries, one batched covariance build per block.
+signature or covariance entries, with one batched covariance build and one
+batched Cholesky factorization per block.
 Worker counts change wall time only.
 
-`main` sets the bundled OpenBLAS libraries of numpy and scipy to one thread
-before any work runs, so the pool is the CLI's only parallelism; nested
-BLAS threads would contend with the worker threads for the same cores.
-Importing this module, or the package, leaves BLAS threading as the caller
-set it.
+The package computes with numpy and the standard library alone, so a run
+imports no scipy.  `main` sets numpy's bundled OpenBLAS library to one
+thread before any work runs, so the pool is the CLI's only parallelism;
+nested BLAS threads would contend with the worker threads for the same
+cores.  Importing this module, or the package, leaves BLAS threading as the
+caller set it.
 """
 
 from __future__ import annotations
@@ -59,7 +61,6 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .asymptotics import (
@@ -570,25 +571,24 @@ def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> Expe
 
 
 def _pin_blas_threads() -> None:
-    """Set every scipy-openblas library bundled with numpy or scipy to one thread.
+    """Set the scipy-openblas library bundled with numpy to one thread.
 
-    numpy's copy exports the ILP64 setter (suffix "64_"), scipy's the LP64
-    one.  A package without a bundled copy, or a library without either
-    setter (a system BLAS, another build), is left alone.
+    numpy's copy exports the ILP64 setter (suffix "64_"); the LP64 one is
+    tried as well.  Without a bundled copy, or for a library without either
+    setter (a system BLAS, another build), threading is left alone.
     """
-    for pkg in (np, scipy):
-        libdir = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
-        for path in sorted(libdir.glob("libscipy_openblas*.so*")):
-            try:
-                lib = ctypes.CDLL(str(path))
-            except OSError:
-                continue
-            for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
-                setter = getattr(lib, name, None)
-                if setter is not None:
-                    setter.argtypes, setter.restype = [ctypes.c_int], None
-                    setter(1)
-                    break
+    libdir = Path(np.__file__).parent.parent / f"{np.__name__}.libs"
+    for path in sorted(libdir.glob("libscipy_openblas*.so*")):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads"):
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+                setter(1)
+                break
 
 
 def main(argv=None) -> int:

@@ -6,15 +6,16 @@ code-dependent quantity, and pairs it with its deterministic limit.
 Convergence is judged across seeds (medians), never from a single draw.
 
 Every statistic comes from one shared pass over the (N, seed) schedule, in
-which each cell draws its matrix once and factorizes two covariances: Sigma
-and sensor 0's leave-one-out Q_0.  One triangular solve per cell whitens
-the signatures, Y = L^{-1} S with Sigma = L L^T, so that every cross form
+which each cell draws its matrix once, builds Sigma once and factorizes two
+covariances: Sigma and sensor 0's leave-one-out Q_0 = Sigma - c s_0 s_0^T,
+its rank-one downdate.  One triangular solve per cell whitens the
+signatures, Y = L^{-1} S with Sigma = L L^T, so that every form
 s_i^T Sigma^{-1} s_j is the dot product of columns i and j of Y; the
-decomposition check and the cross terms both read Y, and no Ns x Ns
-matrix is formed.  The CLI's converge mode computes all four statistics
-from that one draw, those two factorizations and that one whitening per
-cell; each public experiment runs the same pass for its own statistic
-alone.
+decomposition check, the cross terms and sensor 0's full form all read Y,
+and no Ns x Ns matrix is formed.  The CLI's converge mode computes all four
+statistics from that one draw, those two factorizations and that one
+whitening per cell; each public experiment runs the same pass for its own
+statistic alone.
 
 All experiments require sigma_v2 > 0 in the template: without relayed
 observation noise there is no multi-access interference and the limits
@@ -31,7 +32,7 @@ import numpy as np
 from .asymptotics import asymptotic_params
 from .core import SystemParams, amplifier_gain, seed_sequence, sensors_for_load
 from .errors import DomainError, InvalidParam, NumericalFailure
-from .exact import ChannelModel, quadratic_form
+from .exact import ChannelModel, inverse_form, quadratic_form
 from .spreading import generate
 
 _PAIR_STREAM = 0x9A1C
@@ -89,14 +90,17 @@ def _check_schedule(template: SystemParams, N_values, seeds) -> None:
         raise InvalidParam("seeds", seeds, "at least one seed required")
 
 
-def _diag_forms(model: ChannelModel) -> tuple[float, float]:
+def _diag_forms(model: ChannelModel, Y: np.ndarray) -> tuple[float, float]:
     """(s^T Sigma^{-1} s, q = s^T Q^{-1} s) for the probe sensor's signature s.
 
-    The first form reuses the model's factor; Q, the covariance of the
-    leave-one-out model without s, gets a factorization of its own.
+    The first is the squared norm of s's whitened column in Y.  Q, the
+    covariance of the channel without s, is Sigma less s's rank-one term
+    c s s^T with c = g^2 sigma_v2, and gets a factorization of its own.
     """
-    s = model.S.entries[:, _PROBE_SENSOR]
-    return float(s @ model.solve(s)), float(s @ model.without(_PROBE_SENSOR).solve(s))
+    s, y = model.S.entries[:, _PROBE_SENSOR], Y[:, _PROBE_SENSOR]
+    c = model.g * model.g * model.sigma_v2
+    leave_out = model.covariance - c * np.outer(s, s)
+    return float(y @ y), inverse_form(leave_out, s, model.sigma_w2)
 
 
 def _mil_residual(full: float, leave: float, c: float) -> float:
@@ -143,10 +147,14 @@ def _experiments(
     """Records of the wanted statistics from one pass over the (N, seed) schedule.
 
     The whole schedule is checked before the first draw.  Each cell draws S
-    once and factorizes Sigma once, plus the leave-one-out covariance of
-    sensor 0 when "diag" or "mil" is wanted, and whitens S once when "snr"
-    or "cross" is wanted.  Records come back grouped by statistic in the
-    order of wanted, each group in schedule order.
+    once, factorizes Sigma once and whitens all of S once, and factorizes the
+    leave-one-out covariance of sensor 0 when "diag" or "mil" is wanted.
+    "diag" and "mil" alone read only sensor 0's whitened column, but whitening
+    that column alone would round it differently from the whole: O(N^2 Ns)
+    work instead of O(N^2) buys each statistic the same value alone as with
+    the others.
+    Records come back grouped by statistic in the order of wanted, each
+    group in schedule order.
     """
     _check_schedule(template, N_values, seeds)
     scaled = [_scaled(template, N) for N in N_values]
@@ -163,12 +171,11 @@ def _experiments(
         pairs = np.triu_indices(params.Ns, k=1) if "cross" in wanted else None
         for seed in seeds:
             model = ChannelModel.from_params(params, generate(params.N, params.Ns, seed))
-            if "snr" in wanted or "cross" in wanted:
-                Y = model.whiten(model.S.entries)
+            Y = model.whiten(model.S.entries)
             if "snr" in wanted:
                 out["snr"] += _snr_records(params, seed, model, Y, 1.0 / ap.mu)
             if "diag" in wanted or "mil" in wanted:
-                full, leave = _diag_forms(model)
+                full, leave = _diag_forms(model, Y)
             if "diag" in wanted:
                 out["diag"].append(_record("diag_leave_out", params, seed, leave, ap.beta0))
                 out["diag"].append(_record("diag_full", params, seed, full, ap.beta0 / (1.0 + c * ap.beta0)))
@@ -183,11 +190,12 @@ def _experiments(
 def mil_residual_experiment(template: SystemParams, N_values, seeds) -> list[ConvergenceRecord]:
     """Residual of the leave-one-out inversion identity across the (N, seed) schedule.
 
-    With c = g^2 sigma_v2 and Q the covariance built without sensor 0's
-    signature s, s^T Sigma^{-1} s must equal q / (1 + c q) where
+    With c = g^2 sigma_v2 and Q = Sigma - c s s^T the covariance without
+    sensor 0's signature s, s^T Sigma^{-1} s must equal q / (1 + c q) where
     q = s^T Q^{-1} s.  Both sides come from their own factorizations; the
     absolute difference is the observed value, predicted 0, and sits at
-    rounding level (~1e-12) for healthy linear algebra.
+    rounding level (~1e-12) for healthy linear algebra.  s^T Sigma^{-1} s is
+    read from the whitening of all of S, as in converge mode (see _experiments).
     """
     return _experiments(template, N_values, seeds, ("mil",))
 
@@ -198,7 +206,9 @@ def diagonal_term_experiment(template: SystemParams, N_values, seeds) -> list[Co
     For sensor 0 of each fresh matrix: the leave-one-out form
     s_0^T Q_0^{-1} s_0 tends to beta0, and the full form s_0^T Sigma^{-1} s_0
     tends to beta0 / (1 + c beta0) with c = g^2 sigma_v2.  Emits statistics
-    "diag_leave_out" and "diag_full" for every (N, seed) cell.
+    "diag_leave_out" and "diag_full" for every (N, seed) cell.  The full form
+    is read from the whitening of all of S, as in converge mode (see
+    _experiments).
     """
     return _experiments(template, N_values, seeds, ("diag",))
 

@@ -16,9 +16,9 @@ import math
 import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import log_ndtr, ndtri
 
 from .errors import DomainError, InvalidParam
 
@@ -29,6 +29,13 @@ FIXED = "fixed"
 CRITERIA = (BAYES, NEYMAN_PEARSON, FIXED)
 
 SEED_MAX = 2**64
+
+_STANDARD_NORMAL = NormalDist()
+_SQRT2 = math.sqrt(2.0)
+_LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_SERIES_BELOW = -37.0
+"""Where log_ndtr leaves erfc for the asymptotic series: erfc(37 / sqrt 2) is
+still a normal float, and a few lower it goes subnormal and then to 0."""
 
 
 def is_int(x: object) -> bool:
@@ -154,6 +161,28 @@ def amplifier_gain(params: SystemParams) -> float:
     return math.sqrt(params.P / (params.Ns * (params.m**2 + params.sigma_v2)))
 
 
+def log_ndtr(z: float) -> float:
+    """log Phi(z), the log of the standard normal distribution function.
+
+    Above 0 it is log1p of minus the upper tail erfc(z / sqrt 2) / 2, and from
+    _SERIES_BELOW to 0 the log of Phi(z) = erfc(-z / sqrt 2) / 2.  Below that
+    it is the log of the asymptotic series
+    Phi(z) = phi(z) / (-z) (1 - 1/z^2 + 3/z^4 - ...), phi the normal density,
+    cut after eight terms, which leaves an error under 1e-20 there; the result
+    stays finite until -z^2 / 2 itself overflows.
+    """
+    if z > 0.0:
+        return math.log1p(-0.5 * math.erfc(z / _SQRT2))
+    if z > _SERIES_BELOW:
+        return math.log(0.5 * math.erfc(-z / _SQRT2))
+    w = 1.0 / (z * z)
+    term, series = 1.0, 0.0
+    for k in range(1, 9):
+        term *= -(2 * k - 1) * w
+        series += term
+    return -0.5 * z * z - math.log(-z) - _LOG_SQRT_2PI + math.log1p(series)
+
+
 def log_tails(x: float, m: float, tau: float) -> tuple[float, float]:
     """(log pf, log pm) of the threshold tau on a fusion statistic of detection SNR x.
 
@@ -170,8 +199,7 @@ def log_tails(x: float, m: float, tau: float) -> tuple[float, float]:
     sqrt_x = math.sqrt(x)
     # tau / (2 m sqrt(x)) without the product, which can underflow to 0 for x > 0
     root, half = m * sqrt_x, tau / (2.0 * m) / sqrt_x
-    log_pf, log_pm = log_ndtr((-half - root, half - root))
-    return float(log_pf), float(log_pm)
+    return log_ndtr(-half - root), log_ndtr(half - root)
 
 
 def bayes_threshold(p0: float, p1: float) -> float:
@@ -202,7 +230,7 @@ def np_threshold(x: float, m: float, alpha_fa: float) -> float:
         raise DomainError(f"np_threshold requires m > 0, got {m!r}")
     if not (_is_real(alpha_fa) and 0.0 < alpha_fa < 1.0):
         raise DomainError(f"np_threshold requires alpha_fa in (0, 1), got {alpha_fa!r}")
-    return 2.0 * m * math.sqrt(x) * float(-ndtri(alpha_fa)) - 2.0 * m * m * x
+    return 2.0 * m * math.sqrt(x) * -_STANDARD_NORMAL.inv_cdf(alpha_fa) - 2.0 * m * m * x
 
 
 @dataclass(frozen=True)
@@ -230,9 +258,18 @@ class DetectorSpec:
 
 
 def threshold_for(spec: DetectorSpec, params: SystemParams, x: float) -> float:
-    """Resolve the effective threshold for a channel of detection SNR x."""
+    """Resolve the effective threshold for a channel of detection SNR x.
+
+    np_threshold's formula is taken to its limits at the ends of its domain:
+    0 at x == 0, where the statistic is identically 0 and the tie rule of
+    log_tails decides, and -inf at x == inf (see exact.tail_report).
+    """
     if spec.criterion == BAYES:
         return bayes_threshold(params.p0, params.p1)
     if spec.criterion == NEYMAN_PEARSON:
+        if x == 0.0:
+            return 0.0
+        if x == math.inf:
+            return -math.inf
         return np_threshold(x, params.m, spec.alpha_fa)
     return float(spec.tau_prime)

@@ -6,17 +6,22 @@ Because the covariance is hypothesis-independent, the log-likelihood ratio
 is the linear statistic T(r) = 2 g m (S 1)^T Sigma^{-1} r.  Both error
 probabilities depend on the channel only through the detection SNR
 x = g^2 qf, with qf = (S 1)^T Sigma^{-1} (S 1) the quadratic form; tail_report
-turns x and a threshold into the report every analytic route returns, with
+turns x and a detector into the report every analytic route returns, with
 its tails carried in the log domain by core.log_tails.
+
+The linear algebra is numpy's alone.  Each covariance is factored once, as
+the Cholesky factor of the bordered matrix [[Sigma, b], [b^T, d]] (see
+_bordered_cholesky): its last row holds L^{-1} b, so a form b^T Sigma^{-1} b
+costs no solve.  numpy has no triangular solve, so the few that remain
+substitute over diagonal blocks (see _solve_lower).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve, solve_triangular
 
 from .core import DetectorSpec, SystemParams, amplifier_gain, log_tails, threshold_for
 from .errors import DimensionMismatch, NumericalFailure
@@ -25,6 +30,9 @@ from .spreading import SpreadingMatrix
 EXACT = "exact"
 ASYMPTOTIC = "asymptotic"
 MONTECARLO = "montecarlo"
+
+_BLOCK = 32
+"""Width of the diagonal blocks _solve_lower substitutes over."""
 
 
 def _once(method):
@@ -45,8 +53,10 @@ def _once(method):
 class ChannelModel:
     """A signature matrix plus the scalars entering the received-signal law.
 
-    Every route shares it as the factored channel: the Cholesky factor of
-    its covariance is built once, on first use, and serves every solve.
+    Every route shares it as the factored channel: its covariance and the
+    Cholesky factor of that covariance, bordered by S 1, are built once, on
+    first use, and serve the quadratic form, the detector and every
+    whitening.
     """
 
     S: SpreadingMatrix
@@ -69,24 +79,21 @@ class ChannelModel:
             m=params.m,
         )
 
-    def without(self, sensor: int) -> "ChannelModel":
-        """The same channel with sensor's signature column removed (leave-one-out)."""
-        entries = np.delete(self.S.entries, sensor, axis=1)
-        entries.setflags(write=False)
-        return replace(self, S=SpreadingMatrix(entries=entries, N=self.S.N, Ns=self.S.Ns - 1))
+    @_once
+    def covariance(self) -> np.ndarray:
+        """Sigma = channel_covariance(self), checked finite."""
+        return _finite(channel_covariance(self))
 
     @_once
     def _factor(self):
-        return _cholesky(_finite(channel_covariance(self)))
-
-    def solve(self, B) -> np.ndarray:
-        """Sigma^{-1} B for a finite vector or matrix B, through the shared factor."""
-        return _solve(self._factor, B)
+        # a stack of one, so that quadratic_forms gives every matrix of a
+        # stack the same arithmetic, and the same quadratic form, as this
+        return _bordered_cholesky(self.covariance[None], self.s1[None], self.sigma_w2)
 
     def whiten(self, B) -> np.ndarray:
         """L^{-1} B for a finite vector or matrix B, with L the lower Cholesky
         factor of Sigma, so that (L^{-1} a)^T (L^{-1} b) = a^T Sigma^{-1} b."""
-        return solve_triangular(self._factor[0], B, lower=True, check_finite=False)
+        return _solve_lower(self._factor[0][0, :-1, :-1], B)
 
     @_once
     def s1(self) -> np.ndarray:
@@ -95,8 +102,14 @@ class ChannelModel:
 
     @_once
     def detector(self) -> np.ndarray:
-        """The detector direction Sigma^{-1} S 1."""
-        return self.solve(self.s1)
+        """The detector direction Sigma^{-1} S 1 = L^{-T} (L^{-1} S 1).
+
+        L^{-1} S 1 is read off the factor; L^T is upper triangular, so it is
+        solved as its row- and column-reversed copy, which is lower.
+        """
+        factor, k = self._factor
+        y = np.ldexp(factor[0, -1, :-1], -k[0])
+        return _solve_lower(factor[0, :-1, :-1].T[::-1, ::-1], y[::-1])[::-1]
 
 
 @dataclass(frozen=True)
@@ -159,33 +172,81 @@ def _finite(cov: np.ndarray) -> np.ndarray:
     return cov
 
 
-def _cholesky(cov: np.ndarray):
-    # the caller has checked cov with _finite, so scipy's own check is skipped
+def _cholesky(a: np.ndarray) -> np.ndarray:
+    """Lower Cholesky factor of a finite matrix, or of each matrix of a stack."""
     try:
-        return cho_factor(cov, lower=True, check_finite=False)
-    except LinAlgError as exc:
+        return np.linalg.cholesky(a)
+    except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"covariance factorization failed: {exc}") from exc
 
 
-def _solve(factor, B) -> np.ndarray:
-    return cho_solve(factor, B, check_finite=False)
+def _bordered_cholesky(cov: np.ndarray, b: np.ndarray, sigma_w2: float):
+    """(F, k): the factors F of [[cov, 2^k b], [2^k b^T, 4]] over a (K, N, N)
+    stack of covariances and (K, N) of vectors, and each one's integer k.
+
+    Every covariance here is at least sigma_w2 I, so b^T cov^{-1} b is at most
+    b^T b / sigma_w2.  k is half the exponent gap between sigma_w2 and b^T b,
+    which keeps 4^k b^T b / sigma_w2 below 2: the border stays below the
+    corner 4, and no entry overflows where cov is finite.  The last row of F
+    is [2^k (L^{-1} b)^T, sqrt(4 - 4^k b^T cov^{-1} b)] with L = F[:, :-1, :-1]
+    the factor of cov; 2^k is a power of two, so scaling by it rounds nothing.
+    """
+    bb = np.einsum("ki,ki->k", b, b)
+    k = (np.frexp(sigma_w2)[1] - np.frexp(bb)[1]) // 2
+    n = cov.shape[-1]
+    bordered = np.empty((cov.shape[0], n + 1, n + 1))
+    bordered[:, :n, :n] = cov
+    bordered[:, n, :n] = bordered[:, :n, n] = np.ldexp(b, k[:, None])
+    bordered[:, n, n] = 4.0
+    return _cholesky(bordered), k
+
+
+def _inverse_forms(factor: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """b^T cov^{-1} b for each matrix of a _bordered_cholesky stack: 4^-k times
+    the squared norm of its factor's last row, corner left out."""
+    last = factor[:, -1, :-1]
+    return np.ldexp(np.einsum("ki,ki->k", last, last), -2 * k)
+
+
+def inverse_form(cov: np.ndarray, b: np.ndarray, sigma_w2: float) -> float:
+    """b^T cov^{-1} b for a finite covariance cov >= sigma_w2 I, from one
+    bordered factorization and no solve."""
+    return float(_inverse_forms(*_bordered_cholesky(cov[None], b[None], sigma_w2))[0])
+
+
+def _solve_lower(L: np.ndarray, B) -> np.ndarray:
+    """L^{-1} B for a lower-triangular L and a finite vector or matrix B.
+
+    numpy has no triangular solve, so the substitution runs over _BLOCK-wide
+    diagonal blocks: each block row is multiplied by the inverse of its
+    diagonal block and then taken off the rows below it in one product.
+    Nearly all the work is matrix products, which run about twice as fast
+    here as np.linalg.solve on each block, with its two triangular solves.
+    """
+    X = np.array(B, dtype=np.float64)
+    n = L.shape[0]
+    for i in range(0, n, _BLOCK):
+        j = min(i + _BLOCK, n)
+        X[i:j] = np.linalg.inv(L[i:j, i:j]) @ X[i:j]
+        X[j:] -= L[j:, i:j] @ X[i:j]
+    return X
 
 
 def quadratic_form(model: ChannelModel) -> float:
     """Detector quadratic form qf = (S 1)^T Sigma^{-1} (S 1).
 
-    Solved through the model's Cholesky factor; the covariance is positive
-    definite whenever sigma_w2 > 0, so qf >= 0, with equality exactly when
-    the signature columns sum to zero.
+    Read off the model's bordered Cholesky factor, with no solve; the
+    covariance is positive definite whenever sigma_w2 > 0, so qf >= 0, with
+    equality exactly when the signature columns sum to zero.
     """
-    return float(model.s1 @ model.detector)
+    return float(_inverse_forms(*model._factor)[0])
 
 
 def quadratic_forms(params: SystemParams, block) -> list[float]:
     """quadratic_form of every signature matrix in a (k, N, Ns) stack.
 
-    The k covariances come from one batched build and one finiteness check;
-    each is then factored and solved on its own, so every value equals
+    The k covariances come from one batched build and one finiteness check,
+    and are factored in one batched call; every value equals
     quadratic_form(ChannelModel.from_params(params, S)) for its matrix S.
     """
     block = np.asarray(block, dtype=np.float64)
@@ -195,19 +256,25 @@ def quadratic_forms(params: SystemParams, block) -> list[float]:
         )
     stack = SpreadingMatrix(entries=block, N=params.N, Ns=params.Ns)
     cov = _finite(channel_covariance(ChannelModel.from_params(params, stack)))
-    s1 = block.sum(axis=2)
-    return [float(b @ _solve(_cholesky(c), b)) for c, b in zip(cov, s1)]
+    return _inverse_forms(*_bordered_cholesky(cov, block.sum(axis=2), params.sigma_w2)).tolist()
 
 
 def tail_report(
-    params: SystemParams, x: float, tau: float, method: str, qf: float | None = None
+    params: SystemParams, x: float, spec: DetectorSpec, method: str, qf: float | None = None
 ) -> PerformanceReport:
-    """Error probabilities of the threshold tau on a statistic of detection SNR x.
+    """Error probabilities of the detector spec on a statistic of detection SNR x.
 
-    pf and pm are the exponentials of core.log_tails, pe = p0 pf + p1 pm,
-    and log_pe is the log of the same mix, summed in the log domain.
+    The threshold is resolved against x; pf and pm are the exponentials of
+    core.log_tails, pe = p0 pf + p1 pm, and log_pe is the log of the same
+    mix, summed in the log domain.  Only np's threshold reaches -inf, where
+    x or m^2 x overflows: it falls with x so that pf stays at alpha_fa, while
+    pm vanishes.
     """
-    log_pf, log_pm = log_tails(x, params.m, tau)
+    tau = threshold_for(spec, params, x)
+    if tau == -math.inf:
+        log_pf, log_pm = math.log(spec.alpha_fa), -math.inf
+    else:
+        log_pf, log_pm = log_tails(x, params.m, tau)
     pf, pm = math.exp(log_pf), math.exp(log_pm)
     log_pe = float(np.logaddexp(math.log(params.p0) + log_pf, math.log(params.p1) + log_pm))
     return PerformanceReport(
@@ -231,8 +298,7 @@ def exact_report(params: SystemParams, qf: float, spec: DetectorSpec) -> Perform
     exactly.  A vanishing gain raises NumericalFailure before the threshold
     is resolved, whatever the detector.
     """
-    x = detection_snr(params, qf)
-    return tail_report(params, x, threshold_for(spec, params, x), EXACT, qf=qf)
+    return tail_report(params, detection_snr(params, qf), spec, EXACT, qf=qf)
 
 
 def exact_performance(params: SystemParams, S: SpreadingMatrix, spec: DetectorSpec) -> PerformanceReport:

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
-from .core import DetectorSpec, SystemParams, check_count, check_seed, map_workers, seed_sequence
+from .core import NEYMAN_PEARSON, DetectorSpec, SystemParams, check_count, check_seed, map_workers, seed_sequence
 from .core import threshold_for
 from .errors import DomainError, NumericalFailure
 from .exact import MONTECARLO, ChannelModel, McDiagnostics, PerformanceReport, detection_snr, quadratic_form
@@ -118,21 +119,22 @@ def _collapsed_weight(model: ChannelModel) -> tuple[np.ndarray, float]:
 
 def _count_errors(
     noise_weight: np.ndarray,
-    offset: float,
-    tau: float,
+    bound: float,
     hypothesis: int,
     seed: int,
     chunk_idx: int,
     size: int,
 ) -> int:
+    """Errors among a chunk's trials of the noise term d = noise_weight . n,
+    which is T less its mean -+shift: T >= tau is d >= bound = tau +- shift."""
     rng = _chunk_rng(seed, hypothesis, chunk_idx)
-    t = np.full(size, offset)
+    d = np.zeros(size)
     for r0 in range(0, noise_weight.size, _DRAW_ROWS):
         w = noise_weight[r0:r0 + _DRAW_ROWS]
-        t += w @ rng.standard_normal((w.size, size))
+        d += w @ rng.standard_normal((w.size, size))
     if hypothesis == 0:
-        return int(np.count_nonzero(t >= tau))
-    return int(np.count_nonzero(t < tau))
+        return int(np.count_nonzero(d >= bound))
+    return int(np.count_nonzero(d < bound))
 
 
 def estimate(
@@ -154,12 +156,22 @@ def estimate(
     exact_report(params, report.qf, spec) gives the closed form without
     factorizing again.  Ties (T == tau) decide the alternative, which is
     what makes the degenerate qf == 0 channel agree with the closed form.
+
+    Each trial is compared on its noise term, T less its mean, so that the
+    noise is not lost in the rounding of a mean far larger than it.  np's
+    bound on that term under the null is the alpha_fa quantile of its own
+    spread ||noise_weight|| = 2 m sqrt(x): the same threshold, which stays
+    finite where x overflows and np_threshold falls to -inf.
     """
     model = ChannelModel.from_params(params, S)
     noise_weight, shift = _collapsed_weight(model)
-    offset = (-shift, shift)
     qf = quadratic_form(model)
     tau = threshold_for(spec, params, detection_snr(params, qf))
+    if spec.criterion == NEYMAN_PEARSON:
+        null_bound = math.hypot(*noise_weight.tolist()) * -NormalDist().inv_cdf(spec.alpha_fa)
+        bounds = (null_bound, null_bound - 2.0 * shift)
+    else:
+        bounds = (tau + shift, tau - shift)
 
     n = mc.trials_per_hypothesis
     jobs = [
@@ -170,7 +182,7 @@ def estimate(
 
     def run(job: tuple[int, int, int]) -> tuple[int, int]:
         hyp, idx, size = job
-        return hyp, _count_errors(noise_weight, offset[hyp], tau, hyp, mc.seed, idx, size)
+        return hyp, _count_errors(noise_weight, bounds[hyp], hyp, mc.seed, idx, size)
 
     counts = [0, 0]
     for hyp, c in map_workers(run, jobs, mc.worker_hint):

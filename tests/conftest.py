@@ -20,19 +20,25 @@ def zero_threshold_pe(params: SystemParams) -> float:
 
 @pytest.fixture
 def linalg_calls(monkeypatch):
-    """Counts of the Cholesky factorizations, solves and triangular solves made
-    through exact's scipy names.
+    """Counts of the Cholesky factorizations and triangular solves exact makes.
 
-    A name that was never called has no key, so comparing the counts with a
-    dict also asserts that no other counted routine ran.
+    "cholesky" counts the matrices exact._cholesky factors, each matrix of a
+    stack on its own, and "solve_lower" the calls of exact._solve_lower, the
+    block substitution behind every triangular solve.  A name that was never
+    called has no key, so comparing the counts with a dict also asserts that
+    no other counted routine ran.
     """
     calls = Counter()
-    for name in ("cho_factor", "cho_solve", "solve_triangular"):
-        original = getattr(exact, name)
+    cholesky, solve_lower = exact._cholesky, exact._solve_lower
 
-        def counted(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def counted_cholesky(a):
+        calls["cholesky"] += math.prod(a.shape[:-2])
+        return cholesky(a)
 
-        monkeypatch.setattr(exact, name, counted)
+    def counted_solve_lower(L, B):
+        calls["solve_lower"] += 1
+        return solve_lower(L, B)
+
+    monkeypatch.setattr(exact, "_cholesky", counted_cholesky)
+    monkeypatch.setattr(exact, "_solve_lower", counted_solve_lower)
     return calls

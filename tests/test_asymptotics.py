@@ -9,6 +9,7 @@ sqrt(3)-1.
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -105,6 +106,19 @@ class TestBeta0:
         # at fixed gamma, beta0 -> 1/(gamma + sigma_w2) as alpha -> infinity
         lim = 1.0 / (1.0 + 1.0)
         assert abs(beta0(1e6, 1.0, 1.0) - lim) < 1e-5
+
+    @pytest.mark.parametrize("alpha, gv, sw", [
+        (1.0, 3.7375e-187, 3.0e-277),  # b == 0 and gamma sigma_w2 underflows
+        (1.0, 1e-150, 1e-200),  # b^2 and gamma sigma_w2 underflow, b > 0
+        (1.0, 1e-10, 1e200),  # b^2 overflows
+    ])
+    def test_conjugate_root_where_the_coefficients_leave_the_float_range(self, alpha, gv, sw):
+        # the textbook root cancels to 4 a alpha / b^2 ~ 1e-210 relative here,
+        # so 450 digits keep 240
+        with mpmath.workdps(450):
+            a, b = mpmath.mpf(gv) * sw, alpha * (mpmath.mpf(gv) + sw) - gv
+            root = (mpmath.sqrt(b * b + 4 * a * alpha) - b) / (2 * a)
+        assert beta0(alpha, gv, sw) == pytest.approx(float(root), rel=1e-14, abs=0)
 
     @pytest.mark.parametrize(
         "alpha,gv,sw",

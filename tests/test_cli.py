@@ -15,7 +15,6 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
-import scipy
 
 import cdmafusion
 from cdmafusion import ParseError, cli, convergence, exact
@@ -567,6 +566,43 @@ class TestExitCodes:
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"numerical failure: {message}")
 
+    def test_vanishing_fixed_point_denominator_is_not_a_division_by_zero(self, tmp_path):
+        # b == 0 and 4 gamma sigma_w2 alpha underflows: the scaled root gives
+        # beta0 ~ 3e231, and the run stops on the first seed's singular S
+        proc = self.run_child(tmp_path, "sweep-grid", {"N": 8, "Ns": 8, "P": 2.99e-186, "m": 5.24e-184,
+                                                       "sigma_v2": 9.6e110, "sigma_w2": 3.0e-277})
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("numerical failure: covariance factorization failed")
+
+    @pytest.mark.parametrize("mode", ["analyze", "asymptotic", "montecarlo", "sweep-grid", "sweep-limits"])
+    def test_np_at_infinite_snr_keeps_its_false_alarm_rate(self, tmp_path, mode):
+        # g^2 qf and 1/mu overflow to inf: np's threshold falls to -inf with the
+        # SNR, so pf stays at alpha_fa while pm vanishes, and pe = p0 alpha_fa.
+        # The simulated statistic overflows at m = 1e-20; at m = 1e-60 it stays
+        # finite while g^2 qf still overflows, and its mean is 1e100 spreads out
+        params = {"N": 8, "Ns": 8, "sigma_v2": 0, "sigma_w2": 1e-300, "m": 1e-20}
+        if mode == "montecarlo":
+            params.update(P=1, sigma_w2=1e-200, m=1e-60)
+        out = tmp_path / "out.csv"
+        cfg = config_file(tmp_path, {"mode": mode, "output": str(out), "params": params,
+                                     "detector": {"criterion": "np", "alpha_fa": 0.05},
+                                     "grid": {"N": [8], "alpha": [1.0], "seeds": 2}})
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, header, rows = read_csv(out)
+        rows = [dict(zip(header, r)) for r in rows]
+        if mode in ("analyze", "asymptotic"):
+            assert [(r["tau_prime"], r["pf"], r["pm"], r["pe"]) for r in rows] == [("-inf", "0.05", "0", "0.025")]
+        elif mode == "montecarlo":
+            assert [(r["tau_prime"], r["pm_mc"], r["pf_exact"], r["pm_exact"], r["pe_exact"]) for r in rows] == [
+                ("-inf", "0", "0.05", "0", "0.025")]
+            assert float(rows[0]["pf_mc"]) == pytest.approx(0.05, abs=3 * float(rows[0]["stderr_pf"]))
+        elif mode == "sweep-grid":
+            assert [(r["pe_exact"], r["pe_asymptotic"], r["rel_gap"]) for r in rows] == [("0.025", "0.025", "0")] * 2
+        else:
+            assert [r["pe_asymptotic"] for r in rows] == ["0.025"]
+
     def test_equal_vanishing_tails_have_no_gap(self, tmp_path):
         # both x overflow to inf, so both log_pe are -inf: equal logs give rel_gap 0, not nan
         out = tmp_path / "grid.csv"
@@ -639,16 +675,14 @@ class TestGridInvariant:
 
 
 def bundled_openblas():
-    """(library, symbol suffix) of each scipy-openblas copy bundled with numpy or scipy."""
+    """(library, symbol suffix) of each scipy-openblas copy bundled with numpy."""
     found = []
-    for pkg in (np, scipy):
-        libdir = Path(pkg.__file__).parent.parent / f"{pkg.__name__}.libs"
-        for path in sorted(libdir.glob("libscipy_openblas*.so*")):
-            lib = ctypes.CDLL(str(path))
-            for suffix in ("64_", ""):
-                if hasattr(lib, f"scipy_openblas_get_num_threads{suffix}"):
-                    found.append((lib, suffix))
-                    break
+    for path in sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libscipy_openblas*.so*")):
+        lib = ctypes.CDLL(str(path))
+        for suffix in ("64_", ""):
+            if hasattr(lib, f"scipy_openblas_get_num_threads{suffix}"):
+                found.append((lib, suffix))
+                break
     return found
 
 
@@ -670,7 +704,7 @@ class TestBlasThreads:
     def test_main_runs_bundled_openblas_single_threaded(self, tmp_path):
         libs = bundled_openblas()
         if not libs:
-            pytest.skip("numpy and scipy bundle no scipy-openblas library here")
+            pytest.skip("numpy bundles no scipy-openblas library here")
         for lib, suffix in libs:
             setter = getattr(lib, f"scipy_openblas_set_num_threads{suffix}")
             setter.argtypes, setter.restype = [ctypes.c_int], None
@@ -681,16 +715,15 @@ class TestBlasThreads:
         assert [blas_threads(lib, suffix) for lib, suffix in libs] == [1] * len(libs)
 
     def test_pin_skips_missing_and_foreign_libraries(self, tmp_path, monkeypatch):
-        # a package with no .libs directory, and one whose only matching
-        # file is not a loadable library
+        # a numpy with no .libs directory, and one whose only matching file
+        # is not a loadable library
         libs = tmp_path / "fake.libs"
         libs.mkdir()
         (libs / "libscipy_openblas-broken.so").write_bytes(b"not a shared object")
-        monkeypatch.setattr(cli, "np", types.SimpleNamespace(
-            __name__="absent", __file__=str(tmp_path / "absent" / "__init__.py")))
-        monkeypatch.setattr(cli, "scipy", types.SimpleNamespace(
-            __name__="fake", __file__=str(tmp_path / "fake" / "__init__.py")))
-        cli._pin_blas_threads()
+        for name in ("absent", "fake"):
+            monkeypatch.setattr(cli, "np", types.SimpleNamespace(
+                __name__=name, __file__=str(tmp_path / name / "__init__.py")))
+            cli._pin_blas_threads()
         # a library that loads but exports no setter
         (libs / "libscipy_openblas-broken.so").unlink()
         others = sorted((Path(np.__file__).parent.parent / "numpy.libs").glob("libquadmath*.so*"))
@@ -704,7 +737,7 @@ class TestBlasThreads:
         probe = "\n".join([
             "import ctypes, json",
             "from pathlib import Path",
-            "import numpy as np, scipy, scipy.linalg",
+            "import numpy as np",
             inspect.getsource(bundled_openblas),
             inspect.getsource(blas_threads),
             "libs = bundled_openblas()",
@@ -736,16 +769,35 @@ class TestBlasThreads:
         assert outputs[0] == outputs[1]
 
 
+class TestNoScipy:
+    @pytest.mark.parametrize("mode", cli.MODES)
+    def test_run_imports_no_scipy(self, tmp_path, mode):
+        # -X importtime lists on stderr every module the child imports, from
+        # start-up to exit, whichever module imports it
+        out = tmp_path / "out.csv"
+        cfg = config_file(tmp_path, {"mode": mode, "output": str(out), "params": {"N": 8, "Ns": 8},
+                                     "mc": {"trials": 1000, "workers": 2},
+                                     "grid": {"N": [8, 16], "alpha": [1.0], "seeds": 2}})
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert out.exists()
+        imported = [line.rsplit("|", 1)[-1].strip() for line in proc.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert "cdmafusion.cli" in imported
+        assert [name for name in imported if name.split(".")[0] == "scipy"] == []
+
+
 class TestConvergeSinglePass:
     # sha256 of whole artifacts, frozen from the runner's output: the converge
     # schedule has an odd N and both sides of the cross term's 200-pair cut
     GOLDEN = {
         "converge": ({"mode": "converge", "seed": 4, "params": {"N": 8, "alpha": 2.0},
                       "grid": {"N": [7, 8, 16], "seeds": 3}},
-                     "d7ae476a616ae169915148881d25a943f0e5ae52bba69800b29660cd96fddc96"),
+                     "42088c788d341ded1375fbd2556d0aa47383ea8212378b2efd3cc2750d6c6a67"),
         "sweep-grid": ({"mode": "sweep-grid", "seed": 2,
                         "grid": {"N": [8, 16], "alpha": [0.5, 2.0], "seeds": 3}},
-                       "f2a0a90862c84c2c566624fdc0dcb1266295d3709c15f1f6ae1bceb4fbb6951e"),
+                       "48f05d26177d19751cba8f38c14c0efbe3b2d5d80b9a386010e347b6277216ab"),
     }
 
     @pytest.mark.parametrize("mode", sorted(GOLDEN))
@@ -766,23 +818,26 @@ class TestConvergeSinglePass:
         monkeypatch.setattr(module, name, counted)
 
     def test_one_draw_and_two_factorizations_per_cell(self, tmp_path, monkeypatch):
-        calls = {"generate": 0, "cho_factor": 0}
+        # Q_0 is Sigma's rank-one downdate, so only Sigma is built from S S^T
+        calls = {"generate": 0, "_cholesky": 0, "channel_covariance": 0}
         self.count_calls(monkeypatch, convergence, "generate", calls)
-        self.count_calls(monkeypatch, exact, "cho_factor", calls)
+        self.count_calls(monkeypatch, exact, "_cholesky", calls)
+        self.count_calls(monkeypatch, exact, "channel_covariance", calls)
         cfg = config_file(tmp_path, {"mode": "converge", "seed": 1, "params": {"N": 8, "alpha": 2.0},
                                      "grid": {"N": [8, 16, 32], "seeds": 4}})
         assert main(["--config", cfg, "--out", str(tmp_path / "c.csv"), "--quiet"]) == 0
         cells = 3 * 4
-        assert calls == {"generate": cells, "cho_factor": 2 * cells}
+        assert calls == {"generate": cells, "_cholesky": 2 * cells, "channel_covariance": cells}
 
     def test_one_whitening_solve_per_cell(self, tmp_path, linalg_calls):
-        # per cell: Sigma and Q_0 factored; Sigma^{-1} S 1, Sigma^{-1} s_0 and
-        # Q_0^{-1} s_0 solved; one whitening L^{-1} S for the residual and cross terms
+        # per cell: Sigma bordered by S 1 and Q_0 bordered by s_0 factored, so
+        # qf and s_0^T Q_0^{-1} s_0 need no solve; one whitening L^{-1} S for
+        # the residual, the cross terms and s_0^T Sigma^{-1} s_0
         cfg = config_file(tmp_path, {"mode": "converge", "seed": 1, "params": {"N": 8, "alpha": 2.0},
                                      "grid": {"N": [8, 16, 32], "seeds": 4}})
         assert main(["--config", cfg, "--out", str(tmp_path / "c.csv"), "--quiet"]) == 0
         cells = 3 * 4
-        assert linalg_calls == {"cho_factor": 2 * cells, "cho_solve": 3 * cells, "solve_triangular": cells}
+        assert linalg_calls == {"cholesky": 2 * cells, "solve_lower": cells}
 
     def test_single_sensor_at_smallest_N_fails_before_any_draw(self, tmp_path, monkeypatch, capsys):
         calls = {"generate": 0}
@@ -802,7 +857,7 @@ class TestSweepGridBlocks:
     # seeds were blocked: at N=128 both points split into several blocks
     GOLDEN = ({"mode": "sweep-grid", "seed": 0,
                "grid": {"N": [8, 128], "alpha": [0.5, 4.0], "seeds": 5}},
-              "3f230dded00d06645397bae225ecde00c4bc41aff4d1f9580e3053995389590c")
+              "74e4a999600bb31b4e3e9e7e8d1bb4bef78e53a514b25ba458d28a60e8810f7b")
 
     def run_grid(self, tmp_path, *extra, name="grid.csv"):
         doc, _ = self.GOLDEN
@@ -840,7 +895,7 @@ class TestSweepGridBlocks:
         self.run_grid(tmp_path)
         cells = 2 * 2 * 5
         assert calls["generate"] == cells
-        assert linalg_calls == {"cho_factor": cells, "cho_solve": cells}
+        assert linalg_calls == {"cholesky": cells}
 
 
 class TestMontecarloGolden:
@@ -848,7 +903,7 @@ class TestMontecarloGolden:
     # hypothesis on the sfc64 chunk stream, run on the two-worker pool
     GOLDEN = ({"mode": "montecarlo", "seed": 3, "params": {"N": 12, "Ns": 20, "P": 4.0, "sigma_v2": 0.5},
                "mc": {"trials": 2 * 16384 + 5, "workers": 2}},
-              "a406cb44066639a956382b1694dd25bcbb2f7a3ed639d8ec0ecfbe29004354e7")
+              "218e8dd6943808319123a3368a1668b3dbc1f87cd073f7fe7b8fc2766f2242ec")
 
     def test_golden_artifact(self, tmp_path):
         doc, digest = self.GOLDEN
@@ -865,4 +920,4 @@ class TestOneFactorizationPerRun:
     def test_sigma_factored_once(self, tmp_path, doc, linalg_calls):
         out = tmp_path / "out.csv"
         assert main(["--config", config_file(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
-        assert linalg_calls["cho_factor"] == 1
+        assert linalg_calls["cholesky"] == 1

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from cdmafusion import (
+    ChannelModel,
     DomainError,
     InvalidParam,
     SystemParams,
@@ -204,6 +205,20 @@ class TestWhitenedStatistics:
         g = amplifier_gain(params)
         cov = g * g * params.sigma_v2 * (S @ S.T) + params.sigma_w2 * np.eye(params.N)
         return g, S.T @ np.linalg.solve(cov, S)
+
+    @pytest.mark.parametrize("N, Ns", [(12, 20), (70, 9)])
+    def test_diagonal_forms_against_dense_solves(self, N, Ns):
+        # Q_0 is Sigma's rank-one downdate in the package; the oracle rebuilds it
+        # from S without sensor 0 and solves both covariances densely
+        params = replace(TEMPLATE, N=N, Ns=Ns, sigma_v2=0.7)
+        model = ChannelModel.from_params(params, generate(N, Ns, 3))
+        full, leave = convergence._diag_forms(model, model.whiten(model.S.entries))
+        g, S = amplifier_gain(params), model.S.entries
+        s, rest = S[:, 0], S[:, 1:]
+        cov = g * g * params.sigma_v2 * (S @ S.T) + params.sigma_w2 * np.eye(N)
+        leave_out = g * g * params.sigma_v2 * (rest @ rest.T) + params.sigma_w2 * np.eye(N)
+        assert full == pytest.approx(s @ np.linalg.solve(cov, s), rel=1e-12)
+        assert leave == pytest.approx(s @ np.linalg.solve(leave_out, s), rel=1e-12)
 
     # 21, 190 and 210 sensor pairs: every pair below the 200-pair cut, a subset above it
     @pytest.mark.parametrize("N", [7, 20, 21])

@@ -7,6 +7,7 @@ under test.
 """
 
 import math
+import sys
 from dataclasses import FrozenInstanceError, replace
 
 import hypothesis
@@ -28,7 +29,7 @@ from cdmafusion import (
     threshold_for,
     validate,
 )
-from cdmafusion.core import SEED_MAX, check_count, check_seed, is_int, log_tails, seed_sequence
+from cdmafusion.core import SEED_MAX, check_count, check_seed, is_int, log_ndtr, log_tails, seed_sequence
 from conftest import q
 
 
@@ -238,6 +239,37 @@ def log_tails_oracle(x: float, m: float, tau: float) -> tuple[float, float]:
         return tuple(float(mpmath.log(mpmath.erfc(z / mpmath.sqrt(2)) / 2)) for z in (half + root, root - half))
 
 
+def log_ndtr_oracle(z: float) -> float:
+    """log Phi(z) from mpmath's erfc at 50 digits, rounded once to a double."""
+    with mpmath.workdps(50):
+        t = mpmath.erfc(abs(mpmath.mpf(z)) / mpmath.sqrt(2)) / 2
+        return float(mpmath.log1p(-t) if z > 0 else mpmath.log(t))
+
+
+class TestLogNdtr:
+    """log Phi against mpmath across its three branches and at their joins."""
+
+    def test_against_mpmath(self):
+        # erfc's branch joins the asymptotic series at -37 and the log1p branch at 0
+        joins = [-37.0, math.nextafter(-37.0, 0.0), math.nextafter(-37.0, -40.0), 0.0, 5e-324, -5e-324]
+        zs = np.concatenate((-np.logspace(8.0, -3.0, 45), np.linspace(-45.0, 40.0, 341),
+                             np.linspace(-37.25, -36.75, 21), np.linspace(-1e-3, 1e-3, 21), joins))
+        for z in map(float, zs):
+            got, want = log_ndtr(z), log_ndtr_oracle(z)
+            # above 0, log Phi(z) ~ -erfc(z / sqrt 2) / 2, and rounding z / sqrt 2
+            # moves erfc by a relative z^2 eps (scipy's log_ndtr does the same);
+            # past z ~ 37.5 Phi(z) - 1 is subnormal and has no relative precision left
+            rel = 2e-14 + (z * z * sys.float_info.epsilon if z > 0.0 else 0.0)
+            assert abs(got - want) <= rel * abs(want) + sys.float_info.min, (z, got, want)
+
+    def test_limits(self):
+        assert log_ndtr(math.inf) == 0.0
+        assert log_ndtr(-math.inf) == -math.inf
+        # -z^2 / 2 overflows
+        assert log_ndtr(-1e200) == -math.inf
+        assert log_ndtr(0.0) == -math.log(2.0)
+
+
 class TestLogTails:
     """log_tails against 50-digit tails, over SNRs where the tails underflow."""
 
@@ -310,6 +342,16 @@ class TestInvQ:
 
     def test_median_is_zero(self):
         assert abs(inv_q(0.5)) <= 1e-14
+
+    def test_against_mpmath(self):
+        # from past where the tail q leaves the normal float range, to the last float below 1
+        ps = np.concatenate((np.logspace(-300.0, -1.0, 46), 1.0 - np.logspace(-1.0, -16.0, 16)))
+        for p in map(float, ps):
+            got = inv_q(p)
+            # the root of Phi(-t) = p at 40 digits; the secant starts from the value under test
+            with mpmath.workdps(40):
+                want = float(mpmath.findroot(lambda t: mpmath.ncdf(-t) - p, got))
+            assert got == pytest.approx(want, rel=2e-15, abs=0), p
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
     def test_domain(self, p):

@@ -1,7 +1,8 @@
 """Finite-size closed forms: covariance, quadratic form, detector direction, tails.
 
 The quadratic form is cross-checked against a dense np.linalg.solve oracle,
-which shares no code path with the Cholesky route used by the library.
+which shares no code path with the bordered Cholesky route used by the
+library.
 """
 
 import math
@@ -119,18 +120,20 @@ class TestFactoredChannel:
         for _ in range(3):
             assert quadratic_form(mdl) == qf
             np.testing.assert_array_equal(mdl.detector, detector)
-        assert linalg_calls == {"cho_factor": 1, "cho_solve": 1}
+        assert linalg_calls == {"cholesky": 1, "solve_lower": 1}
 
     def test_solve_against_dense_solve(self):
         mdl = model_for(make_params(N=16, Ns=24, sigma_v2=1.3, sigma_w2=0.8), seed=2)
-        B = np.random.default_rng(4).normal(size=(16, 3))
-        np.testing.assert_allclose(mdl.solve(B), np.linalg.solve(channel_covariance(mdl), B), rtol=1e-10)
+        cov = channel_covariance(mdl)
+        for b in np.random.default_rng(4).normal(size=(3, 16)):
+            assert exact.inverse_form(cov, b, mdl.sigma_w2) == pytest.approx(b @ np.linalg.solve(cov, b), rel=1e-10)
         np.testing.assert_array_equal(mdl.s1, mdl.S.entries.sum(axis=1))
         np.testing.assert_allclose(
             mdl.detector, np.linalg.solve(channel_covariance(mdl), mdl.s1), rtol=1e-10
         )
 
-    @pytest.mark.parametrize("N, Ns", [(1, 3), (17, 26), (33, 66)])
+    # 150 rows are three diagonal blocks of the substitution, the last one short
+    @pytest.mark.parametrize("N, Ns", [(1, 3), (17, 26), (33, 66), (150, 20)])
     def test_whiten_against_dense_cholesky(self, N, Ns, linalg_calls):
         mdl = model_for(make_params(N=N, Ns=Ns, sigma_v2=1.3, sigma_w2=0.8), seed=N)
         A = mdl.S.entries
@@ -139,18 +142,7 @@ class TestFactoredChannel:
         B = np.column_stack([A, np.random.default_rng(N).normal(size=(N, 2))])
         np.testing.assert_allclose(mdl.whiten(B), np.linalg.solve(L, B), rtol=0, atol=1e-12)
         np.testing.assert_allclose(mdl.whiten(B[:, 0]), np.linalg.solve(L, B[:, 0]), rtol=0, atol=1e-12)
-        assert linalg_calls == {"cho_factor": 1, "solve_triangular": 2}
-
-    def test_leave_one_out_model(self):
-        mdl = model_for(make_params(N=8, Ns=5, sigma_v2=0.7), seed=1)
-        loo = mdl.without(2)
-        assert (loo.S.N, loo.S.Ns) == (8, 4)
-        assert (loo.g, loo.sigma_v2, loo.sigma_w2, loo.m) == (mdl.g, mdl.sigma_v2, mdl.sigma_w2, mdl.m)
-        A = np.delete(mdl.S.entries, 2, axis=1)
-        np.testing.assert_array_equal(loo.S.entries, A)
-        assert not loo.S.entries.flags.writeable
-        expected = mdl.g**2 * mdl.sigma_v2 * (A @ A.T) + mdl.sigma_w2 * np.eye(8)
-        np.testing.assert_allclose(channel_covariance(loo), expected, rtol=1e-14)
+        assert linalg_calls == {"cholesky": 1, "solve_lower": 2}
 
 
 class TestExactPerformance:
@@ -200,6 +192,12 @@ class TestExactPerformance:
         assert at_zero.log_pe == math.log(0.5)
         above = exact_performance(p, S, DetectorSpec(criterion="fixed", tau_prime=0.5))
         assert (above.pf, above.pm) == (0.0, 1.0)
+
+    def test_np_at_zero_snr_follows_the_tie_rule(self):
+        # the threshold's limit at x = 0 is 0, where the statistic always ties
+        p = make_params(N=1, Ns=2, P=1.0)
+        rep = exact_performance(p, load(np.array([[1.0, -1.0]])), DetectorSpec(criterion="np", alpha_fa=0.1))
+        assert (rep.tau_prime, rep.pf, rep.pm) == (0.0, 1.0, 0.0)
 
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
@@ -305,10 +303,23 @@ class TestQuadraticForms:
             (qf,) = quadratic_forms(p, S.entries[None])
             assert exact_report(p, qf, spec) == exact_performance(p, S, spec)
 
-    def test_one_factorization_and_one_solve_per_matrix(self, linalg_calls):
+    def test_one_factorization_and_no_solve_per_matrix(self, linalg_calls):
         p = make_params(N=8, Ns=4)
         quadratic_forms(p, np.stack([generate(8, 4, seed).entries for seed in range(5)]))
-        assert linalg_calls == {"cho_factor": 5, "cho_solve": 5}
+        assert linalg_calls == {"cholesky": 5}
+
+    @pytest.mark.parametrize("sigma_w2", [1e-300, 1e-20, 1e20, 1e300])
+    def test_border_is_scaled_at_the_ends_of_the_float_range(self, sigma_w2):
+        # with noiseless sensors Sigma = sigma_w2 I, so qf sits exactly on the
+        # bound ||S 1||^2 / sigma_w2 that scales the border
+        p = make_params(N=16, Ns=24, sigma_v2=0.0, sigma_w2=sigma_w2)
+        block = np.stack([generate(16, 24, seed).entries for seed in range(3)])
+        for qf, A in zip(quadratic_forms(p, block), block):
+            s1 = A.sum(axis=1)
+            assert qf == pytest.approx((s1 @ s1) / sigma_w2, rel=1e-14)
+        p = make_params(N=16, Ns=24, sigma_v2=1.3, sigma_w2=sigma_w2)
+        for qf, A in zip(quadratic_forms(p, block), block):
+            assert qf == pytest.approx(self.dense_qf(p, A), rel=1e-10)
 
     def test_not_positive_definite_is_numerical_failure(self, monkeypatch):
         original = exact.channel_covariance

@@ -5,6 +5,7 @@ replicate, 45-of-50 coverage, 5 percent Frobenius error at 200k trials) so a
 correct implementation fails only with negligible probability.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
@@ -22,8 +23,10 @@ from cdmafusion import (
     exact_performance,
     quadratic_form,
     simulate_trials,
+    threshold_for,
 )
 from cdmafusion import montecarlo
+from cdmafusion.exact import detection_snr
 from cdmafusion.montecarlo import (
     CHUNK_TRIALS,
     NORMAL_SAMPLER_ID,
@@ -144,7 +147,7 @@ class TestEstimate:
         p = make_params()
         estimate(p, generate(8, 8, seed=0), DetectorSpec(criterion="np", alpha_fa=0.1),
                  McConfig(trials_per_hypothesis=100, seed=1))
-        assert linalg_calls == {"cho_factor": 1, "cho_solve": 1}
+        assert linalg_calls == {"cholesky": 1, "solve_lower": 1}
 
     def test_deterministic_given_seed(self):
         p = make_params()
@@ -231,6 +234,17 @@ class TestEstimate:
         )
         assert rep.pf == pytest.approx(0.1, abs=3 * np.sqrt(0.1 * 0.9 / 50_000))
 
+    @pytest.mark.parametrize("m", [1e-60, 1e-7], ids=["snr-overflows", "snr-finite"])
+    def test_np_keeps_its_false_alarm_rate_where_the_mean_swamps_the_noise(self, m):
+        # T's mean 2 m^2 x is 1e100 times its spread 2 m sqrt(x), so T itself
+        # rounds to its mean; x = g^2 qf overflows at m = 1e-60 and is 1e214 at 1e-7
+        p = make_params(P=1.0, m=m, sigma_v2=0.0, sigma_w2=1e-200)
+        spec = DetectorSpec(criterion="np", alpha_fa=0.05)
+        rep = estimate(p, generate(8, 8, seed=0), spec, McConfig(trials_per_hypothesis=20_000, seed=3))
+        assert rep.pf == pytest.approx(0.05, abs=3 * np.sqrt(0.05 * 0.95 / 20_000))
+        assert rep.pm == 0.0
+        assert (rep.tau_prime == -math.inf) == (m == 1e-60)
+
 
 class TestCollapsedKernel:
     """The per-chunk weighted sum against the full chain r = g S z + w."""
@@ -254,7 +268,7 @@ class TestCollapsedKernel:
             np.testing.assert_allclose(offset + noise_weight @ noise, ref,
                                        rtol=1e-12, atol=1e-12 * np.abs(ref).max())
             want = np.count_nonzero(ref >= tau) if hyp == 0 else np.count_nonzero(ref < tau)
-            assert _count_errors(noise_weight, offset, tau, hyp, self.SEED, idx, size) == want
+            assert _count_errors(noise_weight, tau - offset, hyp, self.SEED, idx, size) == want
 
     def test_shift_is_the_statistic_at_the_h1_mean(self):
         # T evaluated at the H1 mean g m S 1 equals 2 g^2 m^2 qf
@@ -268,26 +282,35 @@ class TestCollapsedKernel:
         noise_weight = np.random.default_rng(rows).standard_normal(rows)
         tracemalloc.start()
         try:
-            _count_errors(noise_weight, 0.1, 0.0, 1, self.SEED, 0, CHUNK_TRIALS)
+            _count_errors(noise_weight, -0.1, 1, self.SEED, 0, CHUNK_TRIALS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20
 
     def test_estimate_counts_match_reference_path(self):
+        self.check_counts_against_reference_path(DetectorSpec())
+
+    def test_np_counts_match_reference_path(self):
+        # np's bound on the noise term is its threshold on T, np_threshold
+        self.check_counts_against_reference_path(DetectorSpec(criterion="np", alpha_fa=0.2))
+
+    def check_counts_against_reference_path(self, spec):
         # every chunk of both hypotheses, remainder included, through simulate_trials
         p = make_params(N=6, Ns=9)
         S = generate(6, 9, seed=2)
         model = ChannelModel.from_params(p, S)
         weight = 2.0 * model.g * p.m * model.detector
+        tau = threshold_for(spec, p, detection_snr(p, quadratic_form(model)))
         n = 2 * CHUNK_TRIALS + 101
         counts = [0, 0]
         for hyp in (0, 1):
             for idx, size in _chunk_plan(n):
                 t = weight @ simulate_trials(p, S, hyp, size, _chunk_rng(self.SEED, hyp, idx))
-                counts[hyp] += int(np.count_nonzero(t >= 0.0) if hyp == 0 else np.count_nonzero(t < 0.0))
-        rep = estimate(p, S, DetectorSpec(), McConfig(trials_per_hypothesis=n, seed=self.SEED, worker_hint=2))
+                counts[hyp] += int(np.count_nonzero(t >= tau) if hyp == 0 else np.count_nonzero(t < tau))
+        rep = estimate(p, S, spec, McConfig(trials_per_hypothesis=n, seed=self.SEED, worker_hint=2))
         assert (rep.mc.false_alarms, rep.mc.misses) == tuple(counts)
+        assert rep.tau_prime == tau
 
     @pytest.mark.parametrize("seed, hyp, idx", [(0, 0, 0), (12, 1, 5), (2**64 - 1, 1, 61)])
     def test_chunk_stream_is_seeded_sfc64(self, seed, hyp, idx):
