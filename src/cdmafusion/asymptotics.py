@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .core import DetectorSpec, SystemParams, log_tails
 from .errors import DomainError, NumericalFailure
-from .exact import ASYMPTOTIC, PerformanceReport, tail_report
+from .exact import PerformanceReport, tail_report
 
 
 @dataclass(frozen=True)
@@ -73,18 +73,20 @@ def beta0(alpha: float, gamma_val: float, sigma_w2: float) -> float:
         raise DomainError(f"beta0 requires finite gamma >= 0, got {gamma_val!r}")
     if alpha == 0.0:
         return 1.0 / sigma_w2
-    a = gamma_val * sigma_w2
     b = alpha * (gamma_val + sigma_w2) - gamma_val
+    # sqrt(b^2 + 4 a alpha), a = gamma sigma_w2, in scaled form: through hypot
+    # and with sqrt(a) from its factors, so it survives where b^2 or a alpha
+    # leave the float range
+    root = math.hypot(b, 2.0 * math.sqrt(gamma_val) * math.sqrt(sigma_w2) * math.sqrt(alpha))
     if b >= 0.0:
         # conjugate form: avoids root - b cancellation for large alpha.  The
-        # root sqrt(b^2 + 4 a alpha) is taken in scaled form, through hypot and
-        # with sqrt(a) from its factors, so it survives where b^2 or a alpha
-        # underflow; the denominator is then 0 only if sqrt(a alpha) underflows
-        # with b == 0, where the root sqrt(alpha / a) is past every float
-        root = math.hypot(b, 2.0 * math.sqrt(gamma_val) * math.sqrt(sigma_w2) * math.sqrt(alpha))
+        # denominator is 0 only if sqrt(a alpha) underflows with b == 0, where
+        # the root sqrt(alpha / a) is past every float
         den = b + root
         return 2.0 * alpha / den if den > 0.0 else math.inf
-    return (math.sqrt(b * b + 4.0 * a * alpha) - b) / (2.0 * a)
+    # b < 0 needs gamma > 0; dividing by gamma and sigma_w2 in turn keeps
+    # their product, which can underflow to 0, out of the denominator
+    return (root - b) / (2.0 * gamma_val) / sigma_w2
 
 
 def mu(params: SystemParams, beta0_val: float) -> float:
@@ -126,7 +128,7 @@ def asymptotic_performance(params: SystemParams, spec: DetectorSpec) -> Performa
     the threshold is resolved against the same x, so Bayes, fixed and
     false-alarm-pinned detectors all remain meaningful.
     """
-    return tail_report(params, _snr(1.0, asymptotic_params(params).mu), spec, ASYMPTOTIC)
+    return tail_report(params, _snr(1.0, asymptotic_params(params).mu), spec)
 
 
 def _snr(num: float, den: float) -> float:

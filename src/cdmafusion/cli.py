@@ -3,6 +3,7 @@
 Configuration is a strict JSON object; unknown keys, duplicate keys and
 wrongly typed values are all rejected.  Every key is optional except that a
 mode must arrive either in the config or as the command-line positional.
+The keys, each at its default where it has one (the table _SCHEMA):
 
     {
       "schema": 1,
@@ -10,14 +11,14 @@ mode must arrive either in the config or as the command-line positional.
               | "sweep-grid" | "sweep-limits",
       "seed": 0,
       "output": "out.csv",
-      "params": {"N": 128, "alpha": 1.0, "P": 10.0, "m": 1.0,
+      "matrix_path": "signatures.csv",
+      "params": {"N": 128, "alpha": 1.0, "Ns": 128, "P": 10.0, "m": 1.0,
                  "sigma_v2": 1.0, "sigma_w2": 1.0, "p0": 0.5},
       "detector": {"criterion": "bayes" | "np" | "fixed",
                    "alpha_fa": 0.05, "tau_prime": 0.0},
       "mc": {"trials": 100000, "seed": 0, "workers": 1},
       "grid": {"N": [8, 16, 32, 64, 128], "alpha": [0.5, 1.0, 2.0, 4.0],
-               "seeds": 20},
-      "matrix_path": "signatures.csv"
+               "seeds": 20}
     }
 
 "params" takes either "alpha" (sensor count rounds to alpha * N) or an
@@ -25,7 +26,9 @@ explicit "Ns", not both.  "mc.seed" defaults to the top-level seed.
 "grid.seeds" is the number of seeds per (N, alpha) point in sweep-grid and
 per N in converge.
 "matrix_path" (analyze and montecarlo only) loads the signature matrix
-from CSV instead of drawing it from the seed.
+from CSV instead of drawing it from the seed.  "--seed" (written over
+"seed" and "mc.seed"), "--trials", "--workers" and "--out" are written
+over their keys before any check, so each passes its keys' checks.
 
 Exit codes: 0 success, 1 configuration or validation error, 2 runtime
 failure (I/O, numerical breakdown, or any other unexpected error, reported
@@ -53,7 +56,6 @@ from __future__ import annotations
 import argparse
 import ctypes
 import json
-import math
 import os
 import sys
 import tempfile
@@ -86,8 +88,6 @@ from .spreading import GENERATOR_ID, generate, load_csv
 
 MODES = ("analyze", "asymptotic", "montecarlo", "converge", "sweep-grid", "sweep-limits")
 
-_DEFAULT_GRID_N = (8, 16, 32, 64, 128)
-_DEFAULT_GRID_ALPHA = (0.5, 1.0, 2.0, 4.0)
 _CONVERGE_SEED_STREAM = 101
 # sweep-grid stacks at most this many signature or covariance entries per
 # block of seeds, which bounds the memory a block adds at any (N, alpha)
@@ -112,6 +112,35 @@ class ExperimentConfig:
 
 # ---------------------------------------------------------------- parsing
 
+# Every configuration key, by section: key -> (kind, default).  "" is the top
+# level.  _value checks and converts a kind: "int", "num" (a finite number),
+# "str", "object", "seed" (an integer in [0, 2**64)), "count" (an integer
+# >= 1), "positive" (a finite number > 0), a tuple of the allowed values, or
+# a kind suffixed "[]": a non-empty, strictly ascending list of that kind.
+# An absent key takes its default.
+_SCHEMA = {
+    "": {
+        "schema": ("int", 1), "mode": (MODES, None), "seed": ("seed", 0), "output": ("str", None),
+        "matrix_path": ("str", None),
+        "params": ("object", {}), "detector": ("object", {}), "mc": ("object", {}), "grid": ("object", {}),
+    },
+    # Ns defaults to the sensor count at load alpha
+    "params": {
+        "N": ("int", 128), "Ns": ("int", None), "alpha": ("num", 1.0), "P": ("num", 10.0),
+        "m": ("num", 1.0), "sigma_v2": ("num", 1.0), "sigma_w2": ("num", 1.0), "p0": ("num", 0.5),
+    },
+    "detector": {"criterion": (CRITERIA, BAYES), "alpha_fa": ("num", None), "tau_prime": ("num", None)},
+    # mc.seed defaults to the top-level seed
+    "mc": {"trials": ("int", 100_000), "seed": ("seed", None), "workers": ("int", None)},
+    "grid": {"N": ("count[]", (8, 16, 32, 64, 128)), "alpha": ("positive[]", (0.5, 1.0, 2.0, 4.0)),
+             "seeds": ("count", 20)},
+}
+
+# command-line flag -> the (section, key) pairs it writes over
+_FLAGS = {"seed": (("", "seed"), ("mc", "seed")), "trials": (("mc", "trials"),),
+          "workers": (("mc", "workers"),), "out": (("", "output"),)}
+
+
 def _reject_duplicates(pairs):
     out = {}
     for key, value in pairs:
@@ -121,131 +150,64 @@ def _reject_duplicates(pairs):
     return out
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
-    unknown = sorted(set(section) - allowed)
-    if unknown:
-        raise ParseError(f"unknown key(s) in {where}: {', '.join(unknown)}")
-
-
-def _get_int(section: dict, key: str, where: str, default=None):
-    if key not in section:
-        return default
-    val = section[key]
+def _value(where: str, kind, val):
+    """val checked against a _SCHEMA kind and converted; ParseError naming `where` otherwise."""
+    if isinstance(kind, tuple):
+        if val not in kind:
+            raise ParseError(f"unknown {where} {val!r}, expected one of {kind}")
+        return val
+    if kind.endswith("[]"):
+        if not isinstance(val, list) or not val:
+            raise ParseError(f"{where} must be a non-empty list, got {val!r}")
+        vals = tuple(_value(f"{where} entries", kind[:-2], v) for v in val)
+        if any(b <= a for a, b in zip(vals, vals[1:])):
+            raise ParseError(f"{where} must be strictly ascending, got {list(vals)}")
+        return vals
+    if kind == "str" and not isinstance(val, str):
+        raise ParseError(f"{where} must be a string, got {val!r}")
+    if kind == "object" and not isinstance(val, dict):
+        raise ParseError(f"{where} must be a JSON object, got {val!r}")
+    if kind in ("str", "object"):
+        return val
+    if kind in ("num", "positive"):
+        if isinstance(val, bool) or not isinstance(val, (int, float)):
+            raise ParseError(f"{where} must be a number, got {val!r}")
+        # an integer past the float range compares as such, where float() would raise
+        if not abs(val) <= sys.float_info.max:
+            raise ParseError(f"{where} must be finite, got {val!r}")
+        if kind == "positive" and val <= 0:
+            raise ParseError(f"{where} must be > 0, got {val!r}")
+        return float(val)
     if not is_int(val):
-        raise ParseError(f"{where}.{key} must be an integer, got {val!r}")
+        raise ParseError(f"{where} must be an integer, got {val!r}")
+    if kind == "count" and val < 1:
+        raise ParseError(f"{where} must be >= 1, got {val}")
+    if kind == "seed" and not 0 <= val < SEED_MAX:
+        raise ParseError(f"{where} must lie in [0, 2**64), got {val}")
     return val
 
 
-def _get_num(section: dict, key: str, where: str, default=None):
-    if key not in section:
-        return default
-    val = section[key]
-    if isinstance(val, bool) or not isinstance(val, (int, float)):
-        raise ParseError(f"{where}.{key} must be a number, got {val!r}")
-    if not math.isfinite(val):
-        raise ParseError(f"{where}.{key} must be finite, got {val!r}")
-    return float(val)
+def _section(name: str, sec: dict) -> dict:
+    """Every key of one _SCHEMA section: its checked value, or its default when absent."""
+    schema = _SCHEMA[name]
+    unknown = sorted(set(sec) - set(schema))
+    if unknown:
+        raise ParseError(f"unknown key(s) in {name or 'top level'}: {', '.join(unknown)}")
+    prefix = f"{name}." if name else ""
+    return {key: _value(prefix + key, kind, sec[key]) if key in sec else default
+            for key, (kind, default) in schema.items()}
 
 
-def _get_str(section: dict, key: str, where: str, default=None):
-    if key not in section:
-        return default
-    val = section[key]
-    if not isinstance(val, str):
-        raise ParseError(f"{where}.{key} must be a string, got {val!r}")
-    return val
-
-
-def _get_section(doc: dict, key: str) -> dict:
-    val = doc.get(key, {})
-    if not isinstance(val, dict):
-        raise ParseError(f"{key} must be a JSON object, got {val!r}")
-    return val
-
-
-def _ascending(values, what: str) -> None:
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ParseError(f"{what} must be strictly ascending, got {list(values)}")
-
-
-def _parse_params(doc: dict) -> SystemParams:
-    sec = _get_section(doc, "params")
-    _check_keys(sec, {"N", "Ns", "alpha", "P", "m", "sigma_v2", "sigma_w2", "p0"}, "params")
-    if "Ns" in sec and "alpha" in sec:
-        raise ParseError("params takes either Ns or alpha, not both")
-    N = _get_int(sec, "N", "params", default=128)
-    if "Ns" in sec:
-        Ns = _get_int(sec, "Ns", "params")
-    else:
-        Ns = sensors_for_load(_get_num(sec, "alpha", "params", default=1.0), N)
-    p0 = _get_num(sec, "p0", "params", default=0.5)
-    return SystemParams(
-        N=N,
-        Ns=Ns,
-        P=_get_num(sec, "P", "params", default=10.0),
-        m=_get_num(sec, "m", "params", default=1.0),
-        sigma_v2=_get_num(sec, "sigma_v2", "params", default=1.0),
-        sigma_w2=_get_num(sec, "sigma_w2", "params", default=1.0),
-        p0=p0,
-        p1=1.0 - p0,
-    )
-
-
-def _parse_detector(doc: dict) -> DetectorSpec:
-    sec = _get_section(doc, "detector")
-    _check_keys(sec, {"criterion", "alpha_fa", "tau_prime"}, "detector")
-    criterion = _get_str(sec, "criterion", "detector", default=BAYES)
-    if criterion not in CRITERIA:
-        raise ParseError(f"detector.criterion must be one of {CRITERIA}, got {criterion!r}")
-    alpha_fa = _get_num(sec, "alpha_fa", "detector")
-    tau_prime = _get_num(sec, "tau_prime", "detector")
-    if criterion != NEYMAN_PEARSON and alpha_fa is not None:
-        raise ParseError("detector.alpha_fa only applies to criterion 'np'")
-    if criterion != FIXED and tau_prime is not None:
-        raise ParseError("detector.tau_prime only applies to criterion 'fixed'")
-    return DetectorSpec(criterion=criterion, alpha_fa=alpha_fa, tau_prime=tau_prime)
-
-
-def _parse_mc(doc: dict, default_seed: int) -> McConfig:
-    sec = _get_section(doc, "mc")
-    _check_keys(sec, {"trials", "seed", "workers"}, "mc")
-    return McConfig(
-        trials_per_hypothesis=_get_int(sec, "trials", "mc", default=100_000),
-        seed=_get_int(sec, "seed", "mc", default=default_seed),
-        worker_hint=_get_int(sec, "workers", "mc", default=None),
-    )
-
-
-def _parse_grid(doc: dict) -> tuple[tuple[int, ...], tuple[float, ...], int]:
-    sec = _get_section(doc, "grid")
-    _check_keys(sec, {"N", "alpha", "seeds"}, "grid")
-    grid_N = sec.get("N", list(_DEFAULT_GRID_N))
-    if not isinstance(grid_N, list) or not grid_N:
-        raise ParseError(f"grid.N must be a non-empty list, got {grid_N!r}")
-    for v in grid_N:
-        if not is_int(v) or v < 1:
-            raise ParseError(f"grid.N entries must be integers >= 1, got {v!r}")
-    _ascending(grid_N, "grid.N")
-    grid_alpha = sec.get("alpha", list(_DEFAULT_GRID_ALPHA))
-    if not isinstance(grid_alpha, list) or not grid_alpha:
-        raise ParseError(f"grid.alpha must be a non-empty list, got {grid_alpha!r}")
-    for v in grid_alpha:
-        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v) or v <= 0:
-            raise ParseError(f"grid.alpha entries must be finite numbers > 0, got {v!r}")
-    grid_alpha = [float(v) for v in grid_alpha]
-    _ascending(grid_alpha, "grid.alpha")
-    cell_seeds = _get_int(sec, "seeds", "grid", default=20)
-    if cell_seeds < 1:
-        raise ParseError(f"grid.seeds must be >= 1, got {cell_seeds}")
-    return tuple(grid_N), tuple(grid_alpha), cell_seeds
-
-
-def parse_config(text: bytes | str, *, mode: str | None = None) -> ExperimentConfig:
+def parse_config(text: bytes | str, *, mode: str | None = None, flags: dict | None = None) -> ExperimentConfig:
     """Parse and validate a JSON configuration document.
 
     `mode`, when given, is the command-line positional; it must agree with
-    the config's own "mode" key if both are present.  Raises ParseError for
-    structural problems and InvalidParam for values the model rejects.
+    the config's own "mode" key if both are present.  `flags` maps the
+    command-line flags seed, trials, workers and out to their values (None,
+    or an absent name, for a flag not given); each is written over its
+    config keys (_FLAGS) before any check, so a flag passes its key's check.
+    Raises ParseError for structural problems and InvalidParam for values
+    the model rejects.
     """
     if isinstance(text, bytes):
         try:
@@ -256,43 +218,41 @@ def parse_config(text: bytes | str, *, mode: str | None = None) -> ExperimentCon
         doc = json.loads(text, object_pairs_hook=_reject_duplicates)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from None
-    if not isinstance(doc, dict):
-        raise ParseError(f"top level must be a JSON object, got {type(doc).__name__}")
-    _check_keys(
-        doc,
-        {"schema", "mode", "seed", "output", "params", "detector", "mc", "grid", "matrix_path"},
-        "top level",
-    )
-    schema = _get_int(doc, "schema", "top level", default=1)
-    if schema != 1:
-        raise ParseError(f"unsupported schema {schema}, expected 1")
-    cfg_mode = _get_str(doc, "mode", "top level")
-    if cfg_mode is not None and cfg_mode not in MODES:
-        raise ParseError(f"unknown mode {cfg_mode!r}, expected one of {MODES}")
-    if mode is not None and cfg_mode is not None and mode != cfg_mode:
-        raise ParseError(f"mode mismatch: command line says {mode!r}, config says {cfg_mode!r}")
-    eff_mode = mode if mode is not None else cfg_mode
-    if eff_mode is None:
+    except ValueError as exc:  # an integer literal past the interpreter's digit limit
+        raise ParseError(f"invalid JSON: {exc}") from None
+    doc = _value("top level", "object", doc)
+    flags = flags or {}
+    for flag, targets in _FLAGS.items():
+        if flags.get(flag) is not None:
+            for section, key in targets:
+                target = doc.setdefault(section, {}) if section else doc
+                if isinstance(target, dict):  # a section that is no object fails its own check
+                    target[key] = flags[flag]
+    top = _section("", doc)
+    if top["schema"] != 1:
+        raise ParseError(f"unsupported schema {top['schema']}, expected 1")
+    if mode is not None and top["mode"] is not None and mode != top["mode"]:
+        raise ParseError(f"mode mismatch: command line says {mode!r}, config says {top['mode']!r}")
+    mode = top["mode"] if mode is None else mode
+    if mode is None:
         raise ParseError("no mode: give one on the command line or as \"mode\" in the config")
-    seed = _get_int(doc, "seed", "top level", default=0)
-    if not 0 <= seed < SEED_MAX:
-        raise ParseError(f"seed must lie in [0, 2**64), got {seed}")
-    output = _get_str(doc, "output", "top level")
-    matrix_path = _get_str(doc, "matrix_path", "top level")
-    if matrix_path is not None and eff_mode not in ("analyze", "montecarlo"):
-        raise ParseError(f"matrix_path only applies to analyze and montecarlo, not {eff_mode!r}")
-    grid_N, grid_alpha, cell_seeds = _parse_grid(doc)
+    if top["matrix_path"] is not None and mode not in ("analyze", "montecarlo"):
+        raise ParseError(f"matrix_path only applies to analyze and montecarlo, not {mode!r}")
+    p, det, mc, grid = (_section(name, top[name]) for name in ("params", "detector", "mc", "grid"))
+    alpha, Ns = p.pop("alpha"), p.pop("Ns")
+    if Ns is not None and "alpha" in top["params"]:
+        raise ParseError("params takes either Ns or alpha, not both")
+    if det["criterion"] != NEYMAN_PEARSON and det["alpha_fa"] is not None:
+        raise ParseError("detector.alpha_fa only applies to criterion 'np'")
+    if det["criterion"] != FIXED and det["tau_prime"] is not None:
+        raise ParseError("detector.tau_prime only applies to criterion 'fixed'")
     return ExperimentConfig(
-        mode=eff_mode,
-        params=_parse_params(doc),
-        detector=_parse_detector(doc),
-        mc=_parse_mc(doc, default_seed=seed),
-        seed=seed,
-        grid_N=grid_N,
-        grid_alpha=grid_alpha,
-        cell_seeds=cell_seeds,
-        output=output,
-        matrix_path=matrix_path,
+        mode=mode,
+        params=SystemParams(**p, Ns=sensors_for_load(alpha, p["N"]) if Ns is None else Ns, p1=1.0 - p["p0"]),
+        detector=DetectorSpec(**det),
+        mc=McConfig(mc["trials"], top["seed"] if mc["seed"] is None else mc["seed"], mc["workers"]),
+        seed=top["seed"], grid_N=grid["N"], grid_alpha=grid["alpha"], cell_seeds=grid["seeds"],
+        output=top["output"], matrix_path=top["matrix_path"],
     )
 
 
@@ -553,23 +513,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_overrides(config: ExperimentConfig, args: argparse.Namespace) -> ExperimentConfig:
-    mc = config.mc
-    if args.seed is not None:
-        if not 0 <= args.seed < SEED_MAX:
-            raise ParseError(f"--seed must lie in [0, 2**64), got {args.seed}")
-        config = replace(config, seed=args.seed)
-        mc = replace(mc, seed=args.seed)
-    if args.trials is not None:
-        mc = replace(mc, trials_per_hypothesis=args.trials)
-    if args.workers is not None:
-        mc = replace(mc, worker_hint=args.workers)
-    config = replace(config, mc=mc)
-    if args.out is not None:
-        config = replace(config, output=args.out)
-    return config
-
-
 def _pin_blas_threads() -> None:
     """Set the scipy-openblas library bundled with numpy to one thread.
 
@@ -600,8 +543,7 @@ def main(argv=None) -> int:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
     try:
-        config = parse_config(text, mode=args.mode)
-        config = _apply_overrides(config, args)
+        config = parse_config(text, mode=args.mode, flags=vars(args))
     except (ParseError, InvalidParam, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -144,9 +145,11 @@ def sensors_for_load(alpha: float, N: int) -> int:
     check_count("N", N, "spreading length")
     if not _is_real(alpha) or alpha <= 0:
         raise InvalidParam("alpha", alpha, "load ratio must be finite and > 0")
-    if not math.isfinite(alpha * N):
+    # an N past the float range makes the product raise rather than overflow to inf
+    load = alpha * N if N <= sys.float_info.max else math.inf
+    if not math.isfinite(load):
         raise InvalidParam("alpha", alpha, f"load {alpha} at N={N} gives a non-finite sensor count")
-    Ns = int(math.floor(alpha * N + 0.5))
+    Ns = int(math.floor(load + 0.5))
     if Ns < 1:
         raise InvalidParam("alpha", alpha, f"load {alpha} at N={N} rounds to zero sensors")
     return Ns

@@ -27,10 +27,6 @@ from .core import DetectorSpec, SystemParams, amplifier_gain, log_tails, thresho
 from .errors import DimensionMismatch, NumericalFailure
 from .spreading import SpreadingMatrix
 
-EXACT = "exact"
-ASYMPTOTIC = "asymptotic"
-MONTECARLO = "montecarlo"
-
 _BLOCK = 32
 """Width of the diagonal blocks _solve_lower substitutes over."""
 
@@ -130,19 +126,17 @@ class PerformanceReport:
     """Error probabilities of one detector on one channel.
 
     pe = p0 pf + p1 pm, and log_pe is its natural log, finite on the
-    analytic routes long after pe itself underflows to 0.  method records
-    which route produced the numbers ("exact", "asymptotic" or
-    "montecarlo"); tau_prime is the resolved threshold actually applied;
-    mc carries simulation diagnostics and is None for analytic routes; qf
-    is the channel's quadratic form, whose detection SNR g^2 qf the
-    threshold was resolved against, and is None for the asymptotic route.
+    analytic routes long after pe itself underflows to 0.  tau_prime is
+    the resolved threshold actually applied; mc carries simulation
+    diagnostics and is None for analytic routes; qf is the channel's
+    quadratic form, whose detection SNR g^2 qf the threshold was resolved
+    against, and is None for the asymptotic route.
     """
 
     pf: float
     pm: float
     pe: float
     log_pe: float
-    method: str
     tau_prime: float
     mc: McDiagnostics | None = None
     qf: float | None = None
@@ -259,9 +253,7 @@ def quadratic_forms(params: SystemParams, block) -> list[float]:
     return _inverse_forms(*_bordered_cholesky(cov, block.sum(axis=2), params.sigma_w2)).tolist()
 
 
-def tail_report(
-    params: SystemParams, x: float, spec: DetectorSpec, method: str, qf: float | None = None
-) -> PerformanceReport:
+def tail_report(params: SystemParams, x: float, spec: DetectorSpec, qf: float | None = None) -> PerformanceReport:
     """Error probabilities of the detector spec on a statistic of detection SNR x.
 
     The threshold is resolved against x; pf and pm are the exponentials of
@@ -277,9 +269,7 @@ def tail_report(
         log_pf, log_pm = log_tails(x, params.m, tau)
     pf, pm = math.exp(log_pf), math.exp(log_pm)
     log_pe = float(np.logaddexp(math.log(params.p0) + log_pf, math.log(params.p1) + log_pm))
-    return PerformanceReport(
-        pf=pf, pm=pm, pe=params.p0 * pf + params.p1 * pm, log_pe=log_pe, method=method, tau_prime=tau, qf=qf
-    )
+    return PerformanceReport(pf=pf, pm=pm, pe=params.p0 * pf + params.p1 * pm, log_pe=log_pe, tau_prime=tau, qf=qf)
 
 
 def detection_snr(params: SystemParams, qf: float) -> float:
@@ -298,7 +288,7 @@ def exact_report(params: SystemParams, qf: float, spec: DetectorSpec) -> Perform
     exactly.  A vanishing gain raises NumericalFailure before the threshold
     is resolved, whatever the detector.
     """
-    return tail_report(params, detection_snr(params, qf), spec, EXACT, qf=qf)
+    return tail_report(params, detection_snr(params, qf), spec, qf=qf)
 
 
 def exact_performance(params: SystemParams, S: SpreadingMatrix, spec: DetectorSpec) -> PerformanceReport:

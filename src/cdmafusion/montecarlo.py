@@ -26,7 +26,7 @@ import numpy as np
 from .core import NEYMAN_PEARSON, DetectorSpec, SystemParams, check_count, check_seed, map_workers, seed_sequence
 from .core import threshold_for
 from .errors import DomainError, NumericalFailure
-from .exact import MONTECARLO, ChannelModel, McDiagnostics, PerformanceReport, detection_snr, quadratic_form
+from .exact import ChannelModel, McDiagnostics, PerformanceReport, detection_snr, quadratic_form
 from .spreading import SpreadingMatrix
 
 CHUNK_TRIALS = 1 << 14
@@ -205,6 +205,4 @@ def estimate(
         stderr_pe=se_pe,
     )
     log_pe = math.log(pe) if pe > 0.0 else -math.inf
-    return PerformanceReport(
-        pf=pf, pm=pm, pe=pe, log_pe=log_pe, method=MONTECARLO, tau_prime=tau, mc=diag, qf=qf
-    )
+    return PerformanceReport(pf=pf, pm=pm, pe=pe, log_pe=log_pe, tau_prime=tau, mc=diag, qf=qf)

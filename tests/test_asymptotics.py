@@ -120,6 +120,20 @@ class TestBeta0:
             root = (mpmath.sqrt(b * b + 4 * a * alpha) - b) / (2 * a)
         assert beta0(alpha, gv, sw) == pytest.approx(float(root), rel=1e-14, abs=0)
 
+    @pytest.mark.parametrize("alpha, gv, sw", [
+        (0.5, 5e-201, 1e-201),  # b < 0 and gamma sigma_w2 underflows to 0
+        (0.5, 1.44e196, 7.92e-138),  # b < 0 and b^2 overflows
+        (0.5, 1e-300, 1e-308),  # b < 0, b^2 and gamma sigma_w2 underflow
+        (0.25, 1e300, 1e299),  # b < 0, b^2 overflows and 4 gamma sigma_w2 alpha too
+    ])
+    def test_direct_root_where_the_coefficients_leave_the_float_range(self, alpha, gv, sw):
+        # the textbook root adds two positive terms here, so 60 digits are plenty
+        with mpmath.workdps(60):
+            a, b = mpmath.mpf(gv) * sw, alpha * (mpmath.mpf(gv) + sw) - gv
+            assert b < 0
+            root = (mpmath.sqrt(b * b + 4 * a * alpha) - b) / (2 * a)
+        assert beta0(alpha, gv, sw) == pytest.approx(float(root), rel=1e-14, abs=0)
+
     @pytest.mark.parametrize(
         "alpha,gv,sw",
         [(-0.1, 1.0, 1.0), (math.inf, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, math.nan, 1.0),
@@ -161,7 +175,6 @@ class TestMu:
 class TestAsymptoticPerformance:
     def test_reference_pe(self):
         rep = asymptotic_performance(make_params(), DetectorSpec())
-        assert rep.method == "asymptotic"
         assert rep.tau_prime == 0.0
         assert rep.pe == pytest.approx(0.0508240771123903, abs=1e-15)
         assert rep.pf == rep.pm

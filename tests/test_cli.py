@@ -12,16 +12,21 @@ import sys
 import types
 from pathlib import Path
 
+import hypothesis
+import hypothesis.strategies as st
 import mpmath
 import numpy as np
 import pytest
 
 import cdmafusion
-from cdmafusion import ParseError, cli, convergence, exact
+from cdmafusion import DomainError, InvalidParam, ParseError, cli, convergence, exact
 from cdmafusion.cli import main, parse_config
+from cdmafusion.core import CRITERIA
 from cdmafusion.spreading import generate, save_csv
 
 SRC = Path(__file__).resolve().parents[1] / "src"
+# a JSON integer of 401 digits: past the float range, within the interpreter's digit limit
+HUGE = "1" + "0" * 400
 
 
 def read_csv(path):
@@ -130,6 +135,10 @@ class TestParseConfig:
             ('{"grid": {"seeds": 0}}', "seeds"),
             ('{"params": 3}', "object"),
             ("[1, 2]", "object"),
+            ('{"params": {"P": %s}}' % HUGE, "params.P must be finite"),
+            ('{"grid": {"alpha": [1.0, %s]}}' % HUGE, "grid.alpha entries must be finite"),
+            ('{"mc": {"seed": 18446744073709551616}}', "mc.seed must lie in"),
+            ('{"seed": 1%s}' % ("0" * 5000), "invalid JSON"),
         ],
     )
     def test_rejections(self, doc, fragment):
@@ -165,10 +174,112 @@ class TestParseConfig:
         assert cfg2.mc.seed == 5
 
     def test_invalid_model_value_raises_invalid_param(self):
-        from cdmafusion import InvalidParam
-
         with pytest.raises(InvalidParam):
             parse_config('{"params": {"P": -3.0}}', mode="analyze")
+
+    def test_spreading_length_past_the_float_range_is_invalid_param(self):
+        # the sensor count alpha * N is not a float there
+        with pytest.raises(InvalidParam, match="non-finite sensor count"):
+            parse_config('{"params": {"N": %s}}' % HUGE, mode="analyze")
+
+    def test_flags_write_over_their_keys(self):
+        doc = '{"seed": 3, "output": "a.csv", "mc": {"seed": 4, "trials": 10, "workers": 1}}'
+        cfg = parse_config(doc, mode="montecarlo", flags={"seed": 7, "trials": 20, "workers": 2, "out": "b.csv"})
+        assert (cfg.seed, cfg.mc.seed, cfg.mc.trials_per_hypothesis, cfg.mc.worker_hint, cfg.output) == (
+            7, 7, 20, 2, "b.csv")
+        # a flag that is None, or absent, leaves its key alone
+        cfg = parse_config(doc, mode="montecarlo", flags={"seed": None, "quiet": True})
+        assert (cfg.seed, cfg.mc.seed, cfg.output) == (3, 4, "a.csv")
+
+    def test_flags_pass_their_keys_checks(self):
+        for seed in (-3, 2**64):
+            with pytest.raises(ParseError, match=r"^seed must lie in \[0, 2\*\*64\)"):
+                parse_config("{}", mode="analyze", flags={"seed": seed})
+        with pytest.raises(ParseError, match="mc.trials must be an integer"):
+            parse_config("{}", mode="montecarlo", flags={"trials": 1.5})
+        with pytest.raises(InvalidParam, match="trials per hypothesis"):
+            parse_config("{}", mode="montecarlo", flags={"trials": 0})
+        with pytest.raises(InvalidParam, match="worker hint"):
+            parse_config("{}", mode="montecarlo", flags={"workers": -1})
+        # the flag is written before the check, so it replaces a bad config seed
+        assert parse_config('{"seed": -1}', mode="analyze", flags={"seed": 5}).seed == 5
+
+
+# JSON values of every type: bools, nulls, strings and the mode and criterion
+# names, integers past the seed and float ranges, +-1e308, non-finite floats,
+# and nested lists and objects
+_JSON_VALUES = st.recursive(
+    st.one_of(
+        st.none(),
+        st.booleans(),
+        st.integers(-(2**66), 2**66),
+        st.sampled_from([10**400, -(10**400), 2**1024, 2**64, 1e308, -1e308, 1e-310, 0, 0.0]),
+        st.floats(),
+        st.text(max_size=4),
+        st.sampled_from(cli.MODES + CRITERIA),
+    ),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+# values of the JSON type each _SCHEMA kind takes, mostly inside its range,
+# with the edges of the range and integers past the float range
+_EDGES = st.sampled_from([0, -1, 2**64, 10**400, -(10**400), 0.0, -1.0, 1e308, -1e308, 1e-310])
+_TYPED = {
+    "int": st.integers(-1, 300) | _EDGES,
+    "num": st.floats(1e-3, 1e3) | _EDGES,
+    "str": st.text(max_size=4),
+    "seed": st.integers(0, 2**64 - 1) | _EDGES,
+    "count": st.integers(1, 64) | _EDGES,
+    "positive": st.floats(1e-3, 8.0) | _EDGES,
+}
+
+
+def _values(kind, default):
+    """Values for a key of this kind: mostly of its type, or its default."""
+    if isinstance(kind, tuple):
+        typed = st.sampled_from(kind)
+    elif kind.endswith("[]"):
+        typed = st.lists(_TYPED[kind[:-2]], min_size=1, max_size=3, unique=True).map(sorted)
+    else:
+        typed = _TYPED[kind]
+    return _mostly(typed if default is None else typed | st.just(default))
+
+
+def _mostly(typed):
+    """Three draws in four from typed, the rest any JSON value."""
+    return _pick([typed] * 3 + [_JSON_VALUES])
+
+
+def _pick(strategies):
+    """A draw from one of the strategies, each entry equally likely."""
+    return st.sampled_from(strategies).flatmap(lambda chosen: chosen)
+
+
+def _objects(name):
+    """Objects over one _SCHEMA section's keys, nested sections drawn alike; one in
+    five also carries an unknown key."""
+    keys = {key: _mostly(_objects(key)) if kind == "object" else _values(kind, default)
+            for key, (kind, default) in cli._SCHEMA[name].items()}
+    known = st.fixed_dictionaries({}, optional=keys)
+    return _pick([known] * 4 + [st.fixed_dictionaries({"bogus": _JSON_VALUES}, optional=keys)])
+
+
+_FLAGS = st.fixed_dictionaries({}, optional={
+    "seed": st.integers(-1, 2**65), "trials": st.integers(-1, 10**6),
+    "workers": st.integers(-1, 8), "out": st.text(max_size=4),
+})
+
+
+class TestParseConfigProperty:
+    @hypothesis.seed(20261019)
+    @hypothesis.settings(max_examples=1000, deadline=None, database=None)
+    @hypothesis.given(doc=_objects(""), mode=st.sampled_from(cli.MODES) | st.none(), flags=_FLAGS)
+    def test_every_document_parses_or_fails_as_a_config_error(self, doc, mode, flags):
+        try:
+            cfg = parse_config(json.dumps(doc), mode=mode, flags=flags)
+        except (ParseError, InvalidParam, DomainError):
+            return
+        assert isinstance(cfg, cli.ExperimentConfig)
 
 
 class TestRunnerModes:
@@ -554,9 +665,9 @@ class TestExitCodes:
         # Sigma^{-1} S 1 is ~1e300 at sigma_w2 = 1e-300, and g S^T of it overflows
         ("montecarlo", {"N": 8, "Ns": 8, "sigma_v2": 0, "sigma_w2": 1e-300, "m": 1e-20}, None,
          "Monte Carlo statistic weight overflows"),
-        # mu divides by P beta0, which is inf here, or underflows to 0 in the next case
-        ("asymptotic", {"N": 2, "Ns": 1, "P": 2.88e196, "m": 4.27e-125, "sigma_v2": 3.58e-18,
-                        "sigma_w2": 7.92e-138, "p0": 0.01}, None, "beta0 overflows to inf at N=2"),
+        # beta0 ~ 1 / (2 sigma_w2) ~ 5e309 is past every float here, and mu would
+        # divide by it; in the next case P beta0 underflows to 0
+        ("asymptotic", {"N": 8, "Ns": 4, "sigma_w2": 1e-310}, None, "beta0 overflows to inf at N=8"),
         ("asymptotic", {"N": 2, "Ns": 1, "P": 6.29e-271, "m": 1.67e148, "sigma_v2": 0, "sigma_w2": 4.45e68},
          {"criterion": "fixed", "tau_prime": 0.0}, "P beta0 underflows to 0 at N=2"),
     ], ids=["montecarlo-weight-overflows", "asymptotic-beta0-overflows", "asymptotic-P-beta0-underflows"])
@@ -565,6 +676,39 @@ class TestExitCodes:
         proc = self.run_child(tmp_path, mode, params, detector)
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"numerical failure: {message}")
+
+    @pytest.mark.parametrize("params", [
+        {"N": 8, "Ns": 4, "P": 8e-200, "sigma_w2": 1e-201},  # gamma sigma_w2 underflows to 0
+        {"N": 2, "Ns": 1, "P": 2.88e196, "m": 4.27e-125, "sigma_v2": 3.58e-18, "sigma_w2": 7.92e-138,
+         "p0": 0.01},  # b^2 overflows
+    ], ids=["product-underflows", "square-overflows"])
+    def test_direct_fixed_point_root_outside_the_coefficient_range(self, tmp_path, params):
+        # b < 0: the root is finite although a coefficient of the quadratic is not a float
+        out = tmp_path / "a.csv"
+        cfg = config_file(tmp_path, {"mode": "asymptotic", "output": str(out), "params": params})
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        p = {"P": 10.0, "m": 1.0, "sigma_v2": 1.0, **params}
+        with mpmath.workdps(60):
+            P, m, sv, sw = (mpmath.mpf(p[k]) for k in ("P", "m", "sigma_v2", "sigma_w2"))
+            gamma, alpha = (P / p["N"]) * sv / (m**2 + sv), mpmath.mpf(p["Ns"]) / p["N"]
+            a, b = gamma * sw, alpha * (gamma + sw) - gamma
+            want = (mpmath.sqrt(b**2 + 4 * a * alpha) - b) / (2 * a)
+        assert float(row["beta0"]) == pytest.approx(float(want), rel=1e-8)
+
+    def test_number_past_the_float_range_is_one_line_config_error(self, tmp_path):
+        out = tmp_path / "a.csv"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"mode": "asymptotic", "output": "%s", "params": {"P": %s}}' % (out, HUGE))
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", str(cfg), "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: params.P must be finite, got 1000")
+        assert proc.stderr.count("\n") == 1 and "Traceback" not in proc.stderr
+        assert not out.exists()
 
     def test_vanishing_fixed_point_denominator_is_not_a_division_by_zero(self, tmp_path):
         # b == 0 and 4 gamma sigma_w2 alpha underflows: the scaled root gives

@@ -149,7 +149,6 @@ class TestExactPerformance:
     def test_report_fields(self):
         p = make_params()
         rep = exact_performance(p, generate(16, 16, seed=0), DetectorSpec())
-        assert rep.method == "exact"
         assert rep.mc is None
         assert rep.tau_prime == 0.0
         assert rep.qf == quadratic_form(model_for(p))

@@ -184,7 +184,6 @@ class TestEstimate:
         p = make_params(p0=0.4, p1=0.6)
         S = generate(8, 8, seed=0)
         rep = estimate(p, S, DetectorSpec(), McConfig(trials_per_hypothesis=4000, seed=3))
-        assert rep.method == "montecarlo"
         assert rep.pe == pytest.approx(0.4 * rep.pf + 0.6 * rep.pm, abs=1e-15)
         assert rep.mc.seed == 3
         assert rep.mc.stderr_pf == pytest.approx(np.sqrt(rep.pf * (1 - rep.pf) / 4000), rel=1e-12)
