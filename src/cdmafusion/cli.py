@@ -233,7 +233,7 @@ def parse_config(text: bytes | str, *, mode: str | None = None, flags: dict | No
         raise ParseError(f"unsupported schema {top['schema']}, expected 1")
     if mode is not None and top["mode"] is not None and mode != top["mode"]:
         raise ParseError(f"mode mismatch: command line says {mode!r}, config says {top['mode']!r}")
-    mode = top["mode"] if mode is None else mode
+    mode = top["mode"] if mode is None else _value("mode", MODES, mode)
     if mode is None:
         raise ParseError("no mode: give one on the command line or as \"mode\" in the config")
     if top["matrix_path"] is not None and mode not in ("analyze", "montecarlo"):

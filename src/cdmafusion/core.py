@@ -116,8 +116,10 @@ def validate(params: SystemParams) -> SystemParams:
     declaration order.
     """
     p = params
-    check_count("N", p.N, "spreading length")
-    check_count("Ns", p.Ns, "sensor count")
+    for name, count, what in (("N", p.N, "spreading length"), ("Ns", p.Ns, "sensor count")):
+        # every route forms floats from the counts, which an integer past the float range fails
+        if check_count(name, count, what) > sys.float_info.max:
+            raise InvalidParam(name, count, f"{what} must not exceed the float range")
     if not _is_real(p.P) or p.P <= 0:
         raise InvalidParam("P", p.P, "total power must be finite and > 0")
     if not _is_real(p.m) or p.m <= 0:

@@ -110,7 +110,12 @@ class ChannelModel:
 
 @dataclass(frozen=True)
 class McDiagnostics:
-    """Trial counts and binomial standard errors attached to simulation output."""
+    """Trial counts and standard errors attached to simulation output.
+
+    Both counts come from the same trials_per_hypothesis noise draws.
+    stderr_pf and stderr_pm are binomial; stderr_pe is that of the coupled
+    pair p0 pf + p1 pm, covariance included (see montecarlo.estimate).
+    """
 
     trials_per_hypothesis: int
     seed: int

@@ -4,12 +4,14 @@ Each trial draws sensor observations z = -+m + v, amplifies them, spreads
 them through the signature matrix and adds receiver noise, then thresholds
 the fusion statistic.  The statistic is linear in the two noise vectors, so
 a trial is one weighted sum of its Ns + N standard normals (see estimate);
-the received chip vector itself is never formed.  Trials are produced in
-fixed-size chunks, each chunk from its own SFC64 stream spawned from
-(seed, hypothesis, chunk index).  A chunk draws its normals _DRAW_ROWS rows
-at a time and folds each block into the statistic before drawing the next,
-so a worker holds about 1.25 MiB (one 1 MiB block and two CHUNK_TRIALS
-vectors) whatever Ns + N is.
+the received chip vector itself is never formed.  That noise term has the
+same law under both hypotheses, so one draw of it serves a false-alarm
+trial and a miss trial (common random numbers; RNG_ID names this scheme,
+from artifact 0.5.0 on).  Trials are produced in fixed-size chunks, each
+chunk from its own SFC64 stream spawned from (seed, 0, chunk index).  A
+chunk draws its normals _DRAW_ROWS rows at a time and folds each block
+into the noise term before drawing the next, so a worker holds about
+1.25 MiB (one 1 MiB block and two CHUNK_TRIALS vectors) whatever Ns + N is.
 Chunk counts are integers merged by addition, so the estimate is a pure
 function of (inputs, seed) regardless of how many workers execute chunks
 or in what order they finish.
@@ -30,7 +32,7 @@ from .exact import ChannelModel, McDiagnostics, PerformanceReport, detection_snr
 from .spreading import SpreadingMatrix
 
 CHUNK_TRIALS = 1 << 14
-RNG_ID = "sfc64-seedseq-chunk16384-v2"
+RNG_ID = "sfc64-seedseq-chunk16384-shared-v3"
 NORMAL_SAMPLER_ID = "numpy-ziggurat-v1"
 _DRAW_ROWS = 8
 """Rows of a chunk's normals drawn and folded into its statistic at a time.
@@ -60,8 +62,10 @@ class McConfig:
             check_count("worker_hint", self.worker_hint, "worker hint")
 
 
-def _chunk_rng(seed: int, hypothesis: int, chunk_idx: int) -> np.random.Generator:
-    return np.random.Generator(np.random.SFC64(seed_sequence(seed, hypothesis, chunk_idx)))
+def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
+    # spawn key (0, chunk_idx): the stream H0 alone drew from up to artifact
+    # 0.4.0, so false-alarm counts stay those of that artifact
+    return np.random.Generator(np.random.SFC64(seed_sequence(seed, 0, chunk_idx)))
 
 
 def simulate_trials(
@@ -80,7 +84,8 @@ def simulate_trials(
 
     estimate does not call this: it draws those normals and applies the
     collapsed weight directly.  This is the reference path that the
-    collapsed statistic is tested against, weight @ r for a chunk's stream.
+    collapsed statistic is tested against, weight @ r for a chunk's stream
+    under either hypothesis.
     """
     if hypothesis not in (0, 1):
         raise DomainError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
@@ -119,28 +124,31 @@ def _collapsed_weight(model: ChannelModel) -> tuple[np.ndarray, float]:
 
 def _count_errors(
     noise_weight: np.ndarray,
-    bound: float,
-    hypothesis: int,
+    bounds: tuple[float, float],
     seed: int,
     chunk_idx: int,
     size: int,
-) -> int:
-    """Errors among a chunk's trials of the noise term d = noise_weight . n,
-    which is T less its mean -+shift: T >= tau is d >= bound = tau +- shift."""
-    rng = _chunk_rng(seed, hypothesis, chunk_idx)
+) -> tuple[int, int, int]:
+    """(false alarms, misses, both) among a chunk's trials of the noise term
+    d = noise_weight . n, which is T less its mean -+shift.  One draw of d
+    serves both hypotheses: T >= tau is d >= bounds[0] = tau + shift under
+    H0 and d >= bounds[1] = tau - shift under H1; `both` counts the trials
+    that are an error under each."""
+    rng = _chunk_rng(seed, chunk_idx)
     d = np.zeros(size)
     for r0 in range(0, noise_weight.size, _DRAW_ROWS):
         w = noise_weight[r0:r0 + _DRAW_ROWS]
         d += w @ rng.standard_normal((w.size, size))
-    if hypothesis == 0:
-        return int(np.count_nonzero(d >= bound))
-    return int(np.count_nonzero(d < bound))
+    false_alarm = d >= bounds[0]
+    miss = d < bounds[1]
+    return (int(np.count_nonzero(false_alarm)), int(np.count_nonzero(miss)),
+            int(np.count_nonzero(false_alarm & miss)))
 
 
 def estimate(
     params: SystemParams, S: SpreadingMatrix, spec: DetectorSpec, mc: McConfig
 ) -> PerformanceReport:
-    """Monte Carlo error probabilities with binomial standard errors.
+    """Monte Carlo error probabilities with their standard errors.
 
     The detector is the same one exact_performance analyses: the threshold
     is resolved against this channel's detection SNR g^2 qf, and the statistic is
@@ -162,6 +170,17 @@ def estimate(
     bound on that term under the null is the alpha_fa quantile of its own
     spread ||noise_weight|| = 2 m sqrt(x): the same threshold, which stays
     finite where x overflows and np_threshold falls to -inf.
+
+    That noise term has the same law under both hypotheses, so each chunk
+    draws it once and counts a false alarm and a miss on every draw: one
+    pool job per chunk, n (Ns + N) normals in all.  Each count is still
+    Binomial(n, p) with a binomial stderr_pf or stderr_pm.  stderr_pe is
+    the standard error of the coupled pair,
+
+        sqrt(p0^2 pf (1 - pf) + p1^2 pm (1 - pm) + 2 p0 p1 (both/n - pf pm)) / sqrt(n),
+
+    where `both` counts the draws in error under each hypothesis; the
+    bounds are ordered (shift >= 0), so both is 0.
     """
     model = ChannelModel.from_params(params, S)
     noise_weight, shift = _collapsed_weight(model)
@@ -174,27 +193,20 @@ def estimate(
         bounds = (tau + shift, tau - shift)
 
     n = mc.trials_per_hypothesis
-    jobs = [
-        (hyp, idx, size)
-        for hyp in (0, 1)
-        for idx, size in _chunk_plan(n)
-    ]
 
-    def run(job: tuple[int, int, int]) -> tuple[int, int]:
-        hyp, idx, size = job
-        return hyp, _count_errors(noise_weight, bounds[hyp], hyp, mc.seed, idx, size)
+    def run(job: tuple[int, int]) -> tuple[int, int, int]:
+        return _count_errors(noise_weight, bounds, mc.seed, *job)
 
-    counts = [0, 0]
-    for hyp, c in map_workers(run, jobs, mc.worker_hint):
-        counts[hyp] += c
-
-    false_alarms, misses = counts
+    counts = map_workers(run, _chunk_plan(n), mc.worker_hint)
+    false_alarms, misses, both = (sum(c) for c in zip(*counts))
     pf = false_alarms / n
     pm = misses / n
     pe = params.p0 * pf + params.p1 * pm
     se_pf = math.sqrt(pf * (1.0 - pf) / n)
     se_pm = math.sqrt(pm * (1.0 - pm) / n)
-    se_pe = math.sqrt((params.p0 * se_pf) ** 2 + (params.p1 * se_pm) ** 2)
+    var_pe = (params.p0**2 * pf * (1.0 - pf) + params.p1**2 * pm * (1.0 - pm)
+              + 2.0 * params.p0 * params.p1 * (both / n - pf * pm))
+    se_pe = math.sqrt(max(var_pe, 0.0) / n)
     diag = McDiagnostics(
         trials_per_hypothesis=n,
         seed=mc.seed,

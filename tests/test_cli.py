@@ -101,6 +101,9 @@ class TestParseConfig:
     def test_unknown_mode(self):
         with pytest.raises(ParseError, match="unknown mode"):
             parse_config('{"mode": "frobnicate"}')
+        # the argument passes the same check as the key: argparse guards only the CLI
+        with pytest.raises(ParseError, match="unknown mode 'bogus'"):
+            parse_config("{}", mode="bogus")
 
     def test_duplicate_keys_rejected(self):
         with pytest.raises(ParseError, match="duplicate"):
@@ -345,7 +348,7 @@ class TestRunnerModes:
             "pf_exact", "pm_exact", "pe_exact",
         ]
         assert rows[0][4] == "4000"
-        assert any("mc_rng=sfc64-seedseq-chunk16384-v2" in line for line in meta)
+        assert any("mc_rng=sfc64-seedseq-chunk16384-shared-v3" in line for line in meta)
         assert any("normal_sampler=numpy-ziggurat-v1" in line for line in meta)
         # worker hints must never appear in the artifact
         assert not any("worker" in line for line in meta)
@@ -627,6 +630,15 @@ class TestExitCodes:
         proc = self.run_child(tmp_path, mode, {"N": 8, "Ns": 8, "m": 1e200})
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: m=1e+200 violates:")
+
+    @pytest.mark.parametrize("mode", ["analyze", "asymptotic"])
+    @pytest.mark.parametrize("key", ["N", "Ns"])
+    def test_count_past_the_float_range_is_config_error(self, tmp_path, mode, key):
+        # every route forms floats from N and Ns; a 401-digit count cannot be one
+        params = dict({"N": 8, "Ns": 4}, **{key: int(HUGE)})
+        proc = self.run_child(tmp_path, mode, params)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(f"error: {key}={HUGE} violates:")
 
     @pytest.mark.parametrize("mode", ["analyze", "asymptotic", "montecarlo", "converge",
                                       "sweep-grid", "sweep-limits"])
@@ -938,10 +950,10 @@ class TestConvergeSinglePass:
     GOLDEN = {
         "converge": ({"mode": "converge", "seed": 4, "params": {"N": 8, "alpha": 2.0},
                       "grid": {"N": [7, 8, 16], "seeds": 3}},
-                     "42088c788d341ded1375fbd2556d0aa47383ea8212378b2efd3cc2750d6c6a67"),
+                     "7f902ce109e8435674c547ba93969c03f4996b767d078565b36b577fdaf16d11"),
         "sweep-grid": ({"mode": "sweep-grid", "seed": 2,
                         "grid": {"N": [8, 16], "alpha": [0.5, 2.0], "seeds": 3}},
-                       "48f05d26177d19751cba8f38c14c0efbe3b2d5d80b9a386010e347b6277216ab"),
+                       "093ac173288d18b50d0dd2316c898fe997ff6b371da0590730e1b177fb4cd4a3"),
     }
 
     @pytest.mark.parametrize("mode", sorted(GOLDEN))
@@ -1001,7 +1013,7 @@ class TestSweepGridBlocks:
     # seeds were blocked: at N=128 both points split into several blocks
     GOLDEN = ({"mode": "sweep-grid", "seed": 0,
                "grid": {"N": [8, 128], "alpha": [0.5, 4.0], "seeds": 5}},
-              "74e4a999600bb31b4e3e9e7e8d1bb4bef78e53a514b25ba458d28a60e8810f7b")
+              "47d5450b80e778e4c48e256fac6bb04488a20d21313f273cd88802d01ebddb7b")
 
     def run_grid(self, tmp_path, *extra, name="grid.csv"):
         doc, _ = self.GOLDEN
@@ -1043,11 +1055,11 @@ class TestSweepGridBlocks:
 
 
 class TestMontecarloGolden:
-    # sha256 of the whole artifact: two full chunks and a remainder per
-    # hypothesis on the sfc64 chunk stream, run on the two-worker pool
+    # sha256 of the whole artifact: two full chunks and a remainder, each one
+    # draw for both hypotheses on the sfc64 chunk stream, run on the two-worker pool
     GOLDEN = ({"mode": "montecarlo", "seed": 3, "params": {"N": 12, "Ns": 20, "P": 4.0, "sigma_v2": 0.5},
                "mc": {"trials": 2 * 16384 + 5, "workers": 2}},
-              "218e8dd6943808319123a3368a1668b3dbc1f87cd073f7fe7b8fc2766f2242ec")
+              "78bb7658cf65a59d11c6177b261e477a8e266b1342b6255bd24397e28b44f5bd")
 
     def test_golden_artifact(self, tmp_path):
         doc, digest = self.GOLDEN

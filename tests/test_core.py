@@ -98,6 +98,8 @@ class TestSystemParams:
             ("sigma_w2", 0.0), ("sigma_w2", -1.0),
             ("p0", 0.0), ("p0", 1.0), ("p0", -0.2), ("p0", 1.3),
             ("p1", 0.0), ("p1", 1.0),
+            # every route forms floats from the counts
+            pytest.param("N", 10**400, id="N-past-float-range"), pytest.param("Ns", 10**400, id="Ns-past-float-range"),
         ],
     )
     def test_field_violations(self, field, value):

@@ -5,8 +5,12 @@ replicate, 45-of-50 coverage, 5 percent Frobenius error at 200k trials) so a
 correct implementation fails only with negligible probability.
 """
 
+import importlib.util
+import json
 import math
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -25,7 +29,7 @@ from cdmafusion import (
     simulate_trials,
     threshold_for,
 )
-from cdmafusion import montecarlo
+from cdmafusion import cli, montecarlo
 from cdmafusion.exact import detection_snr
 from cdmafusion.montecarlo import (
     CHUNK_TRIALS,
@@ -137,7 +141,7 @@ class TestMcConfig:
         assert estimate(p, S, DetectorSpec(), mc) == estimate(p, S, DetectorSpec(), ref)
 
     def test_identifiers_are_stable(self):
-        assert RNG_ID == "sfc64-seedseq-chunk16384-v2"
+        assert RNG_ID == "sfc64-seedseq-chunk16384-shared-v3"
         assert NORMAL_SAMPLER_ID == "numpy-ziggurat-v1"
         assert CHUNK_TRIALS == 16384
 
@@ -261,13 +265,14 @@ class TestCollapsedKernel:
         weight = 2.0 * model.g * p.m * model.detector
         noise_weight, shift = _collapsed_weight(model)
         tau = 0.3
+        counts = _count_errors(noise_weight, (tau + shift, tau - shift), self.SEED, idx, size)
         for hyp, offset in ((0, -shift), (1, shift)):
-            ref = weight @ simulate_trials(p, S, hyp, size, _chunk_rng(self.SEED, hyp, idx))
-            noise = _chunk_rng(self.SEED, hyp, idx).standard_normal((Ns + N, size))
+            ref = weight @ simulate_trials(p, S, hyp, size, _chunk_rng(self.SEED, idx))
+            noise = _chunk_rng(self.SEED, idx).standard_normal((Ns + N, size))
             np.testing.assert_allclose(offset + noise_weight @ noise, ref,
                                        rtol=1e-12, atol=1e-12 * np.abs(ref).max())
             want = np.count_nonzero(ref >= tau) if hyp == 0 else np.count_nonzero(ref < tau)
-            assert _count_errors(noise_weight, tau - offset, hyp, self.SEED, idx, size) == want
+            assert counts[hyp] == want
 
     def test_shift_is_the_statistic_at_the_h1_mean(self):
         # T evaluated at the H1 mean g m S 1 equals 2 g^2 m^2 qf
@@ -281,7 +286,7 @@ class TestCollapsedKernel:
         noise_weight = np.random.default_rng(rows).standard_normal(rows)
         tracemalloc.start()
         try:
-            _count_errors(noise_weight, -0.1, 1, self.SEED, 0, CHUNK_TRIALS)
+            _count_errors(noise_weight, (0.1, -0.1), self.SEED, 0, CHUNK_TRIALS)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -295,7 +300,8 @@ class TestCollapsedKernel:
         self.check_counts_against_reference_path(DetectorSpec(criterion="np", alpha_fa=0.2))
 
     def check_counts_against_reference_path(self, spec):
-        # every chunk of both hypotheses, remainder included, through simulate_trials
+        # every chunk of both hypotheses, remainder included, through simulate_trials;
+        # both hypotheses read the chunk's one stream
         p = make_params(N=6, Ns=9)
         S = generate(6, 9, seed=2)
         model = ChannelModel.from_params(p, S)
@@ -305,16 +311,18 @@ class TestCollapsedKernel:
         counts = [0, 0]
         for hyp in (0, 1):
             for idx, size in _chunk_plan(n):
-                t = weight @ simulate_trials(p, S, hyp, size, _chunk_rng(self.SEED, hyp, idx))
+                t = weight @ simulate_trials(p, S, hyp, size, _chunk_rng(self.SEED, idx))
                 counts[hyp] += int(np.count_nonzero(t >= tau) if hyp == 0 else np.count_nonzero(t < tau))
         rep = estimate(p, S, spec, McConfig(trials_per_hypothesis=n, seed=self.SEED, worker_hint=2))
         assert (rep.mc.false_alarms, rep.mc.misses) == tuple(counts)
         assert rep.tau_prime == tau
 
-    @pytest.mark.parametrize("seed, hyp, idx", [(0, 0, 0), (12, 1, 5), (2**64 - 1, 1, 61)])
-    def test_chunk_stream_is_seeded_sfc64(self, seed, hyp, idx):
-        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(hyp, idx))))
-        rng = _chunk_rng(seed, hyp, idx)
+    @pytest.mark.parametrize("seed, idx", [(0, 0), (12, 5), (2**64 - 1, 61)],
+                             ids=["seed-0-chunk-0", "seed-12-chunk-5", "max-seed-chunk-61"])
+    def test_chunk_stream_is_seeded_sfc64(self, seed, idx):
+        # spawn key (0, idx), the key of the H0 chunks of artifacts up to 0.4.0
+        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(0, idx))))
+        rng = _chunk_rng(seed, idx)
         assert isinstance(rng.bit_generator, np.random.SFC64)
         np.testing.assert_array_equal(rng.standard_normal((7, 33)), want.standard_normal((7, 33)))
 
@@ -335,3 +343,136 @@ class TestCollapsedKernel:
         chunk_rng = montecarlo._chunk_rng
         monkeypatch.setattr(montecarlo, "_chunk_rng", lambda *a: OnlyStandardNormal(chunk_rng(*a)))
         assert estimate(p, S, DetectorSpec(), mc) == want
+
+
+class TestCoupledEstimator:
+    """One noise draw per trial serves a false alarm and a miss."""
+
+    @staticmethod
+    def coupled_stderr_pe(p, rep):
+        # both = 0: the bounds on the noise term are ordered, so the covariance is -pf pm
+        n = rep.mc.trials_per_hypothesis
+        var = p.p0**2 * rep.pf * (1 - rep.pf) + p.p1**2 * rep.pm * (1 - rep.pm) - 2 * p.p0 * p.p1 * rep.pf * rep.pm
+        return math.sqrt(var / n)
+
+    @pytest.mark.parametrize("p0, spec", [(0.5, DetectorSpec()), (0.3, DetectorSpec(criterion="np", alpha_fa=0.1))],
+                             ids=["bayes", "np"])
+    def test_stderr_pe_is_calibrated(self, p0, spec):
+        # 2000 replicates of 2000 trials: the variance ratio has a relative sd of
+        # about sqrt(2/1999) = 0.032, so [0.88, 1.12] is about 3.7 sigma wide.  The
+        # independent formula sqrt((p0 se_pf)^2 + (p1 se_pm)^2) reads 0.63 (bayes)
+        # and 0.85 (np) on these replicates.
+        p = make_params(P=1.0, p0=p0, p1=1.0 - p0)
+        S = generate(8, 8, seed=11)
+        reps = [estimate(p, S, spec, McConfig(trials_per_hypothesis=2000, seed=10_000 + k)) for k in range(2000)]
+        empirical = np.var([r.pe for r in reps], ddof=1)
+        reported = np.mean([r.mc.stderr_pe**2 for r in reps])
+        assert 0.88 <= empirical / reported <= 1.12
+
+    @pytest.mark.parametrize("spec", [DetectorSpec(), DetectorSpec(criterion="np", alpha_fa=0.2),
+                                      DetectorSpec(criterion="fixed", tau_prime=-0.5)], ids=["bayes", "np", "fixed"])
+    def test_stderr_pe_is_that_of_the_coupled_pair(self, spec):
+        p = make_params(N=12, Ns=20, P=4.0, sigma_v2=0.5, p0=0.4, p1=0.6)
+        rep = estimate(p, generate(12, 20, seed=3), spec, McConfig(trials_per_hypothesis=CHUNK_TRIALS + 77, seed=5))
+        assert 0 < rep.pf < 1 and 0 < rep.pm < 1
+        assert rep.mc.stderr_pe == pytest.approx(self.coupled_stderr_pe(p, rep), rel=1e-12)
+
+    @pytest.mark.parametrize("bounds", [(0.4, -0.4), (0.0, 0.0), (-0.3, -0.3 - 1e-300)])
+    def test_ordered_bounds_count_no_trial_twice(self, bounds):
+        noise_weight = np.random.default_rng(1).standard_normal(16)
+        assert _count_errors(noise_weight, bounds, 3, 0, 5000)[2] == 0
+
+    def test_crossed_bounds_count_the_overlap(self):
+        # bounds[0] < bounds[1]: both counts the draws in [bounds[0], bounds[1])
+        noise_weight = np.random.default_rng(1).standard_normal(16)
+        d = noise_weight @ _chunk_rng(3, 0).standard_normal((16, 5000))
+        false_alarms, misses, both = _count_errors(noise_weight, (-0.5, 0.5), 3, 0, 5000)
+        assert (false_alarms, misses) == (np.count_nonzero(d >= -0.5), np.count_nonzero(d < 0.5))
+        assert both == np.count_nonzero((d >= -0.5) & (d < 0.5)) > 0
+
+    @pytest.mark.parametrize("spec, pf", [(DetectorSpec(), 0.06264302932291825),
+                                          (DetectorSpec(criterion="np", alpha_fa=0.2), 0.19778476184664207)],
+                             ids=["bayes", "np"])
+    def test_false_alarms_are_those_of_artifact_0_4_0(self, spec, pf):
+        # pf and its binomial stderr as artifact 0.4.0 gave them on the H0 stream of
+        # every chunk, two full chunks and a remainder on the two-worker pool
+        p = make_params(N=12, Ns=20, P=4.0, sigma_v2=0.5)
+        S = generate(12, 20, seed=3)
+        n = 2 * CHUNK_TRIALS + 5
+        rep = estimate(p, S, spec, McConfig(trials_per_hypothesis=n, seed=3, worker_hint=2))
+        assert rep.pf == pf
+        assert rep.mc.false_alarms == round(pf * n)
+        assert rep.mc.stderr_pf == math.sqrt(pf * (1.0 - pf) / n)
+        # and the same count from the H0 reference path on an explicitly keyed stream
+        model = ChannelModel.from_params(p, S)
+        weight = 2.0 * model.g * p.m * model.detector
+        want = 0
+        for idx, size in _chunk_plan(n):
+            rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=3, spawn_key=(0, idx))))
+            want += int(np.count_nonzero(weight @ simulate_trials(p, S, 0, size, rng) >= rep.tau_prime))
+        assert rep.mc.false_alarms == want
+
+    @pytest.mark.parametrize("params, spec, pf, pm", [
+        (make_params(N=1, Ns=2, P=1.0), DetectorSpec(criterion="fixed", tau_prime=0.0), 1.0, 0.0),
+        (make_params(), DetectorSpec(criterion="fixed", tau_prime=1e6), 0.0, 1.0),
+        (make_params(), DetectorSpec(criterion="fixed", tau_prime=-1e6), 1.0, 0.0),
+        (make_params(P=1.0, m=1e-60, sigma_v2=0.0, sigma_w2=1e-200), DetectorSpec(criterion="np", alpha_fa=0.05),
+         None, 0.0),
+    ], ids=["qf-zero-channel", "pf-0-pm-1", "pf-1-pm-0", "np-pm-0"])
+    def test_stderr_pe_at_the_edges(self, params, spec, pf, pm):
+        S = load(np.array([[1.0, -1.0]])) if params.N == 1 else generate(params.N, params.Ns, seed=0)
+        rep = estimate(params, S, spec, McConfig(trials_per_hypothesis=3000, seed=2))
+        assert (pf is None or rep.pf == pf) and rep.pm == pm
+        assert math.isfinite(rep.mc.stderr_pe) and rep.mc.stderr_pe >= 0.0
+        assert rep.mc.stderr_pe == pytest.approx(self.coupled_stderr_pe(params, rep), abs=1e-15)
+
+
+class TestDrawCount:
+    """Each chunk opens one stream and draws Ns + N normals per trial, once."""
+
+    class Counting:
+        """Stands in for one chunk's generator; counts its normals and returns zeros."""
+
+        def __init__(self):
+            self.normals = 0
+
+        def standard_normal(self, size):
+            self.normals += math.prod(size)
+            return np.zeros(size)
+
+    def count_draws(self, monkeypatch, params, mc):
+        """Normals drawn from each stream that estimate opens."""
+        streams = []
+
+        def chunk_rng(*key):
+            stream = self.Counting()
+            streams.append(stream)  # chunks run on the pool: each stream counts alone
+            return stream
+
+        monkeypatch.setattr(montecarlo, "_chunk_rng", chunk_rng)
+        estimate(params, generate(params.N, params.Ns, seed=0), DetectorSpec(), mc)
+        return [s.normals for s in streams]
+
+    @pytest.mark.parametrize("n", [1, CHUNK_TRIALS, 3 * CHUNK_TRIALS + 101])
+    def test_one_stream_per_chunk(self, monkeypatch, n):
+        p = make_params(N=8, Ns=12)
+        log = self.count_draws(monkeypatch, p, McConfig(trials_per_hypothesis=n, seed=1))
+        assert len(log) == math.ceil(n / CHUNK_TRIALS)
+        assert sum(log) == n * (p.Ns + p.N)
+
+    def test_benchmark_config_draws_each_normal_once(self, monkeypatch):
+        cfg = cli.parse_config(json.dumps(montecarlo_workload(monkeypatch).config))
+        log = self.count_draws(monkeypatch, cfg.params, cfg.mc)
+        n = cfg.mc.trials_per_hypothesis
+        assert len(log) == math.ceil(n / CHUNK_TRIALS) == 25
+        assert sum(log) == n * (cfg.params.Ns + cfg.params.N) == 76_800_000
+
+
+def montecarlo_workload(monkeypatch):
+    """The full-size config of the benchmark's `montecarlo` workload, seed 1."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclass looks itself up there
+    spec.loader.exec_module(module)
+    return module.build("montecarlo", 1)
