@@ -11,7 +11,7 @@ estimates of the full generative chain, plus convergence experiments that
 measure how fast code-dependent quantities approach their limits.
 """
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"
 
 from .asymptotics import (
     AsymptoticParams,

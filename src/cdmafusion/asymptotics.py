@@ -18,11 +18,11 @@ contributes; beta0 plays the role of an effective SNR degradation factor
 for the matched linear receiver.  With sigma_v2 == 0 there is no
 interference: gamma = 0, beta0 = 1/sigma_w2 and mu = m^2 sigma_w2 / P.
 
-Every error probability here is the Gaussian tail of core.log_tails at its
-own detection SNR x: 1/mu in the large-system limit,
-P / (sigma_w2 (m^2 + sigma_v2)) at infinite load, and
-P / (P sigma_v2 + sigma_w2 (m^2 + sigma_v2)) for a single sensor.  Where
-mu or that denominator underflows to 0, x is +inf: pe = 0, log_pe = -inf.
+The quadratic is homogeneous in the unit of power, so the route solves it
+in the units U of core.snr_groups, for U beta0 at gamma / U and sigma_w2 / U
+<= 1.  The limiting form in those units, q = Ns / (1 / (U beta0) + c), goes
+through exact.exact_report like one channel's; at infinite load it is
+q = Ns / w, and for a single sensor q = Ns / (w + c Ns).
 """
 
 from __future__ import annotations
@@ -30,9 +30,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DetectorSpec, SystemParams, log_tails
+from .core import DetectorSpec, SystemParams, log_tails, root_snr, snr_groups
 from .errors import DomainError, NumericalFailure
-from .exact import PerformanceReport, tail_report
+from .exact import PerformanceReport, exact_report
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,7 @@ class AsymptoticParams:
     gamma: float
     beta0: float
     mu: float
+    q: float  # the limiting form in the units of core.snr_groups, as exact.quadratic_form
 
 
 def gamma(params: SystemParams) -> float:
@@ -93,52 +94,45 @@ def mu(params: SystemParams, beta0_val: float) -> float:
     """Limiting inverse detection SNR: sigma_v2/Ns + (m^2 + sigma_v2)/(P beta0).
 
     The first term is the averaged observation noise left after fusion; the
-    second is the channel-plus-interference penalty.  Uses the finite-size
-    sensor count Ns of params.
+    second is the channel-plus-interference penalty, inf where P beta0
+    underflows.  Uses the finite-size sensor count Ns of params.
     """
     if not (isinstance(beta0_val, (int, float)) and math.isfinite(beta0_val) and beta0_val > 0):
         raise DomainError(f"mu requires beta0 > 0, got {beta0_val!r}")
-    return params.sigma_v2 / params.Ns + (params.m**2 + params.sigma_v2) / (params.P * beta0_val)
+    penalty = params.P * beta0_val
+    return params.sigma_v2 / params.Ns + ((params.m**2 + params.sigma_v2) / penalty if penalty > 0.0 else math.inf)
 
 
 def asymptotic_params(params: SystemParams) -> AsymptoticParams:
     """Chain alpha -> gamma -> beta0 -> mu for one parameter point.
 
-    Raises NumericalFailure when extreme but valid parameters (P and
-    sigma_w2 near the float range) overflow beta0 to inf, or underflow
-    beta0 or the product P beta0 that mu divides by to 0.
+    Where U beta0 overflows, as 1 / w does, the physical beta0 is solved
+    directly; NumericalFailure where that overflows too, which takes a
+    sigma_w2 below the normal float range.
     """
     a = params.alpha
+    unit, c, w, _ = snr_groups(params)
     g = gamma(params)
-    b = beta0(a, g, params.sigma_w2)
-    if b == math.inf or params.P * b == 0.0:
-        name = "beta0" if b in (0.0, math.inf) else "P beta0"
-        limit = "overflows to inf" if b == math.inf else "underflows to 0"
-        raise NumericalFailure(
-            f"{name} {limit} at N={params.N}, Ns={params.Ns}, P={params.P!r}, "
-            f"sigma_w2={params.sigma_w2!r}"
-        )
-    return AsymptoticParams(alpha=a, gamma=g, beta0=b, mu=mu(params, b))
+    b = beta0(a, g / unit, w)
+    b_phys = b / unit if b < math.inf else beta0(a, g, params.sigma_w2)
+    if b_phys == math.inf:
+        raise NumericalFailure(f"beta0 overflows to inf at N={params.N}, Ns={params.Ns}, sigma_w2={params.sigma_w2!r}")
+    return AsymptoticParams(alpha=a, gamma=g, beta0=b_phys, mu=mu(params, b_phys), q=params.Ns / (1.0 / b + c))
 
 
 def asymptotic_performance(params: SystemParams, spec: DetectorSpec) -> PerformanceReport:
     """Large-system error probabilities at the deterministic limit.
 
-    The tails of exact.tail_report at the limiting detection SNR x = 1/mu;
-    the threshold is resolved against the same x, so Bayes, fixed and
+    The tails of exact.exact_report at the limiting form, whose root SNR is
+    m / sqrt(mu); the threshold is resolved against it, so Bayes, fixed and
     false-alarm-pinned detectors all remain meaningful.
     """
-    return tail_report(params, _snr(1.0, asymptotic_params(params).mu), spec)
+    return exact_report(params, asymptotic_params(params).q, spec)
 
 
-def _snr(num: float, den: float) -> float:
-    # a denominator that underflowed to 0 leaves an SNR past every float, where the tails vanish
-    return num / den if den > 0.0 else math.inf
-
-
-def _zero_threshold_pe(x: float, m: float) -> float:
+def _zero_threshold_pe(params: SystemParams, q: float) -> float:
     # at tau == 0 the two tails coincide, so either one is the error probability
-    return math.exp(log_tails(x, m, 0.0)[0])
+    return math.exp(log_tails(root_snr(params, q), 0.0)[0])
 
 
 def large_alpha_pe(params: SystemParams) -> float:
@@ -148,7 +142,7 @@ def large_alpha_pe(params: SystemParams) -> float:
     error probability tends to q(sqrt((P / sigma_w2) / (1 + sigma_v2 / m^2))),
     the tail at x = P / (sigma_w2 (m^2 + sigma_v2)).  Total for sigma_v2 >= 0.
     """
-    return _zero_threshold_pe((params.P / params.sigma_w2) / (params.m**2 + params.sigma_v2), params.m)
+    return _zero_threshold_pe(params, params.Ns / snr_groups(params)[2])
 
 
 def single_sensor_pe(params: SystemParams) -> float:
@@ -158,5 +152,5 @@ def single_sensor_pe(params: SystemParams) -> float:
     x = P / (P sigma_v2 + sigma_w2 (m^2 + sigma_v2)): the mu-form with
     Ns = 1 and no interference.  Total for sigma_v2 >= 0.
     """
-    den = params.P * params.sigma_v2 + params.sigma_w2 * (params.m**2 + params.sigma_v2)
-    return _zero_threshold_pe(_snr(params.P, den), params.m)
+    _, c, w, _ = snr_groups(params)
+    return _zero_threshold_pe(params, params.Ns / (w + c * params.Ns))

@@ -30,14 +30,15 @@ from CSV instead of drawing it from the seed.  "--seed" (written over
 "seed" and "mc.seed"), "--trials", "--workers" and "--out" are written
 over their keys before any check, so each passes its keys' checks.
 
-Exit codes: 0 success, 1 configuration or validation error, 2 runtime
-failure (I/O, numerical breakdown, or any other unexpected error, reported
-as one line without a traceback).  Identical config and seed give a
-byte-identical output file.
+Exit codes: 0 success, 1 configuration or validation error (a bad
+command-line argument included), 2 runtime failure (I/O, numerical
+breakdown, or any other unexpected error); each failure is reported as one
+line without a traceback.  Identical config and seed give a byte-identical
+output file.
 
-"--workers" ("mc.workers", which despite its name serves every mode with
-a pool) sets the size of one thread pool: montecarlo runs its trial chunks
-on it, sweep-grid its (N, alpha) grid points and sweep-limits its cells.
+"--workers" ("mc.workers") sets the size of one thread pool: montecarlo runs
+its trial chunks on it and sweep-grid its (N, alpha) grid points; the other
+modes, sweep-limits with its closed-form cells included, run no pool.
 A sweep-grid point runs its seeds in blocks of at most 2**16 stacked
 signature or covariance entries, with one batched covariance build and one
 batched Cholesky factorization per block.
@@ -73,7 +74,7 @@ from .asymptotics import (
 )
 from .convergence import _experiments
 from .core import BAYES, CRITERIA, FIXED, NEYMAN_PEARSON, SEED_MAX, DetectorSpec, SystemParams
-from .core import is_int, map_workers, seed_sequence, sensors_for_load
+from .core import is_int, map_workers, seed_sequence, sensors_for_load, snr_groups
 from .errors import (
     DimensionMismatch,
     DomainError,
@@ -328,7 +329,7 @@ def _run_analyze(config: ExperimentConfig):
     if config.matrix_path is not None:
         meta.append(f"matrix_source={config.matrix_path}")
     columns = ["N", "alpha", "Ns", "seed", "tau_prime", "qf", "pf", "pm", "pe"]
-    rows = [[p.N, p.Ns / p.N, p.Ns, S.seed, rep.tau_prime, rep.qf, rep.pf, rep.pm, rep.pe]]
+    rows = [[p.N, p.Ns / p.N, p.Ns, S.seed, rep.tau_prime, rep.q / snr_groups(p)[0], rep.pf, rep.pm, rep.pe]]
     return meta, columns, rows
 
 
@@ -346,7 +347,7 @@ def _run_montecarlo(config: ExperimentConfig):
     p = config.params
     S = _signatures(config)
     est = estimate(p, S, config.detector, config.mc)
-    ref = exact_report(p, est.qf, config.detector)
+    ref = exact_report(p, est.q, config.detector)
     meta = _base_meta(config) + _instance_meta(config)
     if config.matrix_path is not None:
         meta.append(f"matrix_source={config.matrix_path}")
@@ -423,15 +424,13 @@ def _run_sweep_grid(config: ExperimentConfig):
 
 def _run_sweep_limits(config: ExperimentConfig):
     p = config.params
-    cells = [(N, a) for N in config.grid_N for a in config.grid_alpha]
 
-    def cell(args):
-        N, a = args
+    def cell(N, a):
         pc = replace(p, N=N, Ns=sensors_for_load(a, N))
         rep = asymptotic_performance(pc, config.detector)
         return [N, a, rep.pe, large_alpha_pe(pc), single_sensor_pe(pc)]
 
-    rows = map_workers(cell, cells, config.mc.worker_hint)
+    rows = [cell(N, a) for N in config.grid_N for a in config.grid_alpha]
     meta = _base_meta(config) + _grid_meta(config, alphas=True)
     columns = ["N", "alpha", "pe_asymptotic", "pe_large_alpha_limit", "pe_single_sensor"]
     return meta, columns, rows
@@ -497,8 +496,13 @@ def run(config: ExperimentConfig, *, quiet: bool = False) -> int:
     return 0
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # a bad argument exits as a config error: code 1, one line
+        raise ParseError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="cdmafusion",
         description="Detection performance of power-constrained sensor networks "
         "relaying over a shared-bandwidth channel.",
@@ -536,14 +540,13 @@ def _pin_blas_threads() -> None:
 
 def main(argv=None) -> int:
     _pin_blas_threads()
-    args = _build_parser().parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         text = Path(args.config).read_bytes() if args.config is not None else b"{}"
+        config = parse_config(text, mode=args.mode, flags=vars(args))
     except OSError as exc:
         print(f"error: cannot read config: {exc}", file=sys.stderr)
         return 1
-    try:
-        config = parse_config(text, mode=args.mode, flags=vars(args))
     except (ParseError, InvalidParam, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -15,7 +15,8 @@ decomposition check, the cross terms and sensor 0's full form all read Y,
 and no Ns x Ns matrix is formed.  The CLI's converge mode computes all four
 statistics from that one draw, those two factorizations and that one
 whitening per cell; each public experiment runs the same pass for its own
-statistic alone.
+statistic alone.  Forms are computed in the units U of core.snr_groups and
+divided by U at the end, so the records keep their physical units.
 
 All experiments require sigma_v2 > 0 in the template: without relayed
 observation noise there is no multi-access interference and the limits
@@ -30,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .asymptotics import asymptotic_params
-from .core import SystemParams, amplifier_gain, seed_sequence, sensors_for_load
+from .core import SystemParams, root_snr, seed_sequence, sensors_for_load, snr_groups
 from .errors import DomainError, InvalidParam, NumericalFailure
 from .exact import ChannelModel, inverse_form, quadratic_form
 from .spreading import generate
@@ -91,16 +92,15 @@ def _check_schedule(template: SystemParams, N_values, seeds) -> None:
 
 
 def _diag_forms(model: ChannelModel, Y: np.ndarray) -> tuple[float, float]:
-    """(s^T Sigma^{-1} s, q = s^T Q^{-1} s) for the probe sensor's signature s.
+    """(s^T Sigma^{-1} s, q = s^T Q^{-1} s), times U, for the probe sensor's signature s.
 
     The first is the squared norm of s's whitened column in Y.  Q, the
-    covariance of the channel without s, is Sigma less s's rank-one term
-    c s s^T with c = g^2 sigma_v2, and gets a factorization of its own.
+    covariance of the channel without s, is Sigma less s's rank-one term,
+    c s s^T in units of U, and gets a factorization of its own.
     """
     s, y = model.S.entries[:, _PROBE_SENSOR], Y[:, _PROBE_SENSOR]
-    c = model.g * model.g * model.sigma_v2
-    leave_out = model.covariance - c * np.outer(s, s)
-    return float(y @ y), inverse_form(leave_out, s, model.sigma_w2)
+    leave_out = model.covariance - model.c * np.outer(s, s)
+    return float(y @ y), inverse_form(leave_out, s, model.w)
 
 
 def _mil_residual(full: float, leave: float, c: float) -> float:
@@ -108,19 +108,19 @@ def _mil_residual(full: float, leave: float, c: float) -> float:
 
 
 def _snr_records(params: SystemParams, seed: int, model: ChannelModel, Y: np.ndarray, predicted: float):
-    # qf from the summed signature against qf = sum_ij y_i^T y_j from the
+    # q from the summed signature against q = sum_ij y_i^T y_j from the
     # whitened columns Y = L^{-1} S, which is ||Y 1||^2
-    qf = quadratic_form(model)
+    q = quadratic_form(model)
     y1 = Y.sum(axis=1)
     decomposed = float(y1 @ y1)
-    residual = abs(qf - decomposed) / qf if qf > 0 else decomposed
+    residual = abs(q - decomposed) / q if q > 0 else decomposed
     if not residual <= _DECOMPOSITION_RTOL:
         raise NumericalFailure(
             f"quadratic-form decomposition residual {residual!r} exceeds "
             f"{_DECOMPOSITION_RTOL} at N={params.N}, seed={seed}"
         )
     return [
-        _record("snr", params, seed, model.g * model.g * qf, predicted),
+        _record("snr", params, seed, (root_snr(params, q) / params.m) ** 2, predicted),
         _record("decomposition_residual", params, seed, residual, 0.0),
     ]
 
@@ -165,8 +165,7 @@ def _experiments(
             )
     out = {name: [] for name in wanted}
     for params in scaled:
-        g = amplifier_gain(params)
-        c = g * g * params.sigma_v2
+        unit = snr_groups(params)[0]
         ap = asymptotic_params(params) if "snr" in wanted or "diag" in wanted else None
         pairs = np.triu_indices(params.Ns, k=1) if "cross" in wanted else None
         for seed in seeds:
@@ -177,13 +176,14 @@ def _experiments(
             if "diag" in wanted or "mil" in wanted:
                 full, leave = _diag_forms(model, Y)
             if "diag" in wanted:
-                out["diag"].append(_record("diag_leave_out", params, seed, leave, ap.beta0))
-                out["diag"].append(_record("diag_full", params, seed, full, ap.beta0 / (1.0 + c * ap.beta0)))
+                predicted = ap.beta0 / (1.0 + model.c * unit * ap.beta0)
+                out["diag"].append(_record("diag_leave_out", params, seed, leave / unit, ap.beta0))
+                out["diag"].append(_record("diag_full", params, seed, full / unit, predicted))
             if "cross" in wanted:
-                observed = _cross_mean(Y, seed, pairs)
+                observed = _cross_mean(Y, seed, pairs) / unit
                 out["cross"].append(_record("cross_mean", params, seed, observed, 0.0))
             if "mil" in wanted:
-                out["mil"].append(_record("mil_residual", params, seed, _mil_residual(full, leave, c), 0.0))
+                out["mil"].append(_record("mil_residual", params, seed, _mil_residual(full, leave, model.c) / unit, 0.0))
     return [r for name in wanted for r in out[name]]
 
 

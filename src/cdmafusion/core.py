@@ -1,11 +1,15 @@
 """Scalar foundations: model parameters, integer and seed checks, the worker
-map, Gaussian tails, gains, thresholds.
+map, the dimensionless groups, Gaussian tails, thresholds.
 
 The model: Ns sensors each observe z_n = +-m + v_n with v_n ~ N(0, sigma_v2),
 scale their observation by a common gain g, and transmit simultaneously over
 N chips.  The fusion center receives the superposition in noise of per-chip
 variance sigma_w2.  The total radiated power is capped at P, shared equally,
 which pins the gain at g = sqrt(P / (Ns (m^2 + sigma_v2))).
+
+Every error probability depends on the scalars only through the root SNR
+r = m sqrt(x), and r only through rho = P / sigma_w2 and kappa = sigma_v2 /
+(m^2 + sigma_v2), the groups every route computes in (snr_groups).
 
 Everything in this module is a pure function of its arguments.
 """
@@ -34,6 +38,7 @@ SEED_MAX = 2**64
 _STANDARD_NORMAL = NormalDist()
 _SQRT2 = math.sqrt(2.0)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
+_LEAST = math.ulp(0.0)  # the least positive double, which stands in for a positive value below it
 _SERIES_BELOW = -37.0
 """Where log_ndtr leaves erfc for the asymptotic series: erfc(37 / sqrt 2) is
 still a normal float, and a few lower it goes subnormal and then to 0."""
@@ -166,6 +171,38 @@ def amplifier_gain(params: SystemParams) -> float:
     return math.sqrt(params.P / (params.Ns * (params.m**2 + params.sigma_v2)))
 
 
+def snr_groups(params: SystemParams) -> tuple[float, float, float, float]:
+    """(U, c, w, s): the model's scalars in units of power U.
+
+    U is the larger of one sensor's relayed observation noise on a chip,
+    g^2 sigma_v2 = rho kappa sigma_w2 / Ns, and sigma_w2, so the covariance
+    Sigma / U = c S S^T + w I has max(c, w) = 1, and s = g m / sqrt(U), so
+    that r = s sqrt(q) for the form q = U qf.  None is formed from rho, which
+    leaves the float range long before the answers do: kappa divides by
+    m^2 + sigma_v2, which validate keeps finite and > 0, sqrt(1 - kappa) is
+    1 / hypot(1, sigma_v / m), and a w below every float is the least one.
+    c is squared from its root g sigma_v / sigma_w, as g^2 was from the gain:
+    at the canonical point rho kappa / Ns is one rounding below that square,
+    whose bits the benchmark covariances keep.
+    """
+    p = params
+    noise = p.P * (p.sigma_v2 / (p.m**2 + p.sigma_v2)) / p.Ns
+    root = math.sqrt(noise) / math.sqrt(p.sigma_w2)
+    unit, c, w = (p.sigma_w2, root * root, 1.0) if root <= 1.0 else (noise, 1.0, max(p.sigma_w2 / noise, _LEAST))
+    signal = math.sqrt(p.P) / math.hypot(1.0, math.sqrt(p.sigma_v2) / p.m)
+    return unit, c, w, signal / math.sqrt(unit) / math.sqrt(p.Ns)
+
+
+def root_snr(params: SystemParams, q: float) -> float:
+    """r = m sqrt(x) = s sqrt(q) for a form q = U qf in the units of snr_groups.
+
+    A positive root below every float is the least positive double, at which
+    the tails of log_tails are their r -> 0 limits: r is 0 only when q is.
+    """
+    r = snr_groups(params)[3] * math.sqrt(q)
+    return r if r > 0.0 or q == 0.0 else _LEAST
+
+
 def log_ndtr(z: float) -> float:
     """log Phi(z), the log of the standard normal distribution function.
 
@@ -188,31 +225,28 @@ def log_ndtr(z: float) -> float:
     return -0.5 * z * z - math.log(-z) - _LOG_SQRT_2PI + math.log1p(series)
 
 
-def log_tails(x: float, m: float, tau: float) -> tuple[float, float]:
-    """(log pf, log pm) of the threshold tau on a fusion statistic of detection SNR x.
+def log_tails(r: float, tau: float) -> tuple[float, float]:
+    """(log pf, log pm) of the threshold tau on a fusion statistic of root SNR r.
 
-    Every route reduces to x: g^2 qf for a fixed channel, 1/mu in the
-    large-system limit.  The statistic is N(-+ 2 m^2 x, 4 m^2 x) under H0 and
-    H1 and declares H1 when T >= tau, so pf = Q(m sqrt(x) + tau / (2 m sqrt(x)))
-    and pm = Q(m sqrt(x) - tau / (2 m sqrt(x))).  Both are carried in the log
-    domain, where they stay finite far past the point where the tails
-    themselves underflow.  At x == 0 the statistic is identically zero and
-    the tie rule decides: H1 whenever tau <= 0.
+    The statistic is the log-likelihood ratio, N(-+ 2 r^2, 4 r^2) under H0
+    and H1, and declares H1 when T >= tau, so pf = Q(r + tau / 2r) and
+    pm = Q(r - tau / 2r).  Both are carried in the log domain, where they
+    stay finite far past the point where the tails themselves underflow.  At
+    r == 0 the statistic is identically zero and the tie rule decides: H1
+    whenever tau <= 0.
     """
-    if x == 0.0:
+    if r == 0.0:
         return (0.0, -math.inf) if tau <= 0.0 else (-math.inf, 0.0)
-    sqrt_x = math.sqrt(x)
-    # tau / (2 m sqrt(x)) without the product, which can underflow to 0 for x > 0
-    root, half = m * sqrt_x, tau / (2.0 * m) / sqrt_x
-    return log_ndtr(-half - root), log_ndtr(half - root)
+    half = tau / (2.0 * r)
+    return log_ndtr(-half - r), log_ndtr(half - r)
 
 
 def bayes_threshold(p0: float, p1: float) -> float:
     """Threshold on the fusion statistic minimizing p0 Pf + p1 Pm.
 
-    The statistic is Gaussian with conditional means -+ 2 m^2 x and common
-    variance 4 m^2 x (see log_tails), so the minimizer is log(p0 / p1),
-    independent of the channel realization.
+    The statistic is the log-likelihood ratio, Gaussian with conditional
+    means -+ 2 r^2 and common variance 4 r^2 (see log_tails), so the
+    minimizer is log(p0 / p1), independent of the channel realization.
     """
     for name, val in (("p0", p0), ("p1", p1)):
         if not (_is_real(val) and 0.0 < val < 1.0):
@@ -222,20 +256,23 @@ def bayes_threshold(p0: float, p1: float) -> float:
     return math.log(p0 / p1)
 
 
-def np_threshold(x: float, m: float, alpha_fa: float) -> float:
-    """Threshold pinning the false-alarm probability at alpha_fa.
-
-    x is the detection SNR of the channel in use; the statistic under the
-    null is N(-2 m^2 x, 4 m^2 x), so the threshold is
-    2 m sqrt(x) Q^{-1}(alpha_fa) - 2 m^2 x, with Q the standard normal upper tail.
-    """
-    if not (_is_real(x) and x > 0):
-        raise DomainError(f"np_threshold requires x > 0, got {x!r}")
-    if not (_is_real(m) and m > 0):
-        raise DomainError(f"np_threshold requires m > 0, got {m!r}")
+def np_quantile(alpha_fa: float) -> float:
+    """Q^{-1}(alpha_fa), with Q the standard normal upper tail."""
     if not (_is_real(alpha_fa) and 0.0 < alpha_fa < 1.0):
         raise DomainError(f"np_threshold requires alpha_fa in (0, 1), got {alpha_fa!r}")
-    return 2.0 * m * math.sqrt(x) * -_STANDARD_NORMAL.inv_cdf(alpha_fa) - 2.0 * m * m * x
+    return -_STANDARD_NORMAL.inv_cdf(alpha_fa)
+
+
+def np_threshold(r: float, alpha_fa: float) -> float:
+    """Threshold pinning the false-alarm probability at alpha_fa.
+
+    r is the root SNR of the channel in use; the statistic under the null
+    is N(-2 r^2, 4 r^2), so the threshold is 2 r Q^{-1}(alpha_fa) - 2 r^2,
+    formed as 2 r (Q^{-1}(alpha_fa) - r), which is -inf at r == inf.
+    """
+    if not (isinstance(r, (int, float)) and r > 0):
+        raise DomainError(f"np_threshold requires r > 0, got {r!r}")
+    return 2.0 * r * (np_quantile(alpha_fa) - r)
 
 
 @dataclass(frozen=True)
@@ -262,19 +299,14 @@ class DetectorSpec:
                 raise InvalidParam("tau_prime", self.tau_prime, "criterion 'fixed' needs a finite tau_prime")
 
 
-def threshold_for(spec: DetectorSpec, params: SystemParams, x: float) -> float:
-    """Resolve the effective threshold for a channel of detection SNR x.
+def threshold_for(spec: DetectorSpec, params: SystemParams, r: float) -> float:
+    """Resolve the effective threshold for a channel of root SNR r.
 
-    np_threshold's formula is taken to its limits at the ends of its domain:
-    0 at x == 0, where the statistic is identically 0 and the tie rule of
-    log_tails decides, and -inf at x == inf (see exact.tail_report).
+    np_threshold's formula is taken to its limit 0 at r == 0, where the
+    statistic is identically 0 and the tie rule of log_tails decides.
     """
     if spec.criterion == BAYES:
         return bayes_threshold(params.p0, params.p1)
     if spec.criterion == NEYMAN_PEARSON:
-        if x == 0.0:
-            return 0.0
-        if x == math.inf:
-            return -math.inf
-        return np_threshold(x, params.m, spec.alpha_fa)
+        return np_threshold(r, spec.alpha_fa) if r > 0.0 else 0.0
     return float(spec.tau_prime)

@@ -3,11 +3,12 @@
 Each trial draws sensor observations z = -+m + v, amplifies them, spreads
 them through the signature matrix and adds receiver noise, then thresholds
 the fusion statistic.  The statistic is linear in the two noise vectors, so
-a trial is one weighted sum of its Ns + N standard normals (see estimate);
-the received chip vector itself is never formed.  That noise term has the
-same law under both hypotheses, so one draw of it serves a false-alarm
-trial and a miss trial (common random numbers; RNG_ID names this scheme,
-from artifact 0.5.0 on).  Trials are produced in fixed-size chunks, each
+a trial is one weighted sum of its Ns + N standard normals, with a weight of
+unit norm (see estimate); the received chip vector itself is never formed.
+That noise term has the same law under both hypotheses, so one draw of it
+serves a false-alarm trial and a miss trial (common random numbers; RNG_ID
+names this scheme, from artifact 0.5.0 on).  Trials are produced in
+fixed-size chunks, each
 chunk from its own SFC64 stream spawned from (seed, 0, chunk index).  A
 chunk draws its normals _DRAW_ROWS rows at a time and folds each block
 into the noise term before drawing the next, so a worker holds about
@@ -21,14 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from statistics import NormalDist
 
 import numpy as np
 
-from .core import NEYMAN_PEARSON, DetectorSpec, SystemParams, check_count, check_seed, map_workers, seed_sequence
-from .core import threshold_for
-from .errors import DomainError, NumericalFailure
-from .exact import ChannelModel, McDiagnostics, PerformanceReport, detection_snr, quadratic_form
+from .core import NEYMAN_PEARSON, DetectorSpec, SystemParams, amplifier_gain, check_count, check_seed, map_workers
+from .core import np_quantile, root_snr, seed_sequence, threshold_for
+from .errors import DomainError
+from .exact import ChannelModel, McDiagnostics, PerformanceReport, quadratic_form
 from .spreading import SpreadingMatrix
 
 CHUNK_TRIALS = 1 << 14
@@ -90,7 +90,8 @@ def simulate_trials(
     if hypothesis not in (0, 1):
         raise DomainError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
     n_trials = check_count("n_trials", n_trials, "trial count")
-    g = ChannelModel.from_params(params, S).g  # also checks S against params
+    ChannelModel.from_params(params, S)  # checks S against params
+    g = amplifier_gain(params)
     mean = params.m if hypothesis == 1 else -params.m
     z = mean + math.sqrt(params.sigma_v2) * rng.standard_normal((params.Ns, n_trials))
     w = math.sqrt(params.sigma_w2) * rng.standard_normal((params.N, n_trials))
@@ -108,18 +109,14 @@ def _chunk_plan(total: int) -> list[tuple[int, int]]:
     return sizes
 
 
-def _collapsed_weight(model: ChannelModel) -> tuple[np.ndarray, float]:
-    """(noise_weight, shift) with T(r) == -+shift + noise_weight . [n_v, n_w] for
-    r = g S (-+m 1 + sqrt(sigma_v2) n_v) + sqrt(sigma_w2) n_w (see estimate);
-    NumericalFailure when either overflows, instead of counting comparisons with nan."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        weight = 2.0 * model.g * model.m * model.detector
-        u = model.g * (model.S.entries.T @ weight)
-        noise_weight = np.concatenate((math.sqrt(model.sigma_v2) * u, math.sqrt(model.sigma_w2) * weight))
-        shift = model.m * u.sum()
-    if not (np.isfinite(noise_weight).all() and math.isfinite(shift)):
-        raise NumericalFailure("Monte Carlo statistic weight overflows: noise_weight or shift is not finite")
-    return noise_weight, shift
+def _collapsed_weight(model: ChannelModel) -> np.ndarray:
+    """The unit vector u with T(r_chips) / 2r == -+r + u . [n_v, n_w] for
+    r_chips = g S (-+m 1 + sqrt(sigma_v2) n_v) + sqrt(sigma_w2) n_w (see estimate);
+    0 on the channel whose statistic is identically 0."""
+    d = model.detector
+    v = np.concatenate((math.sqrt(model.c) * (model.S.entries.T @ d), math.sqrt(model.w) * d))
+    norm = math.sqrt(v @ v)
+    return v / norm if norm > 0.0 else v
 
 
 def _count_errors(
@@ -130,10 +127,9 @@ def _count_errors(
     size: int,
 ) -> tuple[int, int, int]:
     """(false alarms, misses, both) among a chunk's trials of the noise term
-    d = noise_weight . n, which is T less its mean -+shift.  One draw of d
-    serves both hypotheses: T >= tau is d >= bounds[0] = tau + shift under
-    H0 and d >= bounds[1] = tau - shift under H1; `both` counts the trials
-    that are an error under each."""
+    d = noise_weight . n.  One draw of d serves both hypotheses: a trial is a
+    false alarm when d >= bounds[0] and a miss when d < bounds[1]; `both`
+    counts the trials that are an error under each."""
     rng = _chunk_rng(seed, chunk_idx)
     d = np.zeros(size)
     for r0 in range(0, noise_weight.size, _DRAW_ROWS):
@@ -151,25 +147,25 @@ def estimate(
     """Monte Carlo error probabilities with their standard errors.
 
     The detector is the same one exact_performance analyses: the threshold
-    is resolved against this channel's detection SNR g^2 qf, and the statistic is
-    T = weight . r with weight = 2 g m Sigma^{-1} S 1; the weight and qf
-    take one factorization and one solve.  With r = g S (-+m 1 + sqrt(sigma_v2)
-    n_v) + sqrt(sigma_w2) n_w and u = g S^T weight, that is
+    is resolved against this channel's root SNR r, and the statistic is
+    T = 2 g m (S 1)^T Sigma^{-1} r_chips.  With r_chips = g S (-+m 1 +
+    sqrt(sigma_v2) n_v) + sqrt(sigma_w2) n_w and d = U Sigma^{-1} S 1 the
+    model's detector (exact.ChannelModel),
 
-        T = -+m sum(u) + [sqrt(sigma_v2) u, sqrt(sigma_w2) weight] . [n_v, n_w],
+        T / 2r = -+r + u . [n_v, n_w],  u = [sqrt(c) S^T d, sqrt(w) d] / sqrt(q),
 
-    so each chunk takes one weighted sum per trial of its Ns + N standard
-    normals, drawn and summed _DRAW_ROWS rows at a time (about 1.25 MiB per
-    worker at any system size).  qf rides on the report, so
-    exact_report(params, report.qf, spec) gives the closed form without
-    factorizing again.  Ties (T == tau) decide the alternative, which is
-    what makes the degenerate qf == 0 channel agree with the closed form.
+    a unit vector, so no scale of the model can overflow it.  Each chunk
+    takes one weighted sum per trial of its Ns + N standard normals, drawn
+    and summed _DRAW_ROWS rows at a time (about 1.25 MiB per worker at any
+    system size).  The weight and q take one factorization and one solve;
+    q rides on the report, so exact_report(params, report.q, spec) gives the
+    closed form without factorizing again.
 
-    Each trial is compared on its noise term, T less its mean, so that the
-    noise is not lost in the rounding of a mean far larger than it.  np's
-    bound on that term under the null is the alpha_fa quantile of its own
-    spread ||noise_weight|| = 2 m sqrt(x): the same threshold, which stays
-    finite where x overflows and np_threshold falls to -inf.
+    T >= tau is the noise term u . n against tau / 2r + r under H0 and
+    tau / 2r - r under H1, so the noise is not lost in the rounding of a mean
+    far larger than it; np's bound under the null is Q^{-1}(alpha_fa).  Ties
+    (T == tau) decide the alternative, which is what makes the degenerate
+    q == 0 channel, r == 0, agree with the closed form.
 
     That noise term has the same law under both hypotheses, so each chunk
     draws it once and counts a false alarm and a miss on every draw: one
@@ -180,17 +176,19 @@ def estimate(
         sqrt(p0^2 pf (1 - pf) + p1^2 pm (1 - pm) + 2 p0 p1 (both/n - pf pm)) / sqrt(n),
 
     where `both` counts the draws in error under each hypothesis; the
-    bounds are ordered (shift >= 0), so both is 0.
+    bounds are ordered (r >= 0), so both is 0.
     """
     model = ChannelModel.from_params(params, S)
-    noise_weight, shift = _collapsed_weight(model)
-    qf = quadratic_form(model)
-    tau = threshold_for(spec, params, detection_snr(params, qf))
-    if spec.criterion == NEYMAN_PEARSON:
-        null_bound = math.hypot(*noise_weight.tolist()) * -NormalDist().inv_cdf(spec.alpha_fa)
-        bounds = (null_bound, null_bound - 2.0 * shift)
+    noise_weight = _collapsed_weight(model)
+    q = quadratic_form(model)
+    r = root_snr(params, q)
+    tau = threshold_for(spec, params, r)
+    if r == 0.0:
+        bounds = (tau, tau)
+    elif spec.criterion == NEYMAN_PEARSON:
+        bounds = (np_quantile(spec.alpha_fa), np_quantile(spec.alpha_fa) - 2.0 * r)
     else:
-        bounds = (tau + shift, tau - shift)
+        bounds = (tau / (2.0 * r) + r, tau / (2.0 * r) - r)
 
     n = mc.trials_per_hypothesis
 
@@ -217,4 +215,4 @@ def estimate(
         stderr_pe=se_pe,
     )
     log_pe = math.log(pe) if pe > 0.0 else -math.inf
-    return PerformanceReport(pf=pf, pm=pm, pe=pe, log_pe=log_pe, tau_prime=tau, mc=diag, qf=qf)
+    return PerformanceReport(pf=pf, pm=pm, pe=pe, log_pe=log_pe, tau_prime=tau, mc=diag, q=q)

@@ -213,11 +213,16 @@ class TestAsymptoticPerformance:
         assert single_sensor_pe(p) == pytest.approx(want, rel=1e-12)
 
     def test_underflowing_mu_is_an_infinite_snr(self):
-        # mu = m^2 sigma_w2 / P underflows to 0 where the true SNR is ~1e341: every tail vanishes
+        # mu = m^2 sigma_w2 / P underflows to 0 where the true SNR is ~1e341: every
+        # tail vanishes, and log_pe is that of r^2 = m^2 / mu = P / sigma_w2 = 1e301
         p = make_params(N=8, Ns=8, sigma_v2=0.0, sigma_w2=1e-300, m=1e-20)
         assert asymptotic_params(p).mu == 0.0
         rep = asymptotic_performance(p, DetectorSpec())
-        assert (rep.pf, rep.pm, rep.pe, rep.log_pe) == (0.0, 0.0, 0.0, -math.inf)
+        assert (rep.pf, rep.pm, rep.pe) == (0.0, 0.0, 0.0)
+        with mpmath.workdps(50):
+            r = mpmath.sqrt(mpmath.mpf(10) / mpmath.mpf(1e-300))
+            want = -r * r / 2 - mpmath.log(r * mpmath.sqrt(2 * mpmath.pi)) + mpmath.log1p(-1 / r**2)
+        assert rep.log_pe == pytest.approx(float(want), rel=1e-12)
         assert zero_threshold_pe(p) == large_alpha_pe(p) == single_sensor_pe(p) == 0.0
 
 

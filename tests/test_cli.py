@@ -68,6 +68,60 @@ def mp_rel_gap(p, N, Ns, seed):
         return float(abs(pe(g2 * qf) / pe(1 / mu) - 1))
 
 
+# the model's parameters where a config leaves them out
+DEFAULTS = {"P": 10.0, "m": 1.0, "sigma_v2": 1.0, "sigma_w2": 1.0, "p0": 0.5}
+
+
+def mp_root_snr2(p, N, Ns, seed=None):
+    """r^2 = m^2 x at 800 digits: exact for generate(N, Ns, seed), or the large-system
+    limit for seed None, from the physical covariance and the textbook beta0 root.
+
+    The digits cover covariances whose condition number is past 1e300.
+    """
+    p = dict(DEFAULTS, **p)
+    with mpmath.workdps(800):
+        P, m, sv, sw = (mpmath.mpf(p[k]) for k in ("P", "m", "sigma_v2", "sigma_w2"))
+        g2 = P / (Ns * (m**2 + sv))
+        if seed is not None:
+            S = mpmath.matrix(generate(N, Ns, seed).entries.tolist())
+            s1 = S * mpmath.matrix([1] * Ns)
+            return +(m**2 * g2 * (s1.T * mpmath.lu_solve(g2 * sv * S * S.T + sw * mpmath.eye(N), s1))[0])
+        gamma, alpha = (P / N) * sv / (m**2 + sv), mpmath.mpf(Ns) / N
+        a, b = gamma * sw, alpha * (gamma + sw) - gamma
+        root = mpmath.sqrt(b**2 + 4 * a * alpha)
+        beta0 = 2 * alpha / (b + root) if b >= 0 else (root - b) / (2 * a)
+        return +(m**2 / (sv / Ns + (m**2 + sv) / (P * beta0)))
+
+
+def mp_tails(p, r2, detector=None):
+    """(tau, pf, pm, pe) of the detector at root SNR sqrt(r2), at 50 digits; pf and
+    pm come from their logs, which stay exact where the tails leave the float range."""
+    p0 = mpmath.mpf(dict(DEFAULTS, **p)["p0"])
+    detector = detector or {"criterion": "bayes"}
+    with mpmath.workdps(50):
+        r = mpmath.sqrt(r2)
+
+        def log_q(x):
+            if x > 1e8:  # the asymptotic series of the tail
+                return -x * x / 2 - mpmath.log(x * mpmath.sqrt(2 * mpmath.pi)) + mpmath.log1p(-1 / x**2 + 3 / x**4)
+            return mpmath.log(mpmath.erfc(x / mpmath.sqrt(2)) / 2)
+
+        if detector["criterion"] == "np":
+            z = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf(detector["alpha_fa"]))
+            tau = 2 * r * z - 2 * r * r
+            log_pf, log_pm = mpmath.log(detector["alpha_fa"]), log_q(2 * r - z)
+        else:
+            tau = mpmath.log(p0 / (1 - p0)) if detector["criterion"] == "bayes" else mpmath.mpf(detector["tau_prime"])
+            log_pf, log_pm = log_q(r + tau / (2 * r)), log_q(r - tau / (2 * r))
+        pf, pm = mpmath.exp(log_pf), mpmath.exp(log_pm)
+        return tau, pf, pm, p0 * pf + (1 - p0) * pm
+
+
+def close9(cell, want):
+    """A CSV cell, printed to 9 significant digits, against its 50-digit value."""
+    return float(cell) == pytest.approx(float(want), rel=1e-8, abs=1e-300)
+
+
 def config_file(tmp_path, doc, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
@@ -542,6 +596,39 @@ class TestMatrixPath:
 
 
 class TestExitCodes:
+    @pytest.mark.parametrize("argv, message", [
+        (["bogus"], "error: argument mode: invalid choice: 'bogus'"),
+        (["analyze", "--seed", "abc"], "error: argument --seed: invalid int value: 'abc'"),
+        (["analyze", "--frob", "1"], "error: unrecognized arguments: --frob 1"),
+    ], ids=["mode", "seed", "flag"])
+    def test_bad_command_line_is_one_line_config_error(self, tmp_path, argv, message):
+        out = tmp_path / "a.csv"
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", *argv, "--out", str(out)],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr.startswith(message) and proc.stderr.count("\n") == 1
+        assert not out.exists()
+
+    def test_help_exits_0(self):
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--help"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("usage: cdmafusion")
+
+    def test_tiny_power_under_huge_observation_noise_is_a_coin_flip(self, tmp_path):
+        # g = 3.5e-171 and m sqrt(x) ~ 7e-171 are normal floats, though the ratio
+        # inside the gain's square root underflows
+        params = {"N": 8, "Ns": 8, "P": 1e-300, "m": 1.0, "sigma_v2": 1e40, "sigma_w2": 1.0}
+        out = tmp_path / "a.csv"
+        cfg = config_file(tmp_path, {"mode": "analyze", "seed": 1, "params": params, "output": str(out)})
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert close9(row["pe"], mp_tails(params, mp_root_snr2(params, 8, 8, 1))[3])
+        assert float(row["pe"]) == 0.5
+
     def test_missing_config_file(self):
         assert main(["analyze", "--config", "/no/such/file.json", "--quiet"]) == 1
 
@@ -592,22 +679,52 @@ class TestExitCodes:
         assert sorted(gaps) == [1.0, math.inf]
 
     @pytest.mark.parametrize("mode, message", [
-        ("analyze", "numerical failure: covariance has non-finite entries"),
-        ("sweep-grid", "numerical failure: beta0 underflows to 0"),
+        ("analyze", "numerical failure: covariance factorization failed"),
+        ("sweep-grid", "numerical failure: covariance factorization failed"),
     ])
     def test_extreme_power_and_noise_are_one_line_runtime_failures(self, tmp_path, mode, message):
-        # P and sigma_w2 near the float range overflow the covariance and underflow
-        # beta0; run as a child so any numpy warning printed to stderr is seen
+        # at P = 1.7e308 and sigma_w2 = 1e-300 the interference outweighs the receiver
+        # noise by 1e607: in its units the covariance is S S^T + w I with w the least
+        # double, and S S^T has rank 4 of 8.  Run as a child so any numpy warning
+        # printed to stderr is seen
         out = tmp_path / "out.csv"
         cfg = config_file(tmp_path, {"mode": mode, "output": str(out),
-                                     "params": {"N": 8, "P": 1.7e308, "sigma_w2": 1.7e308},
-                                     "grid": {"N": [8], "alpha": [1.0], "seeds": 2}})
+                                     "params": {"N": 8, "alpha": 0.5, "P": 1.7e308, "sigma_w2": 1e-300},
+                                     "grid": {"N": [8], "alpha": [0.5], "seeds": 2}})
         proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
                               env=child_env(), capture_output=True, text=True, timeout=120)
         assert proc.returncode == 2
         assert proc.stderr.startswith(message)
         assert proc.stderr.count("\n") == 1
         assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["analyze", "sweep-grid"])
+    def test_extreme_power_and_noise_have_finite_answers(self, tmp_path, mode):
+        # P and sigma_w2 near the float range: the physical covariance overflows and
+        # beta0 underflows, while rho = 1 and every group is a normal float.  Run as a
+        # child so any numpy warning printed to stderr is seen
+        params = {"N": 8, "P": 1.7e308, "sigma_w2": 1.7e308}
+        rows = self.run_ok(tmp_path, mode, params)
+        for row in rows:
+            assert close9(row["pe"] if mode == "analyze" else row["pe_exact"],
+                          mp_tails(params, mp_root_snr2(params, 8, 8, int(row["seed"])))[3])
+            if mode == "sweep-grid":
+                assert close9(row["pe_asymptotic"], mp_tails(params, mp_root_snr2(params, 8, 8))[3])
+
+    @staticmethod
+    def run_ok(tmp_path, mode, params, detector=None):
+        """The rows of a child run that must succeed with nothing on stderr."""
+        out = tmp_path / "out.csv"
+        doc = {"mode": mode, "output": str(out), "params": params,
+               "grid": {"N": [8], "alpha": [1.0], "seeds": 2}}
+        if detector is not None:
+            doc["detector"] = detector
+        cfg = config_file(tmp_path, doc)
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, header, rows = read_csv(out)
+        return [dict(zip(header, r)) for r in rows]
 
     @staticmethod
     def run_child(tmp_path, mode, params, detector=None):
@@ -665,29 +782,47 @@ class TestExitCodes:
     @pytest.mark.parametrize("mode, detector", [
         ("analyze", None), ("montecarlo", None), ("analyze", "np"), ("montecarlo", "np"), ("sweep-grid", "np"),
     ], ids=["analyze", "montecarlo", "analyze-np", "montecarlo-np", "sweep-grid-np"])
-    def test_vanishing_gain_is_one_line_runtime_failure(self, tmp_path, mode, detector):
-        # Ns (m^2 + sigma_v2) overflows, so g and the statistic's scale are 0; the
-        # gain is checked before the threshold, so every detector fails alike
+    def test_vanishing_gain_gives_the_coin_flip_limit(self, tmp_path, mode, detector):
+        # Ns (m^2 + sigma_v2) overflows, so g underflows, but r ~ 1e-154 is a normal
+        # float: every detector is a coin flip, np's with pf = alpha_fa
+        params = {"N": 8, "Ns": 8, "sigma_v2": 1.7e308}
         spec = None if detector is None else {"criterion": "np", "alpha_fa": 0.05}
-        proc = self.run_child(tmp_path, mode, {"N": 8, "Ns": 8, "sigma_v2": 1.7e308}, spec)
-        assert proc.returncode == 2
-        assert proc.stderr.startswith("numerical failure: statistic scale 2 g m sqrt(qf) underflows to 0")
+        for row in self.run_ok(tmp_path, mode, params, spec):
+            pe = row["pe"] if mode == "analyze" else row["pe_exact"]
+            assert close9(pe, mp_tails(params, mp_root_snr2(params, 8, 8, int(row["seed"])), spec)[3])
+            assert float(pe) == 0.5
 
     @pytest.mark.parametrize("mode, params, detector, message", [
-        # Sigma^{-1} S 1 is ~1e300 at sigma_w2 = 1e-300, and g S^T of it overflows
-        ("montecarlo", {"N": 8, "Ns": 8, "sigma_v2": 0, "sigma_w2": 1e-300, "m": 1e-20}, None,
-         "Monte Carlo statistic weight overflows"),
+        # the interference outweighs the receiver noise by 1e607, and S S^T has
+        # rank 4 of 8 (see test_extreme_power_and_noise_are_one_line_runtime_failures)
+        ("montecarlo", {"N": 8, "Ns": 4, "P": 1.7e308, "sigma_w2": 1e-300}, None,
+         "covariance factorization failed"),
         # beta0 ~ 1 / (2 sigma_w2) ~ 5e309 is past every float here, and mu would
-        # divide by it; in the next case P beta0 underflows to 0
+        # divide by it
         ("asymptotic", {"N": 8, "Ns": 4, "sigma_w2": 1e-310}, None, "beta0 overflows to inf at N=8"),
-        ("asymptotic", {"N": 2, "Ns": 1, "P": 6.29e-271, "m": 1.67e148, "sigma_v2": 0, "sigma_w2": 4.45e68},
-         {"criterion": "fixed", "tau_prime": 0.0}, "P beta0 underflows to 0 at N=2"),
-    ], ids=["montecarlo-weight-overflows", "asymptotic-beta0-overflows", "asymptotic-P-beta0-underflows"])
+    ], ids=["montecarlo-singular-covariance", "asymptotic-beta0-overflows"])
     def test_out_of_range_intermediate_is_one_line_runtime_failure(self, tmp_path, mode, params, detector, message):
         # no RuntimeWarning, no error probability counted against inf or nan, no file
         proc = self.run_child(tmp_path, mode, params, detector)
         assert proc.returncode == 2
         assert proc.stderr.startswith(f"numerical failure: {message}")
+
+    @pytest.mark.parametrize("mode, params, detector", [
+        # Sigma^{-1} S 1 is ~1e300 at sigma_w2 = 1e-300, and g S^T of it overflowed;
+        # the weight is a unit vector now, and r ~ 1e150 separates the hypotheses
+        ("montecarlo", {"N": 8, "Ns": 8, "sigma_v2": 0, "sigma_w2": 1e-300, "m": 1e-20}, None),
+        # P beta0 underflows to 0, and r ~ 4e-170 is a coin flip
+        ("asymptotic", {"N": 2, "Ns": 1, "P": 6.29e-271, "m": 1.67e148, "sigma_v2": 0, "sigma_w2": 4.45e68},
+         {"criterion": "fixed", "tau_prime": 0.0}),
+    ], ids=["montecarlo-weight", "asymptotic-P-beta0"])
+    def test_intermediates_past_the_float_range_leave_the_answer_finite(self, tmp_path, mode, params, detector):
+        (row,) = self.run_ok(tmp_path, mode, params, detector)
+        if mode == "montecarlo":
+            want = mp_tails(params, mp_root_snr2(params, 8, 8, int(row["seed"])))
+            assert [close9(row[c], w) for c, w in zip(("pf_exact", "pm_exact", "pe_exact"), want[1:])] == [True] * 3
+            assert (row["pf_mc"], row["pm_mc"]) == ("0", "0")
+        else:
+            assert [close9(row[c], w) for c, w in zip(("pf", "pm", "pe"), mp_tails(params, mp_root_snr2(params, 2, 1), detector)[1:])] == [True] * 3
 
     @pytest.mark.parametrize("params", [
         {"N": 8, "Ns": 4, "P": 8e-200, "sigma_w2": 1e-201},  # gamma sigma_w2 underflows to 0
@@ -732,10 +867,9 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("mode", ["analyze", "asymptotic", "montecarlo", "sweep-grid", "sweep-limits"])
     def test_np_at_infinite_snr_keeps_its_false_alarm_rate(self, tmp_path, mode):
-        # g^2 qf and 1/mu overflow to inf: np's threshold falls to -inf with the
-        # SNR, so pf stays at alpha_fa while pm vanishes, and pe = p0 alpha_fa.
-        # The simulated statistic overflows at m = 1e-20; at m = 1e-60 it stays
-        # finite while g^2 qf still overflows, and its mean is 1e100 spreads out
+        # g^2 qf and 1/mu overflow to inf, while r = m sqrt(x) ~ 1e150 (1e100 for
+        # montecarlo, at m = 1e-60) is a normal float: np's threshold 2 r Q^{-1}(alpha_fa)
+        # - 2 r^2 is finite, pf stays at alpha_fa while pm vanishes, and pe = p0 alpha_fa
         params = {"N": 8, "Ns": 8, "sigma_v2": 0, "sigma_w2": 1e-300, "m": 1e-20}
         if mode == "montecarlo":
             params.update(P=1, sigma_w2=1e-200, m=1e-60)
@@ -748,11 +882,15 @@ class TestExitCodes:
         assert (proc.returncode, proc.stderr) == (0, "")
         _, header, rows = read_csv(out)
         rows = [dict(zip(header, r)) for r in rows]
+        spec = {"criterion": "np", "alpha_fa": 0.05}
         if mode in ("analyze", "asymptotic"):
-            assert [(r["tau_prime"], r["pf"], r["pm"], r["pe"]) for r in rows] == [("-inf", "0.05", "0", "0.025")]
+            assert [(r["pf"], r["pm"], r["pe"]) for r in rows] == [("0.05", "0", "0.025")]
+            r2 = mp_root_snr2(params, 8, 8, 0 if mode == "analyze" else None)
+            assert close9(rows[0]["tau_prime"], mp_tails(params, r2, spec)[0])
         elif mode == "montecarlo":
-            assert [(r["tau_prime"], r["pm_mc"], r["pf_exact"], r["pm_exact"], r["pe_exact"]) for r in rows] == [
-                ("-inf", "0", "0.05", "0", "0.025")]
+            assert [(r["pm_mc"], r["pf_exact"], r["pm_exact"], r["pe_exact"]) for r in rows] == [
+                ("0", "0.05", "0", "0.025")]
+            assert close9(rows[0]["tau_prime"], mp_tails(params, mp_root_snr2(params, 8, 8, 0), spec)[0])
             assert float(rows[0]["pf_mc"]) == pytest.approx(0.05, abs=3 * float(rows[0]["stderr_pf"]))
         elif mode == "sweep-grid":
             assert [(r["pe_exact"], r["pe_asymptotic"], r["rel_gap"]) for r in rows] == [("0.025", "0.025", "0")] * 2
@@ -760,10 +898,10 @@ class TestExitCodes:
             assert [r["pe_asymptotic"] for r in rows] == ["0.025"]
 
     def test_equal_vanishing_tails_have_no_gap(self, tmp_path):
-        # both x overflow to inf, so both log_pe are -inf: equal logs give rel_gap 0, not nan
+        # both r^2 ~ 1e600 overflow, so both log_pe are -inf: equal logs give rel_gap 0, not nan
         out = tmp_path / "grid.csv"
         cfg = config_file(tmp_path, {"mode": "sweep-grid", "output": str(out),
-                                     "params": {"sigma_v2": 0, "sigma_w2": 1e-300, "m": 1e-20},
+                                     "params": {"sigma_v2": 0, "sigma_w2": 1e-300, "P": 1e300},
                                      "grid": {"N": [8], "alpha": [1.0], "seeds": 2}})
         proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
                               env=child_env(), capture_output=True, text=True, timeout=120)
@@ -950,10 +1088,10 @@ class TestConvergeSinglePass:
     GOLDEN = {
         "converge": ({"mode": "converge", "seed": 4, "params": {"N": 8, "alpha": 2.0},
                       "grid": {"N": [7, 8, 16], "seeds": 3}},
-                     "7f902ce109e8435674c547ba93969c03f4996b767d078565b36b577fdaf16d11"),
+                     "701a62cb97663113f2886e25690a616c12493a974a9f4f2ddce9c953fa471381"),
         "sweep-grid": ({"mode": "sweep-grid", "seed": 2,
                         "grid": {"N": [8, 16], "alpha": [0.5, 2.0], "seeds": 3}},
-                       "093ac173288d18b50d0dd2316c898fe997ff6b371da0590730e1b177fb4cd4a3"),
+                       "6b30bf3e5007a5f6bbd5f2daf051c8ef804067ea219ec410057557e8ee0dff10"),
     }
 
     @pytest.mark.parametrize("mode", sorted(GOLDEN))
@@ -1013,7 +1151,7 @@ class TestSweepGridBlocks:
     # seeds were blocked: at N=128 both points split into several blocks
     GOLDEN = ({"mode": "sweep-grid", "seed": 0,
                "grid": {"N": [8, 128], "alpha": [0.5, 4.0], "seeds": 5}},
-              "47d5450b80e778e4c48e256fac6bb04488a20d21313f273cd88802d01ebddb7b")
+              "f0725251578b3f05e61bb3531fba67ca9491392454f69cd52e2165e643f0ede4")
 
     def run_grid(self, tmp_path, *extra, name="grid.csv"):
         doc, _ = self.GOLDEN
@@ -1059,7 +1197,7 @@ class TestMontecarloGolden:
     # draw for both hypotheses on the sfc64 chunk stream, run on the two-worker pool
     GOLDEN = ({"mode": "montecarlo", "seed": 3, "params": {"N": 12, "Ns": 20, "P": 4.0, "sigma_v2": 0.5},
                "mc": {"trials": 2 * 16384 + 5, "workers": 2}},
-              "78bb7658cf65a59d11c6177b261e477a8e266b1342b6255bd24397e28b44f5bd")
+              "0d0fb0349434647c7831e062e2a3265d098d84b4d842596c31bb649fa1c94bec")
 
     def test_golden_artifact(self, tmp_path):
         doc, digest = self.GOLDEN

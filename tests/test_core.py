@@ -233,10 +233,10 @@ class TestQFunction:
             assert q(float(x)) + q(-float(x)) == pytest.approx(1.0, abs=1e-14)
 
 
-def log_tails_oracle(x: float, m: float, tau: float) -> tuple[float, float]:
+def log_tails_oracle(r: float, tau: float) -> tuple[float, float]:
     """(log pf, log pm) from mpmath's erfc at 50 digits, rounded once to doubles."""
     with mpmath.workdps(50):
-        root = mpmath.mpf(m) * mpmath.sqrt(mpmath.mpf(x))
+        root = mpmath.mpf(r)
         half = mpmath.mpf(tau) / (2 * root)
         return tuple(float(mpmath.log(mpmath.erfc(z / mpmath.sqrt(2)) / 2)) for z in (half + root, root - half))
 
@@ -273,40 +273,44 @@ class TestLogNdtr:
 
 
 class TestLogTails:
-    """log_tails against 50-digit tails, over SNRs where the tails underflow."""
+    """log_tails against 50-digit tails, over SNRs where the tails underflow.
+
+    The root SNR of each case is m sqrt(x), for a detection SNR x.
+    """
 
     @pytest.mark.parametrize("tau", [-5.0, 0.0, math.log(3.0), 40.0])
     @pytest.mark.parametrize("m", [0.3, 1.0, 2.5])
     def test_against_mpmath(self, m, tau):
         # coarse down to 1e-300, dense where log_ndtr changes branch (|z| from 6 to 40)
         for x in np.concatenate((np.logspace(-300.0, -6.0, 22), np.logspace(-6.0, 6.0, 61))):
-            got = log_tails(float(x), m, tau)
-            want = log_tails_oracle(float(x), m, tau)
+            r = m * math.sqrt(x)
+            got, want = log_tails(r, tau), log_tails_oracle(r, tau)
             for g, w in zip(got, want):
                 # an error d in log p is a relative error of about d in p
                 assert abs(g - w) <= 1e-13 * max(1.0, abs(w)), (x, m, tau, got, want)
 
     def test_finite_where_q_function_underflows(self):
-        log_pf, log_pm = log_tails(1e6, 1.0, 0.0)
+        log_pf, log_pm = log_tails(1e3, 0.0)
         assert q(1e3) == 0.0
-        assert log_pf == log_pm == pytest.approx(log_tails_oracle(1e6, 1.0, 0.0)[0], rel=1e-14)
+        assert log_pf == log_pm == pytest.approx(log_tails_oracle(1e3, 0.0)[0], rel=1e-14)
         assert -5.0e5 - 10.0 < log_pf < -5.0e5
 
     def test_tie_rule_at_zero_snr(self):
-        assert log_tails(0.0, 1.0, 0.0) == (0.0, -math.inf)
-        assert log_tails(0.0, 1.0, -2.0) == (0.0, -math.inf)
-        assert log_tails(0.0, 1.0, 0.5) == (-math.inf, 0.0)
+        assert log_tails(0.0, 0.0) == (0.0, -math.inf)
+        assert log_tails(0.0, -2.0) == (0.0, -math.inf)
+        assert log_tails(0.0, 0.5) == (-math.inf, 0.0)
 
     def test_limits_of_resolution(self):
-        # m sqrt(x) underflows to 0 with x > 0: the statistic's spread is lost against tau
-        assert log_tails(1e-299, 1e-300, 0.0) == (math.log(0.5), math.log(0.5))
-        assert log_tails(1e-299, 1e-300, 1.0) == (-math.inf, 0.0)
+        # at the least positive r the statistic's spread is lost against tau: the
+        # tails are their r -> 0 limits, which root_snr relies on for a root below it
+        assert log_tails(5e-324, 0.0) == (math.log(0.5), math.log(0.5))
+        assert log_tails(5e-324, 1.0) == (-math.inf, 0.0)
         # an infinite SNR separates the hypotheses completely
-        assert log_tails(math.inf, 1.0, 0.3) == (-math.inf, -math.inf)
+        assert log_tails(math.inf, 0.3) == (-math.inf, -math.inf)
 
     def test_symmetric_at_zero_threshold(self):
         for x in (1e-12, 0.3, 7.0, 4e4):
-            log_pf, log_pm = log_tails(x, 1.3, 0.0)
+            log_pf, log_pm = log_tails(1.3 * math.sqrt(x), 0.0)
             assert log_pf == log_pm
 
     @hypothesis.seed(20261018)
@@ -318,14 +322,15 @@ class TestLogTails:
     )
     def test_monotone_in_threshold(self, x, m, taus):
         lo, hi = sorted(taus)
-        (pf_lo, pm_lo), (pf_hi, pm_hi) = log_tails(x, m, lo), log_tails(x, m, hi)
+        r = m * math.sqrt(x)
+        (pf_lo, pm_lo), (pf_hi, pm_hi) = log_tails(r, lo), log_tails(r, hi)
         assert pf_hi <= pf_lo
         assert pm_lo <= pm_hi
 
 
 def inv_q(p: float) -> float:
-    """The normal quantile inside np_threshold: at x = 1, m = 1/2 the threshold is Q^{-1}(p) - 1/2."""
-    return np_threshold(1.0, 0.5, p) + 0.5
+    """The normal quantile inside np_threshold: at r = 1/2 the threshold is Q^{-1}(p) - 1/2."""
+    return np_threshold(0.5, p) + 0.5
 
 
 class TestInvQ:
@@ -423,7 +428,7 @@ class TestNpThreshold:
     """The threshold pins the false-alarm rate at the requested level."""
 
     def test_frozen_example(self):
-        assert np_threshold(1.0, 1.0, 0.05) == pytest.approx(NP_THR_EXAMPLE, abs=1e-9)
+        assert np_threshold(1.0, 0.05) == pytest.approx(NP_THR_EXAMPLE, abs=1e-9)
 
     def test_achieves_false_alarm_rate(self):
         rng = np.random.default_rng(17)
@@ -432,7 +437,7 @@ class TestNpThreshold:
             g = float(rng.uniform(0.1, 3.0))
             m = float(rng.uniform(0.1, 3.0))
             a = float(rng.uniform(0.001, 0.5))
-            tau = np_threshold(g * g * qf, m, a)
+            tau = np_threshold(g * m * math.sqrt(qf), a)
             scale = 2.0 * g * m * math.sqrt(qf)
             shift = 2.0 * g * g * m * m * qf
             assert q((tau + shift) / scale) == pytest.approx(a, abs=1e-9)
@@ -443,9 +448,9 @@ class TestNpThreshold:
          (1.0, 1, 1, 0.0), (1.0, 1, 1, 1.0)],
     )
     def test_domain(self, qf, g, m, a):
-        # the threshold sees the channel only through the detection SNR g^2 qf
+        # the threshold sees the channel only through the root SNR r = g m sqrt(qf)
         with pytest.raises(DomainError):
-            np_threshold(g * g * qf, m, a)
+            np_threshold(g * m * math.copysign(math.sqrt(abs(qf)), qf), a)
 
 
 class TestDetectorSpec:
@@ -482,7 +487,7 @@ class TestThresholdFor:
     def test_np_uses_channel(self):
         p = make_params()
         spec = DetectorSpec(criterion="np", alpha_fa=0.05)
-        expected = np_threshold(2.0, p.m, 0.05)
+        expected = np_threshold(2.0, 0.05)
         assert threshold_for(spec, p, 2.0) == expected
 
     def test_fixed_verbatim(self):

@@ -9,6 +9,7 @@ import math
 
 import hypothesis
 import hypothesis.strategies as st
+import mpmath
 import numpy as np
 import pytest
 
@@ -26,6 +27,7 @@ from cdmafusion import (
     quadratic_form,
 )
 from cdmafusion import exact
+from cdmafusion.core import snr_groups
 from cdmafusion.exact import exact_report, quadratic_forms
 from cdmafusion.spreading import generate, load
 
@@ -55,10 +57,15 @@ class TestChannelModel:
             ChannelModel.from_params(make_params(N=16, Ns=8), generate(8, 8, seed=0))
 
     def test_carries_gain(self):
+        # Ns g^2 (m^2 + sigma_v2) = P  =>  g = sqrt(8 / (2 * 2)) = sqrt(2); g^2 sigma_v2 = 2
+        # outweighs sigma_w2 = 1, so it is the unit U and the receiver noise is w = 1/2
         p = make_params(N=4, Ns=2, P=8.0, m=1.0, sigma_v2=1.0)
-        mdl = model_for(p)
-        # Ns g^2 (m^2 + sigma_v2) = P  =>  g = sqrt(8 / (2 * 2)) = sqrt(2)
-        assert mdl.g == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert amplifier_gain(p) == pytest.approx(np.sqrt(2.0), rel=1e-15)
+        assert snr_groups(p)[0] == pytest.approx(2.0, rel=1e-15)
+        assert (model_for(p).c, model_for(p).w) == (1.0, pytest.approx(0.5, rel=1e-15))
+        # at P = 2, g^2 sigma_v2 = 1/2 falls below sigma_w2 = 1, which becomes the unit
+        p = make_params(N=4, Ns=2, P=2.0, m=1.0, sigma_v2=1.0)
+        assert (model_for(p).c, model_for(p).w) == (pytest.approx(0.5, rel=1e-15), 1.0)
 
 
 class TestChannelCovariance:
@@ -69,21 +76,22 @@ class TestChannelCovariance:
     def test_positive_definite_floor(self):
         for seed in (0, 1, 2):
             p = make_params(N=12, Ns=40, sigma_v2=2.5, sigma_w2=0.3)
-            cov = channel_covariance(model_for(p, seed=seed))
-            assert np.linalg.eigvalsh(cov).min() >= p.sigma_w2 - 1e-12
+            mdl = model_for(p, seed=seed)
+            assert np.linalg.eigvalsh(channel_covariance(mdl)).min() >= mdl.w - 1e-12
 
     def test_noiseless_sensors_give_diagonal(self):
         p = make_params(N=8, Ns=8, sigma_v2=0.0, sigma_w2=0.7)
         cov = channel_covariance(model_for(p))
-        assert np.array_equal(cov, 0.7 * np.eye(8))
+        # with no interference the receiver noise is the unit
+        assert np.array_equal(cov, np.eye(8))
 
     def test_scalar_case_closed_form(self):
-        # N=1, Ns=1, S=[[1]]: Sigma = [[g^2 sigma_v2 + sigma_w2]]
+        # N=1, Ns=1, S=[[1]]: Sigma = [[g^2 sigma_v2 + sigma_w2]], in units of U
         p = make_params(N=1, Ns=1, P=4.0, sigma_v2=1.0, sigma_w2=0.5)
         mdl = ChannelModel.from_params(p, load(np.array([[1.0]])))
         cov = channel_covariance(mdl)
         assert cov.shape == (1, 1)
-        assert cov[0, 0] == pytest.approx(mdl.g**2 + 0.5, rel=1e-14)
+        assert cov[0, 0] * snr_groups(p)[0] == pytest.approx(amplifier_gain(p) ** 2 + 0.5, rel=1e-14)
 
 
 class TestQuadraticForm:
@@ -101,14 +109,23 @@ class TestQuadraticForm:
         mdl = ChannelModel.from_params(p, load(np.array([[1.0, -1.0]])))
         assert quadratic_form(mdl) == 0.0
 
-    def test_vanishing_gain_is_numerical_failure(self):
-        # Ns (m^2 + sigma_v2) overflows, so g == 0 and the statistic has no scale
+    def test_vanishing_gain_keeps_the_coin_flip_limit(self):
+        # Ns (m^2 + sigma_v2) overflows, so g underflows; in the groups r is ~1e-154
+        # and the balanced error probability is 1/2 less the rounding of Q(r)
         p = make_params(N=8, Ns=8, sigma_v2=1.7e308)
-        with pytest.raises(NumericalFailure, match="scale 2 g m sqrt\\(qf\\) underflows to 0"):
-            exact_performance(p, generate(8, 8, seed=0), DetectorSpec())
+        S = generate(8, 8, seed=0)
+        rep = exact_performance(p, S, DetectorSpec())
+        with mpmath.workdps(50):
+            A = mpmath.matrix(S.entries.tolist())
+            cov = (mpmath.mpf(10) / 8) * A * A.T + mpmath.eye(8)  # g^2 sigma_v2 = P / Ns in the limit
+            s1 = A * mpmath.matrix([1] * 8)
+            r = mpmath.sqrt(mpmath.mpf(10) / 8 / (1 + mpmath.mpf(1.7e308)) * (s1.T * mpmath.lu_solve(cov, s1))[0])
+            want = mpmath.log(mpmath.erfc(r / mpmath.sqrt(2)) / 2)
+        assert rep.log_pe == pytest.approx(float(want), rel=1e-12)
+        assert (rep.pf, rep.pm, rep.pe) == (0.5, 0.5, 0.5)
 
     def test_rejects_indefinite_covariance(self):
-        mdl = ChannelModel(S=generate(4, 4, seed=0), g=1.0, sigma_v2=1.0, sigma_w2=-10.0, m=1.0)
+        mdl = ChannelModel(S=generate(4, 4, seed=0), c=-10.0, w=1.0)
         with pytest.raises(NumericalFailure):
             quadratic_form(mdl)
 
@@ -126,7 +143,7 @@ class TestFactoredChannel:
         mdl = model_for(make_params(N=16, Ns=24, sigma_v2=1.3, sigma_w2=0.8), seed=2)
         cov = channel_covariance(mdl)
         for b in np.random.default_rng(4).normal(size=(3, 16)):
-            assert exact.inverse_form(cov, b, mdl.sigma_w2) == pytest.approx(b @ np.linalg.solve(cov, b), rel=1e-10)
+            assert exact.inverse_form(cov, b, mdl.w) == pytest.approx(b @ np.linalg.solve(cov, b), rel=1e-10)
         np.testing.assert_array_equal(mdl.s1, mdl.S.entries.sum(axis=1))
         np.testing.assert_allclose(
             mdl.detector, np.linalg.solve(channel_covariance(mdl), mdl.s1), rtol=1e-10
@@ -137,7 +154,7 @@ class TestFactoredChannel:
     def test_whiten_against_dense_cholesky(self, N, Ns, linalg_calls):
         mdl = model_for(make_params(N=N, Ns=Ns, sigma_v2=1.3, sigma_w2=0.8), seed=N)
         A = mdl.S.entries
-        cov = mdl.g**2 * mdl.sigma_v2 * (A @ A.T) + mdl.sigma_w2 * np.eye(N)
+        cov = mdl.c * (A @ A.T) + mdl.w * np.eye(N)
         L = np.linalg.cholesky(cov)
         B = np.column_stack([A, np.random.default_rng(N).normal(size=(N, 2))])
         np.testing.assert_allclose(mdl.whiten(B), np.linalg.solve(L, B), rtol=0, atol=1e-12)
@@ -151,7 +168,7 @@ class TestExactPerformance:
         rep = exact_performance(p, generate(16, 16, seed=0), DetectorSpec())
         assert rep.mc is None
         assert rep.tau_prime == 0.0
-        assert rep.qf == quadratic_form(model_for(p))
+        assert rep.q == quadratic_form(model_for(p))
         assert 0.0 < rep.pf < 0.5 and 0.0 < rep.pm < 0.5
 
     def test_pe_is_prior_mix(self):
@@ -241,13 +258,23 @@ class TestTailReport:
         assert (rep.pf, rep.pm, rep.pe) == (0.0, 0.0, 0.0)
         assert -1e7 < rep.log_pe < -1e3
 
+    def test_least_positive_form_has_a_root_snr(self):
+        # 2 g m sqrt(qf) = 2.2e-162 is a normal float, though g^2 qf underflows
+        p = SystemParams(N=1, Ns=1, P=0.25, m=1.0, sigma_v2=0.0, sigma_w2=1.0)
+        rep = exact_report(p, 5e-324, DetectorSpec())
+        with mpmath.workdps(50):
+            r = mpmath.sqrt(mpmath.mpf(0.25) * mpmath.mpf(5e-324))
+            want = mpmath.log(mpmath.erfc(r / mpmath.sqrt(2)) / 2)
+        assert rep.log_pe == pytest.approx(float(want), rel=1e-12)
+        assert (rep.pf, rep.pm, rep.pe) == (0.5, 0.5, 0.5)
+
     @hypothesis.seed(20261018)
     @hypothesis.settings(max_examples=300, deadline=None, database=None)
-    @hypothesis.given(params=system_params, qf=st.floats(0.0, 1e6))
-    def test_bayes_beats_deciding_blind(self, params, qf):
+    @hypothesis.given(params=system_params, q=st.floats(0.0, 1e6))
+    def test_bayes_beats_deciding_blind(self, params, q):
         # always declaring the likelier hypothesis errs with min(p0, p1); the
         # slack is the rounding of p0 pf + p1 pm
-        rep = exact_report(params, qf, DetectorSpec())
+        rep = exact_report(params, q, DetectorSpec())
         assert rep.pe <= min(params.p0, params.p1) * (1.0 + 4e-16)
         assert rep.log_pe <= math.log(min(params.p0, params.p1)) + 4e-16
 
@@ -257,8 +284,8 @@ class TestTailReport:
     def test_exact_at_the_limiting_form_is_the_asymptotic_report(self, params, spec):
         # the limit is g^2 qf = 1/mu, so the exact route at that qf is the asymptotic one
         g = amplifier_gain(params)
-        qf = 1.0 / (asymptotic_params(params).mu * g * g)
-        ex, asym = exact_report(params, qf, spec), asymptotic_performance(params, spec)
+        q = snr_groups(params)[0] / (asymptotic_params(params).mu * g * g)
+        ex, asym = exact_report(params, q, spec), asymptotic_performance(params, spec)
         assert ex.tau_prime == pytest.approx(asym.tau_prime, rel=1e-12, abs=1e-12)
         assert ex.log_pe == pytest.approx(asym.log_pe, rel=1e-12)
         for a, b in ((ex.pf, asym.pf), (ex.pm, asym.pm), (ex.pe, asym.pe)):
@@ -270,10 +297,11 @@ class TestQuadraticForms:
 
     @staticmethod
     def dense_qf(params, A):
+        """U qf by a dense solve of the physical covariance."""
         g = amplifier_gain(params)
         cov = g * g * params.sigma_v2 * (A @ A.T) + params.sigma_w2 * np.eye(params.N)
         s1 = A.sum(axis=1)
-        return float(s1 @ np.linalg.solve(cov, s1))
+        return float(s1 @ np.linalg.solve(cov, s1)) * snr_groups(params)[0]
 
     @pytest.mark.parametrize("N,Ns", [(1, 1), (1, 3), (7, 5), (16, 40), (33, 2)])
     def test_matches_one_matrix_route_and_dense_oracle(self, N, Ns):
@@ -293,7 +321,7 @@ class TestQuadraticForms:
         assert qfs[0] == 0.0 and qfs[2] == 0.0
         assert qfs[1] == pytest.approx(self.dense_qf(p, block[1]), rel=1e-12)
         rep = exact_report(p, qfs[0], DetectorSpec())
-        assert (rep.pf, rep.pm, rep.qf) == (1.0, 0.0, 0.0)
+        assert (rep.pf, rep.pm, rep.q) == (1.0, 0.0, 0.0)
 
     def test_report_equals_exact_performance(self):
         p = make_params(N=8, Ns=12)
@@ -309,16 +337,18 @@ class TestQuadraticForms:
 
     @pytest.mark.parametrize("sigma_w2", [1e-300, 1e-20, 1e20, 1e300])
     def test_border_is_scaled_at_the_ends_of_the_float_range(self, sigma_w2):
-        # with noiseless sensors Sigma = sigma_w2 I, so qf sits exactly on the
-        # bound ||S 1||^2 / sigma_w2 that scales the border
+        # with noiseless sensors Sigma = sigma_w2 I, the unit, so q sits exactly on the
+        # bound ||S 1||^2 / w, w = 1, that sets the border's corner; with noisy sensors
+        # the interference is the unit at sigma_w2 = 1e-300 and 1e-20, and the corner
+        # 1 + ||S 1||^2 / w grows to 1e301 and 1e21
         p = make_params(N=16, Ns=24, sigma_v2=0.0, sigma_w2=sigma_w2)
         block = np.stack([generate(16, 24, seed).entries for seed in range(3)])
-        for qf, A in zip(quadratic_forms(p, block), block):
+        for q, A in zip(quadratic_forms(p, block), block):
             s1 = A.sum(axis=1)
-            assert qf == pytest.approx((s1 @ s1) / sigma_w2, rel=1e-14)
+            assert q == pytest.approx(s1 @ s1, rel=1e-14)
         p = make_params(N=16, Ns=24, sigma_v2=1.3, sigma_w2=sigma_w2)
-        for qf, A in zip(quadratic_forms(p, block), block):
-            assert qf == pytest.approx(self.dense_qf(p, A), rel=1e-10)
+        for q, A in zip(quadratic_forms(p, block), block):
+            assert q == pytest.approx(self.dense_qf(p, A), rel=1e-10)
 
     def test_not_positive_definite_is_numerical_failure(self, monkeypatch):
         original = exact.channel_covariance
@@ -328,10 +358,12 @@ class TestQuadraticForms:
             quadratic_forms(make_params(N=4, Ns=4), block)
 
     def test_non_finite_covariance_is_numerical_failure(self):
-        p = make_params(N=4, Ns=4, P=1.7e308, sigma_w2=1.7e308)
+        # in the units of snr_groups c and w are at most 1, so only a stack with
+        # entries outside the signature alphabet makes the covariance non-finite
         block = np.stack([generate(4, 4, seed).entries for seed in range(2)])
-        with np.errstate(over="ignore"), pytest.raises(NumericalFailure, match="non-finite"):
-            quadratic_forms(p, block)
+        block[1, 2, 3] = np.nan
+        with pytest.raises(NumericalFailure, match="non-finite"):
+            quadratic_forms(make_params(N=4, Ns=4), block)
 
     def test_shape_check(self):
         p = make_params(N=8, Ns=4)

@@ -29,8 +29,8 @@ from cdmafusion import (
     simulate_trials,
     threshold_for,
 )
-from cdmafusion import cli, montecarlo
-from cdmafusion.exact import detection_snr
+from cdmafusion import amplifier_gain, cli, montecarlo
+from cdmafusion.core import root_snr, snr_groups
 from cdmafusion.montecarlo import (
     CHUNK_TRIALS,
     NORMAL_SAMPLER_ID,
@@ -70,8 +70,6 @@ class TestSimulateTrials:
         S = generate(12, 10, seed=4)
         r0 = simulate_trials(p, S, 0, 6, np.random.Generator(np.random.Philox(9)))
         r1 = simulate_trials(p, S, 1, 6, np.random.Generator(np.random.Philox(9)))
-        from cdmafusion import amplifier_gain
-
         sep = 2.0 * amplifier_gain(p) * p.m * S.entries.sum(axis=1)
         np.testing.assert_allclose(r1 - r0, sep[:, None] * np.ones((1, 6)), rtol=1e-12, atol=1e-12)
 
@@ -81,12 +79,12 @@ class TestSimulateTrials:
         p = make_params(N=6, Ns=6)
         S = generate(6, 6, seed=3)
         r = simulate_trials(p, S, 0, 200_000, np.random.Generator(np.random.Philox(5)))
-        from cdmafusion import ChannelModel, amplifier_gain, channel_covariance
+        from cdmafusion import channel_covariance
 
         g = amplifier_gain(p)
         mean_expected = -g * p.m * S.entries.sum(axis=1)
         assert np.max(np.abs(r.mean(axis=1) - mean_expected)) <= 0.015
-        cov_expected = channel_covariance(ChannelModel.from_params(p, S))
+        cov_expected = channel_covariance(ChannelModel.from_params(p, S)) * snr_groups(p)[0]
         cov_sample = np.cov(r)
         rel = np.linalg.norm(cov_sample - cov_expected) / np.linalg.norm(cov_expected)
         assert rel <= 0.05
@@ -239,14 +237,17 @@ class TestEstimate:
 
     @pytest.mark.parametrize("m", [1e-60, 1e-7], ids=["snr-overflows", "snr-finite"])
     def test_np_keeps_its_false_alarm_rate_where_the_mean_swamps_the_noise(self, m):
-        # T's mean 2 m^2 x is 1e100 times its spread 2 m sqrt(x), so T itself
-        # rounds to its mean; x = g^2 qf overflows at m = 1e-60 and is 1e214 at 1e-7
+        # T's mean 2 r^2 is about 1e100 times its spread 2 r, so T itself rounds
+        # to its mean; x = g^2 qf overflows at m = 1e-60 and is 1e214 at 1e-7,
+        # while r = m sqrt(x) is about 1e100 at either m
         p = make_params(P=1.0, m=m, sigma_v2=0.0, sigma_w2=1e-200)
         spec = DetectorSpec(criterion="np", alpha_fa=0.05)
         rep = estimate(p, generate(8, 8, seed=0), spec, McConfig(trials_per_hypothesis=20_000, seed=3))
         assert rep.pf == pytest.approx(0.05, abs=3 * np.sqrt(0.05 * 0.95 / 20_000))
         assert rep.pm == 0.0
-        assert (rep.tau_prime == -math.inf) == (m == 1e-60)
+        r = root_snr(p, rep.q)
+        assert 1e99 < r < 1e101
+        assert rep.tau_prime == threshold_for(spec, p, r) == pytest.approx(-2 * r * r, rel=1e-12)
 
 
 class TestCollapsedKernel:
@@ -262,23 +263,35 @@ class TestCollapsedKernel:
         p = make_params(N=N, Ns=Ns, m=0.7, sigma_v2=0.4, sigma_w2=1.9, P=6.0)
         S = generate(N, Ns, seed=5)
         model = ChannelModel.from_params(p, S)
-        weight = 2.0 * model.g * p.m * model.detector
-        noise_weight, shift = _collapsed_weight(model)
+        weight = self.weight(p, model)
+        noise_weight = _collapsed_weight(model)
+        r = root_snr(p, quadratic_form(model))
         tau = 0.3
-        counts = _count_errors(noise_weight, (tau + shift, tau - shift), self.SEED, idx, size)
-        for hyp, offset in ((0, -shift), (1, shift)):
+        half = tau / (2.0 * r)
+        counts = _count_errors(noise_weight, (half + r, half - r), self.SEED, idx, size)
+        for hyp, offset in ((0, -r), (1, r)):
             ref = weight @ simulate_trials(p, S, hyp, size, _chunk_rng(self.SEED, idx))
             noise = _chunk_rng(self.SEED, idx).standard_normal((Ns + N, size))
-            np.testing.assert_allclose(offset + noise_weight @ noise, ref,
+            np.testing.assert_allclose(2.0 * r * (offset + noise_weight @ noise), ref,
                                        rtol=1e-12, atol=1e-12 * np.abs(ref).max())
             want = np.count_nonzero(ref >= tau) if hyp == 0 else np.count_nonzero(ref < tau)
             assert counts[hyp] == want
 
     def test_shift_is_the_statistic_at_the_h1_mean(self):
-        # T evaluated at the H1 mean g m S 1 equals 2 g^2 m^2 qf
-        model = ChannelModel.from_params(make_params(N=16, Ns=12, m=1.7), generate(16, 12, seed=6))
-        expected = 2.0 * model.g**2 * model.m**2 * quadratic_form(model)
-        assert _collapsed_weight(model)[1] == pytest.approx(expected, rel=1e-10)
+        # T evaluated at the H1 mean g m S 1 equals 2 g^2 m^2 qf = 2 r^2, so the
+        # standardized statistic T / 2r, with its unit weight, is shifted by r
+        p = make_params(N=16, Ns=12, m=1.7)
+        S = generate(16, 12, seed=6)
+        model = ChannelModel.from_params(p, S)
+        r = root_snr(p, quadratic_form(model))
+        at_mean = self.weight(p, model) @ (amplifier_gain(p) * p.m * S.entries.sum(axis=1))
+        assert at_mean == pytest.approx(2.0 * r * r, rel=1e-10)
+        assert np.linalg.norm(_collapsed_weight(model)) == pytest.approx(1.0, rel=1e-14)
+
+    @staticmethod
+    def weight(p, model):
+        """The weight 2 g m Sigma^{-1} S 1 of T on the received vector, in physical units."""
+        return 2.0 * amplifier_gain(p) * p.m * model.detector / snr_groups(p)[0]
 
     @pytest.mark.parametrize("rows", [24, 1024])
     def test_chunk_memory_does_not_grow_with_system_size(self, rows):
@@ -305,8 +318,8 @@ class TestCollapsedKernel:
         p = make_params(N=6, Ns=9)
         S = generate(6, 9, seed=2)
         model = ChannelModel.from_params(p, S)
-        weight = 2.0 * model.g * p.m * model.detector
-        tau = threshold_for(spec, p, detection_snr(p, quadratic_form(model)))
+        weight = self.weight(p, model)
+        tau = threshold_for(spec, p, root_snr(p, quadratic_form(model)))
         n = 2 * CHUNK_TRIALS + 101
         counts = [0, 0]
         for hyp in (0, 1):
@@ -404,8 +417,7 @@ class TestCoupledEstimator:
         assert rep.mc.false_alarms == round(pf * n)
         assert rep.mc.stderr_pf == math.sqrt(pf * (1.0 - pf) / n)
         # and the same count from the H0 reference path on an explicitly keyed stream
-        model = ChannelModel.from_params(p, S)
-        weight = 2.0 * model.g * p.m * model.detector
+        weight = TestCollapsedKernel.weight(p, ChannelModel.from_params(p, S))
         want = 0
         for idx, size in _chunk_plan(n):
             rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=3, spawn_key=(0, idx))))
