@@ -403,9 +403,9 @@ def _run_sweep_grid(config: ExperimentConfig):
         rows = []
         for start in range(0, len(seeds), size):
             block = seeds[start:start + size]
-            qfs = quadratic_forms(pc, np.stack([generate(pc.N, pc.Ns, seed).entries for seed in block]))
-            for seed, qf in zip(block, qfs):
-                rep = exact_report(pc, qf, config.detector)
+            qs = quadratic_forms(pc, np.stack([generate(pc.N, pc.Ns, seed).entries for seed in block]))
+            for seed, q in zip(block, qs):
+                rep = exact_report(pc, q, config.detector)
                 # |pe_exact / pe_asymptotic - 1| from the logs, which stay finite
                 # after both tails underflow; a ratio past e^709 is inf, and equal
                 # logs, -inf included, give 0

@@ -45,27 +45,13 @@ def read_csv(path):
 def mp_rel_gap(p, N, Ns, seed):
     """|pe_exact / pe_asymptotic - 1| of the zero-threshold detector at 50 digits.
 
-    Builds the channel covariance of generate(N, Ns, seed) and solves it in
-    mpmath, and solves the fixed-point quadratic for beta0 by its textbook
-    root, so no double-precision tail, solve or formula of the package is used.
+    Both pe come from mp_root_snr2 and mp_tails, so no double-precision
+    tail, solve or formula of the package is used.
     """
+    zero = {"criterion": "fixed", "tau_prime": 0.0}
+    exact, limit = (mp_tails(p, mp_root_snr2(p, N, Ns, s), zero)[3] for s in (seed, None))
     with mpmath.workdps(50):
-        P, m, sv, sw = (mpmath.mpf(p[k]) for k in ("P", "m", "sigma_v2", "sigma_w2"))
-        g2 = P / (Ns * (m**2 + sv))
-        S = mpmath.matrix(generate(N, Ns, seed).entries.tolist())
-        cov = g2 * sv * S * S.T + sw * mpmath.eye(N)
-        s1 = S * mpmath.matrix([1] * Ns)
-        qf = (s1.T * mpmath.lu_solve(cov, s1))[0]
-        gamma = (P / N) * sv / (m**2 + sv)
-        alpha = mpmath.mpf(Ns) / N
-        a, b = gamma * sw, alpha * (gamma + sw) - gamma
-        beta0 = (mpmath.sqrt(b**2 + 4 * a * alpha) - b) / (2 * a)
-        mu = sv / Ns + (m**2 + sv) / (P * beta0)
-
-        def pe(x):
-            return mpmath.erfc(m * mpmath.sqrt(x / 2)) / 2
-
-        return float(abs(pe(g2 * qf) / pe(1 / mu) - 1))
+        return float(abs(exact / limit - 1))
 
 
 # the model's parameters where a config leaves them out
