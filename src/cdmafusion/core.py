@@ -270,7 +270,7 @@ def np_threshold(r: float, alpha_fa: float) -> float:
     is N(-2 r^2, 4 r^2), so the threshold is 2 r Q^{-1}(alpha_fa) - 2 r^2,
     formed as 2 r (Q^{-1}(alpha_fa) - r), which is -inf at r == inf.
     """
-    if not (isinstance(r, (int, float)) and r > 0):
+    if isinstance(r, bool) or not (isinstance(r, numbers.Real) and r > 0):
         raise DomainError(f"np_threshold requires r > 0, got {r!r}")
     return 2.0 * r * (np_quantile(alpha_fa) - r)
 
