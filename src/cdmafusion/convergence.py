@@ -119,8 +119,9 @@ def _snr_records(params: SystemParams, seed: int, model: ChannelModel, Y: np.nda
             f"quadratic-form decomposition residual {residual!r} exceeds "
             f"{_DECOMPOSITION_RTOL} at N={params.N}, seed={seed}"
         )
+    x = root_snr(params, q) / params.m  # squared as x * x, which overflows to inf where ** raises
     return [
-        _record("snr", params, seed, (root_snr(params, q) / params.m) ** 2, predicted),
+        _record("snr", params, seed, x * x, predicted),
         _record("decomposition_residual", params, seed, residual, 0.0),
     ]
 
@@ -167,6 +168,8 @@ def _experiments(
     for params in scaled:
         unit = snr_groups(params)[0]
         ap = asymptotic_params(params) if "snr" in wanted or "diag" in wanted else None
+        if "snr" in wanted and not (ap.mu > 0.0 and 1.0 / ap.mu < math.inf):  # no error against inf is a number
+            raise NumericalFailure(f"limiting snr 1 / mu overflows to inf at N={params.N}, mu={ap.mu!r}")
         pairs = np.triu_indices(params.Ns, k=1) if "cross" in wanted else None
         for seed in seeds:
             model = ChannelModel.from_params(params, generate(params.N, params.Ns, seed))

@@ -197,10 +197,10 @@ def root_snr(params: SystemParams, q: float) -> float:
     """r = m sqrt(x) = s sqrt(q) for a form q = U qf in the units of snr_groups.
 
     A positive root below every float is the least positive double, at which
-    the tails of log_tails are their r -> 0 limits: r is 0 only when q is.
+    the tails of log_tails are their r -> 0 limits: r is 0 only when q is,
+    which is decided before s, inf where sigma_w2 is subnormal, multiplies it.
     """
-    r = snr_groups(params)[3] * math.sqrt(q)
-    return r if r > 0.0 or q == 0.0 else _LEAST
+    return 0.0 if q == 0.0 else max(snr_groups(params)[3] * math.sqrt(q), _LEAST)
 
 
 def log_ndtr(z: float) -> float:

@@ -66,8 +66,7 @@ class ChannelModel:
             raise DimensionMismatch(
                 f"signature matrix is {S.N}x{S.Ns} but params declare N={params.N}, Ns={params.Ns}"
             )
-        _, c, w, _ = snr_groups(params)
-        return cls(S=S, c=c, w=w)
+        return cls(S, *snr_groups(params)[1:3])  # (c, w) of (U, c, w, s)
 
     @_once
     def covariance(self) -> np.ndarray:

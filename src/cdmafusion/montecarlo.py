@@ -8,11 +8,11 @@ unit norm (see estimate); the received chip vector itself is never formed.
 That noise term has the same law under both hypotheses, so one draw of it
 serves a false-alarm trial and a miss trial (common random numbers; RNG_ID
 names this scheme, from artifact 0.5.0 on).  Trials are produced in
-fixed-size chunks, each
-chunk from its own SFC64 stream spawned from (seed, 0, chunk index).  A
-chunk draws its normals _DRAW_ROWS rows at a time and folds each block
-into the noise term before drawing the next, so a worker holds about
-1.25 MiB (one 1 MiB block and two CHUNK_TRIALS vectors) whatever Ns + N is.
+fixed-size chunks, each from its own SFC64 stream spawned from (seed, 0,
+chunk index).  A chunk draws its normals _DRAW_ROWS rows at a time and
+folds each block into the noise term before drawing the next, so a worker
+holds about 1.25 MiB (one 1 MiB block and two CHUNK_TRIALS vectors)
+whatever Ns + N is.
 Chunk counts are integers merged by addition, so the estimate is a pure
 function of (inputs, seed) regardless of how many workers execute chunks
 or in what order they finish.

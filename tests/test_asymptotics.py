@@ -28,6 +28,7 @@ from cdmafusion import (
     mu,
     single_sensor_pe,
 )
+from cdmafusion.core import snr_groups
 from cdmafusion.spreading import load
 from conftest import q, zero_threshold_pe
 
@@ -224,6 +225,25 @@ class TestAsymptoticPerformance:
             want = -r * r / 2 - mpmath.log(r * mpmath.sqrt(2 * mpmath.pi)) + mpmath.log1p(-1 / r**2)
         assert rep.log_pe == pytest.approx(float(want), rel=1e-12)
         assert zero_threshold_pe(p) == large_alpha_pe(p) == single_sensor_pe(p) == 0.0
+
+
+    def test_beta0_past_the_float_range_in_units_of_the_interference(self):
+        # P = 1.7e308 and sigma_w2 = 1e-300: the unit U is the interference, w = sigma_w2 / U
+        # is the least double, and U beta0 ~ 1 / (w (1 - alpha)) is past every float.  The
+        # physical beta0 is ~5e299 and is solved directly; the limiting form is Ns / c
+        p = make_params(N=8, Ns=4, P=1.7e308, sigma_w2=1e-300)
+        unit, c, w, _ = snr_groups(p)
+        assert beta0(p.alpha, gamma(p) / unit, w) == math.inf
+        ap = asymptotic_params(p)
+        with mpmath.workdps(800):
+            P, sw, alpha = mpmath.mpf(p.P), mpmath.mpf(p.sigma_w2), mpmath.mpf(p.Ns) / p.N
+            gv = P / p.N / 2  # (P / N) sigma_v2 / (m^2 + sigma_v2) at m = sigma_v2 = 1
+            a, b = gv * sw, alpha * (gv + sw) - gv
+            want_beta0 = (mpmath.sqrt(b * b + 4 * a * alpha) - b) / (2 * a)
+            r = 1 / mpmath.sqrt(mpmath.mpf(1) / p.Ns + 2 / (P * want_beta0))
+            want_log_pe = mpmath.log(mpmath.erfc(r / mpmath.sqrt(2)) / 2)
+        assert ap.beta0 == pytest.approx(float(want_beta0), rel=1e-12)
+        assert asymptotic_performance(p, DetectorSpec()).log_pe == pytest.approx(float(want_log_pe), rel=1e-12)
 
 
 class TestLimits:

@@ -778,6 +778,25 @@ class TestExitCodes:
             assert close9(pe, mp_tails(params, mp_root_snr2(params, 8, 8, int(row["seed"])), spec)[3])
             assert float(pe) == 0.5
 
+    @pytest.mark.parametrize("mode", ["analyze", "montecarlo"])
+    def test_zero_signature_sum_under_subnormal_receiver_noise_is_the_tie_rule(self, tmp_path, mode):
+        # S 1 = 0, so q = 0 and r = 0, while s = sqrt(P / sigma_w2) is past every float
+        # at sigma_w2 = 1e-320: r is read from q before s multiplies it, and the
+        # statistic, identically 0, meets the Bayes threshold 0 and decides H1
+        mat = tmp_path / "sigs.csv"
+        mat.write_text("1,-1\n")
+        out = tmp_path / "out.csv"
+        cfg = config_file(tmp_path, {"mode": mode, "output": str(out), "matrix_path": str(mat),
+                                     "params": {"N": 1, "Ns": 2, "P": 1e300, "sigma_v2": 0, "sigma_w2": 1e-320},
+                                     "mc": {"trials": 1000}})
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        routes = ("",) if mode == "analyze" else ("_exact", "_mc")
+        assert [row[c + route] for route in routes for c in ("pf", "pm", "pe")] == ["1", "0", "0.5"] * len(routes)
+
     @pytest.mark.parametrize("mode, params, detector, message", [
         # the interference outweighs the receiver noise by 1e607, and S S^T has
         # rank 4 of 8 (see test_extreme_power_and_noise_are_one_line_runtime_failures)
@@ -786,7 +805,15 @@ class TestExitCodes:
         # beta0 ~ 1 / (2 sigma_w2) ~ 5e309 is past every float here, and mu would
         # divide by it
         ("asymptotic", {"N": 8, "Ns": 4, "sigma_w2": 1e-310}, None, "beta0 overflows to inf at N=8"),
-    ], ids=["montecarlo-singular-covariance", "asymptotic-beta0-overflows"])
+        # sigma_v2 / Ns is below 1 / 1.8e308, so the predicted snr 1 / mu is past
+        # every float, and so is the observed one: inf - inf is no error to report
+        ("converge", {"N": 8, "Ns": 8, "P": 1e300, "sigma_v2": 2.3e-308, "sigma_w2": 1e-300}, None,
+         "limiting snr 1 / mu overflows to inf at N=8, mu=2.875e-309"),
+        # sigma_v2 / Ns underflows to 0, and so does the rest of mu
+        ("converge", {"N": 8, "Ns": 8, "P": 1e300, "sigma_v2": 5e-324, "sigma_w2": 1e-300}, None,
+         "limiting snr 1 / mu overflows to inf at N=8, mu=0.0"),
+    ], ids=["montecarlo-singular-covariance", "asymptotic-beta0-overflows", "converge-limit-snr-overflows",
+            "converge-limit-snr-divides-by-0"])
     def test_out_of_range_intermediate_is_one_line_runtime_failure(self, tmp_path, mode, params, detector, message):
         # no RuntimeWarning, no error probability counted against inf or nan, no file
         proc = self.run_child(tmp_path, mode, params, detector)

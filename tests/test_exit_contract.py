@@ -1,8 +1,8 @@
 """The CLI's exit-code contract, over configs spread across the float range.
 
 draw_config builds a config document of any mode from a random.Random, with
-P, m, sigma_w2 and sigma_v2 log-uniform over +-300 decades (sigma_v2 = 0
-half the time), N and Ns from {1, 2, 8} and every detector.  check_run
+P, m, sigma_w2 and sigma_v2 log-uniform over every positive double, from
+5e-324 to 1.6e308 (sigma_v2 = 0 half the time), N and Ns from {1, 2, 8} and every detector.  check_run
 parses and runs it in process through cli.run, with warnings raised as
 errors, and returns the exit code and stderr after checking the contract:
 
@@ -36,7 +36,9 @@ _RULES = (" violates: ", "convergence experiments require sigma_v2 > 0")
 
 
 def _decades(rng: random.Random) -> float:
-    return 10.0 ** rng.uniform(-300.0, 300.0)
+    # log-uniform over every positive double, subnormals included: 10^-323.5
+    # rounds to the least one, 5e-324, and 10^308.2 is below the largest
+    return 10.0 ** rng.uniform(-323.5, 308.2)
 
 
 def _ascending(rng: random.Random, pool) -> list:
