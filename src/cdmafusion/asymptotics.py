@@ -103,21 +103,32 @@ def mu(params: SystemParams, beta0_val: float) -> float:
     return params.sigma_v2 / params.Ns + ((params.m**2 + params.sigma_v2) / penalty if penalty > 0.0 else math.inf)
 
 
+def _fixed_point(params: SystemParams) -> tuple[float, float, float, float]:
+    """(U, gamma, U beta0, q): the fixed point in the units U of core.snr_groups.
+
+    U beta0 is inf where it overflows, as 1 / w does; the limiting form
+    q = Ns / (1 / (U beta0) + c) is then Ns / c, which is finite.
+    """
+    unit, c, w, _ = snr_groups(params)
+    g = gamma(params)
+    b = beta0(params.alpha, g / unit, w)
+    return unit, g, b, params.Ns / (1.0 / b + c)
+
+
 def asymptotic_params(params: SystemParams) -> AsymptoticParams:
     """Chain alpha -> gamma -> beta0 -> mu for one parameter point.
 
     Where U beta0 overflows, as 1 / w does, the physical beta0 is solved
     directly; NumericalFailure where that overflows too, which takes a
-    sigma_w2 below the normal float range.
+    sigma_w2 below the normal float range.  Only the physical beta0 and mu
+    need this; the error probabilities read the limiting form alone (see
+    asymptotic_performance).
     """
-    a = params.alpha
-    unit, c, w, _ = snr_groups(params)
-    g = gamma(params)
-    b = beta0(a, g / unit, w)
-    b_phys = b / unit if b < math.inf else beta0(a, g, params.sigma_w2)
+    unit, g, b, q = _fixed_point(params)
+    b_phys = b / unit if b < math.inf else beta0(params.alpha, g, params.sigma_w2)
     if b_phys == math.inf:
         raise NumericalFailure(f"beta0 overflows to inf at N={params.N}, Ns={params.Ns}, sigma_w2={params.sigma_w2!r}")
-    return AsymptoticParams(alpha=a, gamma=g, beta0=b_phys, mu=mu(params, b_phys), q=params.Ns / (1.0 / b + c))
+    return AsymptoticParams(alpha=params.alpha, gamma=g, beta0=b_phys, mu=mu(params, b_phys), q=q)
 
 
 def asymptotic_performance(params: SystemParams, spec: DetectorSpec) -> PerformanceReport:
@@ -125,9 +136,11 @@ def asymptotic_performance(params: SystemParams, spec: DetectorSpec) -> Performa
 
     The tails of exact.exact_report at the limiting form, whose root SNR is
     m / sqrt(mu); the threshold is resolved against it, so Bayes, fixed and
-    false-alarm-pinned detectors all remain meaningful.
+    false-alarm-pinned detectors all remain meaningful.  The form is finite
+    where the physical beta0 is past the float range, so this needs no
+    beta0 or mu of asymptotic_params.
     """
-    return exact_report(params, asymptotic_params(params).q, spec)
+    return exact_report(params, _fixed_point(params)[3], spec)
 
 
 def _zero_threshold_pe(params: SystemParams, q: float) -> float:

@@ -41,15 +41,22 @@ its trial chunks on it and sweep-grid its (N, alpha) grid points; the other
 modes, sweep-limits with its closed-form cells included, run no pool.
 A sweep-grid point runs its seeds in blocks of at most 2**16 stacked
 signature or covariance entries, with one batched covariance build and one
-batched Cholesky factorization per block.
+batched Cholesky factorization per block; each seed's signatures are
+drawn straight into its slice of the block's stack.
 Worker counts change wall time only.
 
 The package computes with numpy and the standard library alone, so a run
-imports no scipy.  `main` sets numpy's bundled OpenBLAS library to one
-thread before any work runs, so the pool is the CLI's only parallelism;
-nested BLAS threads would contend with the worker threads for the same
-cores.  Importing this module, or the package, leaves BLAS threading as the
-caller set it.
+imports no scipy.  Before any work runs, `main` sets two things in the
+process, neither of which changes a number:
+- numpy's bundled OpenBLAS library to one thread, so the pool is the CLI's
+  only parallelism; nested BLAS threads would contend with the worker
+  threads for the same cores;
+- glibc's mmap and trim thresholds to 32 and 64 MiB (_keep_freed_heap), so
+  the per-seed temporaries of a sweep stay in the heap; with the defaults
+  they are returned to the kernel when freed and page-faulted in again for
+  the next seed.
+Importing this module, or the package, leaves BLAS threading and the
+allocator as the caller set them.
 """
 
 from __future__ import annotations
@@ -403,7 +410,10 @@ def _run_sweep_grid(config: ExperimentConfig):
         rows = []
         for start in range(0, len(seeds), size):
             block = seeds[start:start + size]
-            qs = quadratic_forms(pc, np.stack([generate(pc.N, pc.Ns, seed).entries for seed in block]))
+            stack = np.empty((len(block), pc.N, pc.Ns))
+            for seed, out in zip(block, stack):
+                generate(pc.N, pc.Ns, seed, out=out)
+            qs = quadratic_forms(pc, stack)
             for seed, q in zip(block, qs):
                 rep = exact_report(pc, q, config.detector)
                 # |pe_exact / pe_asymptotic - 1| from the logs, which stay finite
@@ -538,8 +548,32 @@ def _pin_blas_threads() -> None:
                 break
 
 
+def _keep_freed_heap() -> None:
+    """Keep freed heap memory in the process rather than returning it to the kernel.
+
+    By default glibc serves each block above its dynamic mmap threshold
+    (128 KiB at first) with a fresh mapping and trims the heap top past
+    128 KiB, so the per-seed temporaries of a sweep are unmapped when freed
+    and page-faulted in again for the next seed.  Both thresholds are set:
+    setting either one alone switches off the dynamic threshold and leaves
+    the other at its small default.  Where the C library has no mallopt,
+    the allocator is left alone.
+    """
+    try:
+        libc = ctypes.CDLL(None)  # the process's own symbols, which Windows cannot open
+    except (OSError, TypeError):
+        return
+    mallopt = getattr(libc, "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes, mallopt.restype = [ctypes.c_int, ctypes.c_int], ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD, at the ceiling of glibc's dynamic threshold on 64-bit
+    mallopt(-1, 64 << 20)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
     _pin_blas_threads()
+    _keep_freed_heap()
     try:
         args = _build_parser().parse_args(argv)
         text = Path(args.config).read_bytes() if args.config is not None else b"{}"

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import check_count, check_seed
-from .errors import InvalidSpreadingMatrix, ParseError
+from .errors import DimensionMismatch, InvalidParam, InvalidSpreadingMatrix, ParseError
 
 GENERATOR_ID = "philox4x64-colmajor-v1"
 
@@ -67,27 +67,40 @@ def _philox(seed: int) -> np.random.Philox:
     return bitgen
 
 
-def generate(N: int, Ns: int, seed: int) -> SpreadingMatrix:
+def generate(N: int, Ns: int, seed: int, *, out: np.ndarray | None = None) -> SpreadingMatrix:
     """Draw an N x Ns signature matrix from the frozen Philox stream.
 
     One uniform draw per entry, consumed in sensor-major order: the first
     N draws fill column 0, the next N fill column 1, and so on.  Identical
     (N, Ns, seed) triples give bit-identical matrices, and
     generate(N, Ns + k, seed) extends generate(N, Ns, seed) by k columns.
+
+    `out`, when given, is a writable C-contiguous float64 array of shape
+    (N, Ns), such as one slice of a (k, N, Ns) stack: the entries are
+    written into it, and the returned matrix holds a read-only view of it.
+    Nothing outside `out` is written.  Otherwise a new array is allocated.
     """
     N = check_count("N", N, "spreading length")
     Ns = check_count("Ns", Ns, "sensor count")
     seed = check_seed(seed)
+    if out is None:
+        out = np.empty((N, Ns), np.float64)
+    elif not (isinstance(out, np.ndarray) and out.dtype == np.float64
+              and out.flags.c_contiguous and out.flags.writeable):
+        raise InvalidParam("out", type(out).__name__, "out must be a writable C-contiguous float64 array")
+    elif out.shape != (N, Ns):
+        raise DimensionMismatch(f"out has shape {out.shape}, expected ({N}, {Ns})")
     # one 64-bit word per entry keeps the stream position independent of
     # dtype buffering, which is what makes the column-extension property hold
     raw = _philox(seed).random_raw(Ns * N).reshape(Ns, N)
     # the uniform draw is u = (x >> 11) * 2**-53, so u >= 0.5 (the positive
     # entry; u == 0.5 included) exactly when bit 63 of x is set: the entry's
-    # sign bit is that bit's complement, and its other bits are 1/sqrt(N)'s
-    bits = np.invert(raw.T, order="C")
-    bits &= _SIGN_BIT
-    bits |= np.float64(1.0 / math.sqrt(N)).view(np.uint64)
-    entries = bits.view(np.float64)
+    # sign bit is that bit's complement, and its other bits are 1/sqrt(N)'s,
+    # so keeping bit 63 and flipping it with the sign bit of -1/sqrt(N) sets both
+    bits = out.view(np.uint64)
+    np.bitwise_and(raw.T, _SIGN_BIT, out=bits)
+    bits ^= np.float64(-1.0 / math.sqrt(N)).view(np.uint64)
+    entries = out.view()
     entries.setflags(write=False)
     return SpreadingMatrix(entries=entries, N=N, Ns=Ns, seed=seed)
 

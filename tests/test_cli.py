@@ -837,6 +837,21 @@ class TestExitCodes:
         else:
             assert [close9(row[c], w) for c, w in zip(("pf", "pm", "pe"), mp_tails(params, mp_root_snr2(params, 2, 1), detector)[1:])] == [True] * 3
 
+    def test_beta0_past_the_float_range_leaves_the_limit_finite(self, tmp_path):
+        # the asymptotic mode fails on this point above, as its beta0 ~ 5e309
+        # column cannot hold the value; the limiting form Ns / c = 4 can, so
+        # r = 2 and pe_asymptotic = Q(2)
+        out = tmp_path / "out.csv"
+        params = {"N": 8, "Ns": 4, "sigma_w2": 1e-310}
+        cfg = config_file(tmp_path, {"mode": "sweep-limits", "output": str(out), "params": params,
+                                     "grid": {"N": [8], "alpha": [0.5]}})
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--quiet"],
+                              env=child_env(), capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        _, header, rows = read_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert close9(row["pe_asymptotic"], mp_tails(params, mp_root_snr2(params, 8, 4))[3])
+
     @pytest.mark.parametrize("params", [
         {"N": 8, "Ns": 4, "P": 8e-200, "sigma_w2": 1e-201},  # gamma sigma_w2 underflows to 0
         {"N": 2, "Ns": 1, "P": 2.88e196, "m": 4.27e-125, "sigma_v2": 3.58e-18, "sigma_w2": 7.92e-138,
@@ -1074,6 +1089,78 @@ class TestBlasThreads:
             assert proc.returncode == 0, proc.stderr
             outputs.append(out.read_bytes())
         assert outputs[0] == outputs[1]
+
+
+def has_mallopt():
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):  # as in cli._keep_freed_heap
+        return False
+
+
+@pytest.mark.skipif(not has_mallopt(), reason="the C library has no mallopt")
+class TestAllocator:
+    def test_main_keeps_freed_heap_in_the_process(self, tmp_path):
+        # minor page faults of a sweep-grid child past those of importing and
+        # parsing, through main and through run without the setting.  Each
+        # N = 128 seed frees temporaries of 128 KiB to 1 MiB, which glibc's
+        # default thresholds return to the kernel and fault in again.  The run
+        # child holds those defaults fixed: left dynamic, the mmap threshold
+        # rises to the largest mapped block freed so far, so the count would
+        # depend on what the process freed before the run (one 1.1 MB array
+        # freed first took the ratio from 2.9 to 1.1)
+        cfg = config_file(tmp_path, {"mode": "sweep-grid", "output": str(tmp_path / "out.csv"),
+                                     "grid": {"N": [64, 128], "alpha": [2.0, 4.0], "seeds": 10}})
+        parse = f"from cdmafusion import cli; config = cli.parse_config(open({cfg!r}, 'rb').read())"
+        defaults = "import ctypes; ctypes.CDLL(None).mallopt(-3, 128 << 10); ctypes.CDLL(None).mallopt(-1, 128 << 10)"
+
+        def faults(code):
+            proc = subprocess.Popen([sys.executable, "-c", code], env=child_env())
+            _, status, usage = os.wait4(proc.pid, 0)
+            proc.returncode = os.waitstatus_to_exitcode(status)  # reaped here, so Popen must not wait
+            assert proc.returncode == 0
+            return usage.ru_minflt
+
+        setup = faults(parse)
+        through_main = faults(f"{parse}; raise SystemExit(cli.main(['--config', {cfg!r}, '-q']))")
+        through_run = faults(f"{defaults}; {parse}; cli._pin_blas_threads(); raise SystemExit(cli.run(config, quiet=True))")
+        assert through_run - setup >= 4 * (through_main - setup)
+
+    def test_import_does_not_call_mallopt(self):
+        # the child watches every mallopt looked up on a ctypes library while
+        # the package imports, and then while main's setting runs
+        probe = "\n".join([
+            "import ctypes, json",
+            "seen = []",
+            "class Watched(ctypes.CDLL):",
+            "    def __getattr__(self, name):",
+            "        if name == 'mallopt':",
+            "            seen.append(name)",
+            "        return super().__getattr__(name)",
+            "ctypes.CDLL = Watched",
+            "import cdmafusion, cdmafusion.cli",
+            "on_import = list(seen)",
+            "cdmafusion.cli._keep_freed_heap()",
+            "print(json.dumps([on_import, seen]))",
+        ])
+        proc = subprocess.run([sys.executable, "-c", probe], env=child_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout) == [[], ["mallopt"]]
+
+    def test_libc_without_mallopt_is_left_alone(self, tmp_path, monkeypatch):
+        real = ctypes.CDLL
+
+        def stand_in(name, *args, **kwargs):
+            # the process's own symbols (name None) come from a libc with no mallopt
+            return types.SimpleNamespace() if name is None else real(name, *args, **kwargs)
+
+        monkeypatch.setattr(cli.ctypes, "CDLL", stand_in)
+        out = tmp_path / "a.csv"
+        cfg = config_file(tmp_path, {"mode": "sweep-grid", "output": str(out),
+                                     "grid": {"N": [8], "alpha": [1.0], "seeds": 2}})
+        assert main(["--config", cfg, "--quiet"]) == 0
+        assert out.exists()
 
 
 class TestNoScipy:

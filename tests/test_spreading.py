@@ -15,7 +15,7 @@ import hypothesis.strategies as st
 import numpy as np
 import pytest
 
-from cdmafusion import InvalidParam, InvalidSpreadingMatrix, ParseError
+from cdmafusion import DimensionMismatch, InvalidParam, InvalidSpreadingMatrix, ParseError
 from cdmafusion.spreading import (
     GENERATOR_ID,
     SpreadingMatrix,
@@ -141,6 +141,55 @@ class TestAgainstUniformOracle:
         finally:
             sys.setswitchinterval(interval)
         assert got == expected
+
+
+class TestGenerateInto:
+    SENTINEL = 7.0  # no entry +-1/sqrt(N) takes this value
+
+    @hypothesis.seed(20261019)
+    @hypothesis.settings(max_examples=120, deadline=None, database=None)
+    @hypothesis.given(
+        N=st.one_of(st.sampled_from([1, 4, 16, 64]), st.integers(1, 130)),
+        wider=st.booleans(),
+        seed=st.sampled_from([0, 2**64 - 1]),
+        data=st.data(),
+    )
+    def test_writes_the_entries_into_one_slice_of_a_stack(self, N, wider, seed, data):
+        # Ns below N (or 1 at N = 1) and above it
+        Ns = data.draw(st.integers(N + 1, 2 * N + 3) if wider else st.integers(1, max(1, N - 1)), label="Ns")
+        k = data.draw(st.integers(1, 4), label="k")
+        slot = data.draw(st.integers(0, k - 1), label="slot")
+        stack = np.full((k, N, Ns), self.SENTINEL)
+        got = generate(N, Ns, seed, out=stack[slot])
+        assert stack[slot].tobytes() == generate(N, Ns, seed).entries.tobytes()
+        assert got.entries.tobytes() == stack[slot].tobytes()
+        assert (np.delete(stack, slot, axis=0) == self.SENTINEL).all()
+        assert np.shares_memory(got.entries, stack)
+        assert not got.entries.flags.writeable
+        with pytest.raises(ValueError):
+            got.entries[0, 0] = 1.0
+        assert stack.flags.writeable  # the read-only view leaves the caller's array writable
+
+    @pytest.mark.parametrize("make, error", [
+        (lambda N, Ns: np.empty((N + 1, Ns)), DimensionMismatch),
+        (lambda N, Ns: np.empty((Ns, N)), DimensionMismatch),
+        (lambda N, Ns: np.empty((1, N, Ns)), DimensionMismatch),
+        (lambda N, Ns: [[0.0] * Ns] * N, InvalidParam),
+        (lambda N, Ns: np.empty((N, Ns), np.float32), InvalidParam),
+        (lambda N, Ns: np.empty((N, Ns), np.uint64), InvalidParam),
+        (lambda N, Ns: np.empty((Ns, N)).T, InvalidParam),
+        (lambda N, Ns: np.empty((N, 2 * Ns))[:, ::2], InvalidParam),
+        (lambda N, Ns: read_only(np.empty((N, Ns))), InvalidParam),
+    ], ids=["rows", "transposed-shape", "stack", "list", "float32", "uint64", "fortran-order", "strided",
+            "read-only"])
+    def test_rejects_an_unfit_out(self, make, error):
+        with pytest.raises(error):
+            generate(8, 5, 3, out=make(8, 5))
+
+
+def read_only(arr):
+    arr.setflags(write=False)
+    return arr
 
 
 class TestLoad:
