@@ -66,7 +66,6 @@ import ctypes
 import json
 import os
 import sys
-import tempfile
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -465,8 +464,10 @@ def _write_csv_atomic(path: str | None, meta_lines: list[str], columns: list[str
     for row in rows:
         buf.append(",".join(_fmt(v) for v in row))
     data = ("\n".join(buf) + "\n").encode("ascii")
-    parent = target.parent if str(target.parent) else Path(".")
-    fd, tmp = tempfile.mkstemp(dir=str(parent), prefix=target.name + ".", suffix=".tmp")
+    # O_EXCL as in tempfile.mkstemp, but mode 0o666, so the umask sets the
+    # file's mode as it does for open(); mkstemp's files are always 0o600
+    tmp = target.parent / f"{target.name}.{os.urandom(6).hex()}.tmp"
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "wb") as fh:
             fh.write(data)

@@ -9,10 +9,12 @@ That noise term has the same law under both hypotheses, so one draw of it
 serves a false-alarm trial and a miss trial (common random numbers; RNG_ID
 names this scheme, from artifact 0.5.0 on).  Trials are produced in
 fixed-size chunks, each from its own SFC64 stream spawned from (seed, 0,
-chunk index).  A chunk draws its normals _DRAW_ROWS rows at a time and
+chunk index), whose float64 uniforms become standard normals by the
+Box-Muller transform (NORMAL_SAMPLER_ID, from artifact 0.7.0 on; see
+_BoxMuller).  A chunk draws its normals _DRAW_ROWS rows at a time and
 folds each block into the noise term before drawing the next, so a worker
-holds about 1.25 MiB (one 1 MiB block and two CHUNK_TRIALS vectors)
-whatever Ns + N is.
+holds about 1.45 MiB (one 1 MiB block, the sampler's 192 KiB of scratch
+and two CHUNK_TRIALS vectors) whatever Ns + N is.
 Chunk counts are integers merged by addition, so the estimate is a pure
 function of (inputs, seed) regardless of how many workers execute chunks
 or in what order they finish.
@@ -33,7 +35,7 @@ from .spreading import SpreadingMatrix
 
 CHUNK_TRIALS = 1 << 14
 RNG_ID = "sfc64-seedseq-chunk16384-shared-v3"
-NORMAL_SAMPLER_ID = "numpy-ziggurat-v1"
+NORMAL_SAMPLER_ID = "box-muller-f64log-f32trig-v1"
 _DRAW_ROWS = 8
 """Rows of a chunk's normals drawn and folded into its statistic at a time.
 
@@ -62,10 +64,70 @@ class McConfig:
             check_count("worker_hint", self.worker_hint, "worker hint")
 
 
-def _chunk_rng(seed: int, chunk_idx: int) -> np.random.Generator:
+_PIECE_PAIRS = 1 << 14
+"""Pairs of uniforms the Box-Muller sampler transforms at a time.
+
+Every step of the transform is elementwise, so this bounds the sampler's
+scratch (192 KiB) and keeps a piece in cache without changing any value.
+"""
+
+
+class _BoxMuller:
+    """Standard normals from a stream's float64 uniforms by the Box-Muller transform.
+
+    Normals 2k and 2k+1 are R cos(Theta) and R sin(Theta), where u_k are the
+    stream's float64 uniforms (Generator.random) in stream order,
+
+        R = sqrt(-2 ln(1 - u_2k))  in float64,
+        Theta = 2 pi u_{2k+1}      rounded to float32, cos and sin in float32,
+
+    and each product is taken in float64.  The transform is exact; the only
+    cap comes from u_2k <= 1 - 2^-53, so |normal| <= R <= sqrt(-2 ln 2^-53)
+    = 8.57, beyond which a standard normal has a tail mass of about 1e-17.
+    The log and the trigonometric kernels are numpy's, so the last bits
+    follow numpy's CPU dispatch, as BLAS results do.
+
+    standard_normal is the only drawing method.  Normals come in stream
+    order whatever the shapes asked for: a call of odd length keeps the
+    pair's second normal for the next call, so any split of a draw gives
+    the same normals as one draw.
+    """
+
+    def __init__(self, uniforms: np.random.Generator):
+        self.uniforms = uniforms
+        self._held = np.empty(0)
+        self._r = np.empty(_PIECE_PAIRS)
+        self._theta = np.empty(_PIECE_PAIRS, np.float32)
+
+    def standard_normal(self, size: tuple[int, ...]) -> np.ndarray:
+        """The stream's next math.prod(size) normals, in C order."""
+        n = math.prod(size)
+        held = self._held
+        pairs = (n - held.size + 1) // 2
+        buf = np.empty(held.size + 2 * pairs)
+        buf[:held.size] = held
+        fresh = buf[held.size:].reshape(pairs, 2)
+        self.uniforms.random(out=fresh)
+        for a in range(0, pairs, _PIECE_PAIRS):
+            u0, u1 = fresh[a:a + _PIECE_PAIRS].T  # become R cos(Theta) and R sin(Theta) in place
+            r, theta = self._r[:u0.size], self._theta[:u0.size]
+            np.multiply(u1, 2.0 * math.pi, out=theta, casting="same_kind")
+            np.subtract(1.0, u0, out=r)
+            np.log(r, out=r)
+            np.multiply(r, -2.0, out=r)
+            np.sqrt(r, out=r)
+            np.cos(theta, out=u0)
+            u0 *= r
+            np.sin(theta, out=theta)
+            np.multiply(r, theta, out=u1)
+        self._held = buf[n:].copy()
+        return buf[:n].reshape(size)
+
+
+def _chunk_rng(seed: int, chunk_idx: int) -> _BoxMuller:
     # spawn key (0, chunk_idx): the stream H0 alone drew from up to artifact
-    # 0.4.0, so false-alarm counts stay those of that artifact
-    return np.random.Generator(np.random.SFC64(seed_sequence(seed, 0, chunk_idx)))
+    # 0.4.0, now read as uniforms
+    return _BoxMuller(np.random.Generator(np.random.SFC64(seed_sequence(seed, 0, chunk_idx))))
 
 
 def simulate_trials(
@@ -73,7 +135,7 @@ def simulate_trials(
     S: SpreadingMatrix,
     hypothesis: int,
     n_trials: int,
-    rng: np.random.Generator,
+    rng: np.random.Generator | _BoxMuller,
 ) -> np.ndarray:
     """Draw n_trials received vectors under the given hypothesis.
 
@@ -156,10 +218,12 @@ def estimate(
 
     a unit vector, so no scale of the model can overflow it.  Each chunk
     takes one weighted sum per trial of its Ns + N standard normals, drawn
-    and summed _DRAW_ROWS rows at a time (about 1.25 MiB per worker at any
-    system size).  The weight and q take one factorization and one solve;
-    q rides on the report, so exact_report(params, report.q, spec) gives the
-    closed form without factorizing again.
+    by the Box-Muller transform of its stream's uniforms (_BoxMuller; no
+    normal exceeds 8.57 in size) and summed _DRAW_ROWS rows at a time
+    (about 1.45 MiB per worker at any system size).  The weight and q take
+    one factorization and one solve; q rides on the report, so
+    exact_report(params, report.q, spec) gives the closed form without
+    factorizing again.
 
     T >= tau is the noise term u . n against tau / 2r + r under H0 and
     tau / 2r - r under H1, so the noise is not lost in the rounding of a mean

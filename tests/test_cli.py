@@ -16,6 +16,7 @@ import hypothesis
 import hypothesis.strategies as st
 import mpmath
 import numpy as np
+import numpy._core._multiarray_umath as np_cpu
 import pytest
 
 import cdmafusion
@@ -389,7 +390,7 @@ class TestRunnerModes:
         ]
         assert rows[0][4] == "4000"
         assert any("mc_rng=sfc64-seedseq-chunk16384-shared-v3" in line for line in meta)
-        assert any("normal_sampler=numpy-ziggurat-v1" in line for line in meta)
+        assert any("normal_sampler=box-muller-f64log-f32trig-v1" in line for line in meta)
         # worker hints must never appear in the artifact
         assert not any("worker" in line for line in meta)
         pf_mc, pf_exact = float(rows[0][6]), float(rows[0][12])
@@ -466,6 +467,18 @@ class TestArtifactFormat:
     ])
     def test_fmt(self, value, text):
         assert cli._fmt(value) == text
+
+    @pytest.mark.parametrize("umask", [0o022, 0o002, 0o077], ids=["022", "002", "077"])
+    def test_file_mode_is_that_of_open(self, tmp_path, umask):
+        # 0o666 less the umask, and no temporary file left beside it
+        out = tmp_path / "a.csv"
+        old = os.umask(umask)
+        try:
+            assert main(["analyze", "--out", str(out), "--quiet"]) == 0
+        finally:
+            os.umask(old)
+        assert out.stat().st_mode & 0o777 == 0o666 & ~umask
+        assert [p.name for p in tmp_path.iterdir()] == ["a.csv"]
 
     def test_version_matches_pyproject(self):
         tomllib = pytest.importorskip("tomllib")  # Python 3.11+
@@ -1188,10 +1201,10 @@ class TestConvergeSinglePass:
     GOLDEN = {
         "converge": ({"mode": "converge", "seed": 4, "params": {"N": 8, "alpha": 2.0},
                       "grid": {"N": [7, 8, 16], "seeds": 3}},
-                     "701a62cb97663113f2886e25690a616c12493a974a9f4f2ddce9c953fa471381"),
+                     "80d03be5f2045b3f45155c7ba18e33cd401e6bcc901efb56e358c0d8f8268e9f"),
         "sweep-grid": ({"mode": "sweep-grid", "seed": 2,
                         "grid": {"N": [8, 16], "alpha": [0.5, 2.0], "seeds": 3}},
-                       "6b30bf3e5007a5f6bbd5f2daf051c8ef804067ea219ec410057557e8ee0dff10"),
+                       "89418ddc109d711d4440463134a28ead9797159050cb2b902d1546681ba4ff73"),
     }
 
     @pytest.mark.parametrize("mode", sorted(GOLDEN))
@@ -1251,7 +1264,7 @@ class TestSweepGridBlocks:
     # seeds were blocked: at N=128 both points split into several blocks
     GOLDEN = ({"mode": "sweep-grid", "seed": 0,
                "grid": {"N": [8, 128], "alpha": [0.5, 4.0], "seeds": 5}},
-              "f0725251578b3f05e61bb3531fba67ca9491392454f69cd52e2165e643f0ede4")
+              "5ec34626d2add30c01c2cbdbc2be46ae0da8034c8cbb3871d3c9d00d8cfd1385")
 
     def run_grid(self, tmp_path, *extra, name="grid.csv"):
         doc, _ = self.GOLDEN
@@ -1294,16 +1307,38 @@ class TestSweepGridBlocks:
 
 class TestMontecarloGolden:
     # sha256 of the whole artifact: two full chunks and a remainder, each one
-    # draw for both hypotheses on the sfc64 chunk stream, run on the two-worker pool
+    # draw for both hypotheses on the sfc64 chunk stream's Box-Muller normals,
+    # run on the two-worker pool
     GOLDEN = ({"mode": "montecarlo", "seed": 3, "params": {"N": 12, "Ns": 20, "P": 4.0, "sigma_v2": 0.5},
                "mc": {"trials": 2 * 16384 + 5, "workers": 2}},
-              "0d0fb0349434647c7831e062e2a3265d098d84b4d842596c31bb649fa1c94bec")
+              "270bf3c74cadcb25c615d6142f19681f2cab65f342e3032855f2f605d30f701c")
 
     def test_golden_artifact(self, tmp_path):
         doc, digest = self.GOLDEN
         out = tmp_path / "mc.csv"
         assert main(["--config", config_file(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
         assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_estimates_do_not_follow_cpu_dispatch(self, tmp_path):
+        # without AVX-512, numpy's float64 log rounds some last bits differently;
+        # no count and no standard error may move with them
+        features = ["X86_V4", "AVX512_ICL", "AVX512_SPR"]
+        if not set(features) <= set(np_cpu.__cpu_dispatch__) or not np_cpu.__cpu_features__["X86_V4"]:
+            pytest.skip("numpy dispatches no AVX-512 kernels on this machine")
+        doc, _ = self.GOLDEN
+        cfg = config_file(tmp_path, doc)
+        out, narrow = tmp_path / "mc.csv", tmp_path / "narrow.csv"
+        assert main(["--config", cfg, "--out", str(out), "--quiet"]) == 0
+        env = child_env()
+        env["NPY_DISABLE_CPU_FEATURES"] = " ".join(features)
+        proc = subprocess.run([sys.executable, "-m", "cdmafusion", "--config", cfg, "--out", str(narrow), "--quiet"],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        columns = ["pf_mc", "pm_mc", "pe_mc", "stderr_pf", "stderr_pm", "stderr_pe"]
+        (_, header, rows), (_, narrow_header, narrow_rows) = read_csv(out), read_csv(narrow)
+        assert header == narrow_header
+        assert [[row[header.index(c)] for c in columns] for row in narrow_rows] == \
+               [[row[header.index(c)] for c in columns] for row in rows]
 
 
 class TestOneFactorizationPerRun:

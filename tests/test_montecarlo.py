@@ -1,8 +1,9 @@
 """Simulation chain: generative law, chunked determinism, statistical calibration.
 
 Statistical assertions use wide bands sized in advance (3 binomial sigma per
-replicate, 45-of-50 coverage, 5 percent Frobenius error at 200k trials) so a
-correct implementation fails only with negligible probability.
+replicate, 45-of-50 coverage, 5 percent Frobenius error at 200k trials, 5
+standard errors on 2e6 sampler draws) so a correct implementation fails only
+with negligible probability.
 """
 
 import importlib.util
@@ -11,6 +12,7 @@ import math
 import sys
 import tracemalloc
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -35,6 +37,7 @@ from cdmafusion.montecarlo import (
     CHUNK_TRIALS,
     NORMAL_SAMPLER_ID,
     RNG_ID,
+    _BoxMuller,
     _chunk_plan,
     _chunk_rng,
     _collapsed_weight,
@@ -140,7 +143,7 @@ class TestMcConfig:
 
     def test_identifiers_are_stable(self):
         assert RNG_ID == "sfc64-seedseq-chunk16384-shared-v3"
-        assert NORMAL_SAMPLER_ID == "numpy-ziggurat-v1"
+        assert NORMAL_SAMPLER_ID == "box-muller-f64log-f32trig-v1"
         assert CHUNK_TRIALS == 16384
 
 
@@ -334,10 +337,10 @@ class TestCollapsedKernel:
                              ids=["seed-0-chunk-0", "seed-12-chunk-5", "max-seed-chunk-61"])
     def test_chunk_stream_is_seeded_sfc64(self, seed, idx):
         # spawn key (0, idx), the key of the H0 chunks of artifacts up to 0.4.0
-        want = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(0, idx))))
-        rng = _chunk_rng(seed, idx)
-        assert isinstance(rng.bit_generator, np.random.SFC64)
-        np.testing.assert_array_equal(rng.standard_normal((7, 33)), want.standard_normal((7, 33)))
+        want = keyed_stream(seed, idx)
+        uniforms = _chunk_rng(seed, idx).uniforms
+        assert isinstance(uniforms.bit_generator, np.random.SFC64)
+        np.testing.assert_array_equal(uniforms.random(231), want.random(231))
 
     def test_draws_only_through_standard_normal_of_a_shape(self, monkeypatch):
         # a benchmark harness stands in for the chunk generator with exactly this method
@@ -403,26 +406,22 @@ class TestCoupledEstimator:
         assert (false_alarms, misses) == (np.count_nonzero(d >= -0.5), np.count_nonzero(d < 0.5))
         assert both == np.count_nonzero((d >= -0.5) & (d < 0.5)) > 0
 
-    @pytest.mark.parametrize("spec, pf", [(DetectorSpec(), 0.06264302932291825),
-                                          (DetectorSpec(criterion="np", alpha_fa=0.2), 0.19778476184664207)],
-                             ids=["bayes", "np"])
-    def test_false_alarms_are_those_of_artifact_0_4_0(self, spec, pf):
-        # pf and its binomial stderr as artifact 0.4.0 gave them on the H0 stream of
-        # every chunk, two full chunks and a remainder on the two-worker pool
+    @pytest.mark.parametrize("spec", [DetectorSpec(), DetectorSpec(criterion="np", alpha_fa=0.2)], ids=["bayes", "np"])
+    def test_false_alarms_are_those_of_the_keyed_stream(self, spec):
+        # the H0 reference path on an explicitly keyed stream of every chunk, two
+        # full chunks and a remainder, against the two-worker pool
         p = make_params(N=12, Ns=20, P=4.0, sigma_v2=0.5)
         S = generate(12, 20, seed=3)
         n = 2 * CHUNK_TRIALS + 5
         rep = estimate(p, S, spec, McConfig(trials_per_hypothesis=n, seed=3, worker_hint=2))
-        assert rep.pf == pf
-        assert rep.mc.false_alarms == round(pf * n)
-        assert rep.mc.stderr_pf == math.sqrt(pf * (1.0 - pf) / n)
-        # and the same count from the H0 reference path on an explicitly keyed stream
         weight = TestCollapsedKernel.weight(p, ChannelModel.from_params(p, S))
         want = 0
         for idx, size in _chunk_plan(n):
-            rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=3, spawn_key=(0, idx))))
+            rng = _BoxMuller(keyed_stream(3, idx))
             want += int(np.count_nonzero(weight @ simulate_trials(p, S, 0, size, rng) >= rep.tau_prime))
         assert rep.mc.false_alarms == want
+        assert rep.pf == want / n
+        assert rep.mc.stderr_pf == math.sqrt(rep.pf * (1.0 - rep.pf) / n)
 
     @pytest.mark.parametrize("params, spec, pf, pm", [
         (make_params(N=1, Ns=2, P=1.0), DetectorSpec(criterion="fixed", tau_prime=0.0), 1.0, 0.0),
@@ -437,6 +436,67 @@ class TestCoupledEstimator:
         assert (pf is None or rep.pf == pf) and rep.pm == pm
         assert math.isfinite(rep.mc.stderr_pe) and rep.mc.stderr_pe >= 0.0
         assert rep.mc.stderr_pe == pytest.approx(self.coupled_stderr_pe(params, rep), abs=1e-15)
+
+
+def keyed_stream(seed, idx):
+    """The SFC64 generator of chunk idx, keyed directly by its seed sequence."""
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(0, idx))))
+
+
+def box_muller(u):
+    """The sampler's definition evaluated directly on the uniforms u, of even length."""
+    radius = np.sqrt(-2.0 * np.log(1.0 - u[0::2]))
+    theta = (2.0 * math.pi * u[1::2]).astype(np.float32)
+    z = np.empty(u.size)
+    z[0::2] = radius * np.cos(theta).astype(np.float64)
+    z[1::2] = radius * np.sin(theta).astype(np.float64)
+    return z
+
+
+class TestBoxMuller:
+    """The chunk sampler: its definition, its order and its law."""
+
+    N = 2_000_000
+
+    @pytest.fixture(scope="class")
+    def normals(self):
+        return _chunk_rng(20, 4).standard_normal((self.N,))
+
+    @pytest.mark.parametrize("seed, idx", [(0, 0), (7, 3), (2**64 - 1, 61)])
+    def test_normals_are_the_transform_of_the_keyed_uniforms(self, seed, idx):
+        # two full pieces of the transform and a partial one
+        n = 2 * (2 * montecarlo._PIECE_PAIRS + 77)
+        np.testing.assert_array_equal(_chunk_rng(seed, idx).standard_normal((n,)),
+                                      box_muller(keyed_stream(seed, idx).random(n)))
+
+    @pytest.mark.parametrize("lengths", [(1, 230), (1, 1, 229), (2, 3, 4, 5, 6, 7, 8, 196), (33,) * 7, (231,)])
+    def test_any_split_gives_the_same_normals(self, lengths):
+        # an odd length keeps its pair's second normal for the next call
+        whole = _chunk_rng(5, 2).standard_normal((7, 33))
+        rng = _chunk_rng(5, 2)
+        pieces = np.concatenate([rng.standard_normal((k,)) for k in lengths])
+        np.testing.assert_array_equal(pieces, whole.ravel())
+        np.testing.assert_array_equal(rng.standard_normal((3,)), _chunk_rng(5, 2).standard_normal((234,))[231:])
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_tail_fractions(self, normals, k):
+        p = 2.0 * NormalDist().cdf(-k)
+        frac = np.count_nonzero(np.abs(normals) > k) / self.N
+        assert abs(frac - p) <= 5.0 * math.sqrt(p * (1.0 - p) / self.N)
+
+    def test_moments(self, normals):
+        # standard errors of the sample mean, variance and kurtosis of N(0, 1)
+        mean = normals.mean()
+        centred = normals - mean
+        var = np.mean(centred**2)
+        kurtosis = np.mean(centred**4) / var**2
+        assert abs(mean) <= 5.0 / math.sqrt(self.N)
+        assert abs(var - 1.0) <= 5.0 * math.sqrt(2.0 / self.N)
+        assert abs(kurtosis - 3.0) <= 5.0 * math.sqrt(24.0 / self.N)
+
+    def test_pair_is_uncorrelated(self, normals):
+        pairs = self.N // 2
+        assert abs(np.corrcoef(normals[0::2], normals[1::2])[0, 1]) <= 5.0 / math.sqrt(pairs)
 
 
 class TestDrawCount:
