@@ -36,21 +36,27 @@ breakdown, or any other unexpected error); each failure is reported as one
 line without a traceback.  Identical config and seed give a byte-identical
 output file.
 
-"--workers" ("mc.workers") sets the size of one thread pool: montecarlo runs
-its trial chunks on it and sweep-grid its (N, alpha) grid points; the other
-modes, sweep-limits with its closed-form cells included, run no pool.
+"--workers" ("mc.workers") sets the size of the one worker pool a run has
+(core.map_workers).  montecarlo runs its trial chunks on that many threads:
+its kernel is large numpy calls, which release the interpreter lock.
+sweep-grid runs its (N, alpha) grid points on that many forked processes,
+handed out costliest first while the parent only coordinates: a point is
+small numpy calls and Python glue, which spend most of their time under the
+lock, so threads would take turns.  The other modes, sweep-limits with its closed-form cells
+included, run no pool.
 A sweep-grid point runs its seeds in blocks of at most 2**16 stacked
-signature or covariance entries, with one batched covariance build and one
-batched Cholesky factorization per block; each seed's signatures are
-drawn straight into its slice of the block's stack.
+signature or covariance entries, with one batched covariance build, straight
+into the buffer that is factored, and one batched Cholesky factorization
+per block; each seed's signatures are drawn straight into its slice of the
+block's stack.
 Worker counts change wall time only.
 
 The package computes with numpy and the standard library alone, so a run
 imports no scipy.  Before any work runs, `main` sets two things in the
 process, neither of which changes a number:
 - numpy's bundled OpenBLAS library to one thread, so the pool is the CLI's
-  only parallelism; nested BLAS threads would contend with the worker
-  threads for the same cores;
+  only parallelism; nested BLAS threads would contend with the workers for
+  the same cores, and forked workers inherit the setting;
 - glibc's mmap and trim thresholds to 32 and 64 MiB (_keep_freed_heap), so
   the per-seed temporaries of a sweep stay in the heap; with the defaults
   they are returned to the kernel when freed and page-faulted in again for
@@ -424,7 +430,7 @@ def _run_sweep_grid(config: ExperimentConfig):
                 rows.append([pc.N, a, pc.Ns, seed, rep.pe, asym.pe, rel_gap])
         return rows
 
-    rows = [row for block in map_workers(point, points, config.mc.worker_hint) for row in block]
+    rows = [row for block in map_workers(point, points, config.mc.worker_hint, processes=True) for row in block]
     meta = _base_meta(config) + _grid_meta(config, alphas=True)
     meta.append(f"seeds_per_cell={config.cell_seeds}")
     columns = ["N", "alpha", "Ns", "seed", "pe_exact", "pe_asymptotic", "rel_gap"]
@@ -523,7 +529,7 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", "-o", metavar="PATH", help="output CSV path (overrides config)")
     parser.add_argument("--seed", type=int, metavar="INT", help="master seed (overrides config)")
     parser.add_argument("--trials", type=int, metavar="INT", help="Monte Carlo trials per hypothesis")
-    parser.add_argument("--workers", type=int, metavar="INT", help="worker threads (wall time only)")
+    parser.add_argument("--workers", type=int, metavar="INT", help="pool workers (wall time only)")
     parser.add_argument("--quiet", "-q", action="store_true", help="suppress the success line")
     return parser
 

@@ -16,8 +16,11 @@ Everything in this module is a pure function of its arguments.
 
 from __future__ import annotations
 
+import ctypes
 import math
 import numbers
+import os
+import pickle
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -68,18 +71,173 @@ def seed_sequence(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=key)
 
 
-def map_workers(fn, items, workers: int | None) -> list:
-    """[fn(x) for x in items], on a pool of `workers` threads when workers > 1.
+def map_workers(fn, items, workers: int | None, *, processes: bool = False) -> list:
+    """[fn(x) for x in items], on a pool of `workers` threads, or of forked
+    processes with `processes`, when workers > 1.
 
-    The pool starts the items last to first, so a caller that lists its work
-    cheapest first keeps the costliest item off the end of the schedule.  The
-    results, and the first exception raised, still follow the items' order.
+    Threads suit work that releases the interpreter lock, such as the Monte
+    Carlo kernel; processes suit work made of small numpy calls and Python
+    glue, which spends most of its time under it (see _fork_map).  Either pool starts the items last
+    to first, so a caller that lists its work cheapest first keeps the
+    costliest item off the end of the schedule.  The results, and the first
+    exception raised, still follow the items' order.  Where os.fork is
+    missing, processes run the items in line.
     """
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(fn, x) for x in reversed(items)]
-        return [f.result() for f in reversed(futures)]
-    return [fn(x) for x in items]
+    if workers is None or workers < 2 or (processes and not hasattr(os, "fork")):
+        return [fn(x) for x in items]
+    if processes:
+        return _fork_map(fn, items, workers)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        futures = [pool.submit(fn, x) for x in reversed(items)]
+    return [f.result() for f in reversed(futures)]
+
+
+def _fork_map(fn, items, workers: int) -> list:
+    """map_workers on min(workers, len(items)) forked child processes.
+
+    The parent runs no item.  It hands each child one item index at a time
+    over the child's own pipe, the last item first, so the load balances
+    whatever the items cost, and reads back the pickled result, or the
+    exception raised, over a second pipe.  A child leaves only through
+    os._exit, so it never flushes the parent's stdio or runs its exit
+    handlers; on Linux it is also killed when the thread that forked it
+    ends (_die_with_parent).  A child that ends without sending its result
+    raises RuntimeError here, and every child is reaped before this returns
+    or raises.
+
+    From Python 3.12, os.fork warns (DeprecationWarning) when the process
+    has more than one OS thread, and OpenBLAS's idle server thread counts:
+    after `import numpy` a process has 2.  This module leaves that warning
+    as the caller's filters set it.
+    """
+    import select
+    import signal
+
+    todo = list(range(len(items)))  # popped from the end
+    results, errors = [None] * len(items), {}
+    children = {}  # result fd -> [pid, task fd, item index]
+    poller = select.poll()
+    parent, ok = os.getpid(), False
+    try:
+        for _ in range(min(workers, len(items))):
+            task_r, task_w = os.pipe()
+            result_r, result_w = os.pipe()
+            # the parent's ends of the pipes of the children forked so far
+            inherited = [fd for result, child in children.items() for fd in (result, child[1])]
+            try:
+                pid = os.fork()
+            except OSError:
+                for fd in (task_r, task_w, result_r, result_w):
+                    os.close(fd)
+                raise
+            if pid == 0:
+                code = 1
+                try:
+                    for fd in (task_w, result_r, *inherited):
+                        os.close(fd)
+                    _die_with_parent(parent)
+                    _serve(fn, items, task_r, result_w)
+                    code = 0
+                finally:
+                    os._exit(code)
+            os.close(task_r)
+            os.close(result_w)
+            children[result_r] = [pid, task_w, None]
+            poller.register(result_r, select.POLLIN)
+            _hand_out(children[result_r], todo)
+        busy = len(children)
+        while busy:
+            for fd, _ in poller.poll():
+                child = children[fd]
+                head = _read_exact(fd, 8)
+                size = int.from_bytes(head, "little") if len(head) == 8 else -1
+                if size < 0 or len(payload := _read_exact(fd, size)) < size:
+                    _, status = os.waitpid(child[0], 0)
+                    pid, child[0] = child[0], None
+                    raise RuntimeError(f"worker process {pid} ended without a result "
+                                       f"(exit code {os.waitstatus_to_exitcode(status)})")
+                done, value = pickle.loads(payload)
+                if done:
+                    results[child[2]] = value
+                else:
+                    errors[child[2]] = value
+                if not _hand_out(child, todo):
+                    poller.unregister(fd)
+                    busy -= 1
+        ok = True
+    finally:
+        for fd, (pid, task_w, _) in children.items():
+            if task_w is not None:
+                os.close(task_w)
+            os.close(fd)
+            if pid is not None:
+                if not ok:
+                    os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _hand_out(child: list, todo: list) -> bool:
+    """Send the child [pid, task fd, index] the next index of todo, or close its
+    task pipe when todo is empty, which ends the child; True if sent."""
+    if not todo:
+        os.close(child[1])
+        child[1] = None
+        return False
+    child[2] = todo.pop()
+    os.write(child[1], child[2].to_bytes(8, "little"))
+    return True
+
+
+def _serve(fn, items, task_fd: int, result_fd: int) -> None:
+    """A _fork_map child's loop: run fn on each item index read from task_fd,
+    until the pipe closes, and write each (True, result) or (False, exception),
+    pickled and prefixed by its length, to result_fd."""
+    while len(head := _read_exact(task_fd, 8)) == 8:
+        try:
+            message = (True, fn(items[int.from_bytes(head, "little")]))
+        except Exception as exc:
+            message = (False, _portable(exc))
+        payload = pickle.dumps(message, protocol=pickle.HIGHEST_PROTOCOL)
+        data = memoryview(len(payload).to_bytes(8, "little") + payload)
+        while data:
+            data = data[os.write(result_fd, data):]
+
+
+def _portable(exc: Exception) -> Exception:
+    """exc if it survives a pickle round trip, else a RuntimeError naming its type and message."""
+    try:
+        pickle.loads(pickle.dumps(exc))
+    except Exception:
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
+
+
+def _read_exact(fd: int, n: int) -> bytes:
+    """n bytes from fd, or fewer if it reaches end of file first."""
+    buf = bytearray()
+    while len(buf) < n:
+        chunk = os.read(fd, n - len(buf))
+        if not chunk:
+            break
+        buf += chunk
+    return bytes(buf)
+
+
+def _die_with_parent(parent: int) -> None:
+    """Have the kernel SIGKILL this process when the thread that forked it ends
+    (prctl PR_SET_PDEATHSIG, Linux only), and end now if `parent` is gone already."""
+    try:
+        prctl = ctypes.CDLL(None).prctl
+    except (AttributeError, OSError, TypeError):
+        prctl = None
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = [ctypes.c_int, ctypes.c_ulong], ctypes.c_int
+        prctl(1, 9)  # PR_SET_PDEATHSIG, SIGKILL
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _is_real(x: object) -> bool:

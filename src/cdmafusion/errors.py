@@ -18,6 +18,10 @@ class InvalidParam(CdmaFusionError):
         self.constraint = constraint
         super().__init__(f"{name}={value!r} violates: {constraint}")
 
+    def __reduce__(self):
+        # args holds the message alone, which __init__ cannot be called with
+        return type(self), (self.name, self.value, self.constraint)
+
 
 class DomainError(CdmaFusionError):
     """An argument lies outside the mathematical domain of an operation."""

@@ -13,8 +13,18 @@ route returns, with its tails carried in the log domain by core.log_tails.
 The linear algebra is numpy's alone.  Each covariance is factored once, as
 the Cholesky factor of the bordered matrix [[Sigma / U, b], [b^T, d]] (see
 _bordered_cholesky): its last row holds L^{-1} b, so a form b^T (Sigma / U)^{-1} b
-costs no solve.  numpy has no triangular solve, so the few that remain
-substitute over diagonal blocks (see _solve_lower).
+costs no solve.  The covariance is built straight into the leading block of
+that bordered buffer (channel_covariance's `out`), so it is never copied.
+numpy has no triangular solve, so the few that remain substitute over
+diagonal blocks (see _solve_lower).
+
+Small factorizations do not gain from threads: on a 2-core machine, two
+threads calling np.linalg.cholesky on one 33 x 33 matrix, or on a stack of
+9 x 9 ones, ran at 0.45-0.86 times the rate of one thread (129 x 129
+matrices gained 1.4-1.6 times).  So sweep-grid, whose points are such
+factorizations and the Python around them, runs its points on forked
+processes, while montecarlo, whose kernel is large numpy calls, runs
+threads (core.map_workers).
 """
 
 from __future__ import annotations
@@ -69,15 +79,22 @@ class ChannelModel:
         return cls(S, *snr_groups(params)[1:3])  # (c, w) of (U, c, w, s)
 
     @_once
+    def _bordered(self) -> np.ndarray:
+        return _bordered_covariance(self)
+
+    @property
     def covariance(self) -> np.ndarray:
-        """Sigma / U = channel_covariance(self), checked finite."""
-        return _finite(channel_covariance(self))
+        """Sigma / U = channel_covariance(self), checked finite: a read-only view
+        of the leading block of the buffer that _factor factors."""
+        cov = self._bordered[:-1, :-1]
+        cov.flags.writeable = False
+        return cov
 
     @_once
     def _factor(self) -> np.ndarray:
-        # a stack of one, so that quadratic_forms gives every matrix of a
-        # stack the same arithmetic, and the same quadratic form, as this
-        return _bordered_cholesky(self.covariance[None], self.s1[None], self.w)[0]
+        # the same arithmetic, and so the same quadratic form, as quadratic_forms
+        # gives each matrix of a stack
+        return _bordered_cholesky(self._bordered, self.s1, self.w)
 
     def whiten(self, B) -> np.ndarray:
         """L^{-1} B for a finite vector or matrix B, with L the lower Cholesky
@@ -138,18 +155,23 @@ class PerformanceReport:
     q: float | None = None
 
 
-def channel_covariance(model: ChannelModel) -> np.ndarray:
+def channel_covariance(model: ChannelModel, out: np.ndarray | None = None) -> np.ndarray:
     """Chip covariance in the units of core.snr_groups, Sigma / U = c S S^T + w I.
 
-    Returned exactly symmetric; with c == 0 it is exactly diagonal.
+    Exactly symmetric, with no symmetrizing pass: numpy forms A A^T with BLAS
+    syrk and copies one triangle into the other (its own loop, where BLAS
+    does not apply, sums the same products in the same order for (i, j) and
+    (j, i)).  With c == 0 it is exactly diagonal.
     When model.S.entries is a (k, N, Ns) stack of signature matrices, as
     in quadratic_forms, the result is the (k, N, N) stack of covariances.
+    With `out`, an array of the result's shape (the leading block of a
+    _bordered_covariance buffer), it is built there and `out` is returned.
     c and w are at most 1, so no entry overflows; a non-finite one, from a
     stack outside the signature alphabet, is rejected by the factoring routes.
     """
     A = model.S.entries
-    cov = model.c * (A @ A.mT)
-    cov = 0.5 * (cov + cov.mT)
+    cov = np.matmul(A, A.mT, out=out)
+    cov *= model.c
     diag = np.arange(A.shape[-2])
     cov[..., diag, diag] += model.w
     return cov
@@ -169,21 +191,30 @@ def _cholesky(a: np.ndarray) -> np.ndarray:
         raise NumericalFailure(f"covariance factorization failed: {exc}") from exc
 
 
-def _bordered_cholesky(cov: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
-    """The factors F of [[cov, b], [b^T, 1 + b^T b / w]] over a (K, N, N) stack of
-    covariances cov >= w I and (K, N) of vectors b.
+def _bordered_covariance(model: ChannelModel) -> np.ndarray:
+    """A (..., N + 1, N + 1) buffer, one per matrix of model.S.entries, with
+    Sigma / U built in its leading N x N block and checked finite; the border
+    is left for _bordered_cholesky."""
+    n = model.S.entries.shape[-2]
+    bordered = np.empty(model.S.entries.shape[:-2] + (n + 1, n + 1))
+    _finite(channel_covariance(model, out=bordered[..., :n, :n]))
+    return bordered
+
+
+def _bordered_cholesky(bordered: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
+    """The factor F of [[cov, b], [b^T, 1 + b^T b / w]], for a buffer `bordered`
+    of shape (..., n + 1, n + 1) whose leading n x n blocks hold covariances
+    cov >= w I, and vectors b of shape (..., n); the border is written in place.
 
     b^T cov^{-1} b <= b^T b / w, so the corner keeps each bordered matrix
     positive definite (an inf corner factors too: only its own pivot reads
     it).  The last row of F is [(L^{-1} b)^T, sqrt(corner - b^T cov^{-1} b)]
-    with L = F[:, :-1, :-1] the factor of cov.
+    with L = F[..., :-1, :-1] the factor of cov.
     """
-    n = cov.shape[-1]
-    bordered = np.empty((cov.shape[0], n + 1, n + 1))
-    bordered[:, :n, :n] = cov
-    bordered[:, n, :n] = bordered[:, :n, n] = b
+    n = bordered.shape[-1] - 1
+    bordered[..., n, :n] = bordered[..., :n, n] = b
     with np.errstate(over="ignore"):
-        bordered[:, n, n] = 1.0 + np.einsum("ki,ki->k", b, b) / w
+        bordered[..., n, n] = 1.0 + np.einsum("...i,...i->...", b, b) / w
     return _cholesky(bordered)
 
 
@@ -197,7 +228,10 @@ def _inverse_forms(factor: np.ndarray) -> np.ndarray:
 def inverse_form(cov: np.ndarray, b: np.ndarray, w: float) -> float:
     """b^T cov^{-1} b for a finite covariance cov >= w I, from one bordered
     factorization and no solve."""
-    return float(_inverse_forms(_bordered_cholesky(cov[None], b[None], w))[0])
+    n = cov.shape[-1]
+    bordered = np.empty((n + 1, n + 1))
+    bordered[:n, :n] = cov
+    return float(_inverse_forms(_bordered_cholesky(bordered, b, w)))
 
 
 def _solve_lower(L: np.ndarray, B) -> np.ndarray:
@@ -231,8 +265,9 @@ def quadratic_form(model: ChannelModel) -> float:
 def quadratic_forms(params: SystemParams, block) -> list[float]:
     """quadratic_form of every signature matrix in a (k, N, Ns) stack.
 
-    The k covariances come from one batched build and one finiteness check,
-    and are factored in one batched call; every value equals
+    The k covariances come from one batched build, straight into the
+    leading blocks of the bordered buffer, and one finiteness check, and are
+    factored in one batched call; every value equals
     quadratic_form(ChannelModel.from_params(params, S)) for its matrix S.
     """
     block = np.asarray(block, dtype=np.float64)
@@ -241,8 +276,7 @@ def quadratic_forms(params: SystemParams, block) -> list[float]:
             f"signature stack has shape {block.shape}, expected (k, {params.N}, {params.Ns})"
         )
     model = ChannelModel.from_params(params, SpreadingMatrix(entries=block, N=params.N, Ns=params.Ns))
-    cov = _finite(channel_covariance(model))
-    return _inverse_forms(_bordered_cholesky(cov, block.sum(axis=2), model.w)).tolist()
+    return _inverse_forms(_bordered_cholesky(_bordered_covariance(model), block.sum(axis=2), model.w)).tolist()
 
 
 def exact_report(params: SystemParams, q: float, spec: DetectorSpec) -> PerformanceReport:

@@ -7,8 +7,10 @@ import json
 import math
 import os
 import statistics
+import signal
 import subprocess
 import sys
+import time
 import types
 from pathlib import Path
 
@@ -24,6 +26,7 @@ from cdmafusion import DomainError, InvalidParam, ParseError, cli, convergence, 
 from cdmafusion.cli import main, parse_config
 from cdmafusion.core import CRITERIA
 from cdmafusion.spreading import generate, save_csv
+from conftest import assert_no_child
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # a JSON integer of 401 digits: past the float range, within the interpreter's digit limit
@@ -1303,6 +1306,100 @@ class TestSweepGridBlocks:
         cells = 2 * 2 * 5
         assert calls["generate"] == cells
         assert linalg_calls == {"cholesky": cells}
+
+
+def child_pids(pid):
+    """The pids of a process's children, from /proc: its tasks' children lists
+    where the kernel keeps them, else every process whose parent it is."""
+    lists = list(Path(f"/proc/{pid}/task").glob("*/children"))
+    if lists:
+        return {int(c) for path in lists for c in path.read_text().split()}
+    pids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if ppid == pid:
+            pids.add(int(stat.parent.name))
+    return pids
+
+
+def alive(pid):
+    """True while pid is a process that has not exited (a zombie has)."""
+    try:
+        state = Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0]
+    except (OSError, IndexError):
+        return False
+    return state not in ("Z", "X", "x")
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="sweep-grid runs its points in line without os.fork")
+class TestSweepGridProcesses:
+    # sigma_w2 = 1e-310 makes every point's covariance singular in floating point
+    SINGULAR = {"mode": "sweep-grid", "params": {"N": 8, "Ns": 4, "sigma_w2": 1e-310},
+                "grid": {"N": [8, 16], "alpha": [0.5, 1.0], "seeds": 3}}
+
+    def test_worker_counts_write_the_same_bytes(self, tmp_path):
+        doc = {"mode": "sweep-grid", "seed": 5, "grid": {"N": [8, 32, 128], "alpha": [0.5, 4.0], "seeds": 4}}
+        cfg = config_file(tmp_path, doc)
+        outs = []
+        for workers in ("1", "2", "4"):
+            outs.append(tmp_path / f"w{workers}.csv")
+            assert main(["--config", cfg, "--out", str(outs[-1]), "--workers", workers, "--quiet"]) == 0
+            assert_no_child()
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
+
+    def test_a_failing_point_is_the_same_one_line_at_any_worker_count(self, tmp_path, capsys):
+        cfg = config_file(tmp_path, self.SINGULAR)
+        lines = []
+        for workers in ("1", "2"):
+            out = tmp_path / f"w{workers}.csv"
+            assert main(["--config", cfg, "--out", str(out), "--workers", workers, "--quiet"]) == 2
+            assert_no_child()
+            assert not out.exists()
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("numerical failure: covariance factorization failed: ")
+        assert lines[0].count("\n") == 1
+
+    def test_a_worker_killed_mid_point_is_one_line_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        session, generate = os.getpid(), cli.generate
+
+        def killed_in_a_worker(*args, **kwargs):
+            if os.getpid() != session:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return generate(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "generate", killed_in_a_worker)
+        doc = {"mode": "sweep-grid", "grid": {"N": [8, 16], "alpha": [0.5, 1.0], "seeds": 2}}
+        out = tmp_path / "grid.csv"
+        assert main(["--config", config_file(tmp_path, doc), "--out", str(out), "--workers", "2", "--quiet"]) == 2
+        assert_no_child()
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: RuntimeError: worker process ")
+        assert err.endswith(" ended without a result (exit code -9)\n")
+        assert err.count("\n") == 1
+
+    @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
+    def test_killing_the_cli_kills_its_workers(self, tmp_path):
+        # each of the two points runs for several seconds, so a worker that outlived
+        # the CLI would still be at its first point 2 s after the kill
+        cfg = config_file(tmp_path, {"mode": "sweep-grid", "grid": {"N": [128], "alpha": [2.0, 4.0], "seeds": 8000},
+                                     "mc": {"workers": 2}})
+        proc = subprocess.Popen([sys.executable, "-m", "cdmafusion", "--config", cfg,
+                                 "--out", str(tmp_path / "grid.csv"), "--quiet"], env=child_env())
+        try:
+            deadline = time.monotonic() + 60
+            while len(workers := child_pids(proc.pid)) < 2 and proc.poll() is None and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert len(workers) == 2
+        finally:
+            proc.kill()
+            proc.wait()
+        time.sleep(2)
+        assert [pid for pid in workers if alive(pid)] == []
 
 
 class TestMontecarloGolden:

@@ -29,7 +29,7 @@ from cdmafusion import (
 from cdmafusion import exact
 from cdmafusion.core import snr_groups
 from cdmafusion.exact import exact_report, quadratic_forms
-from cdmafusion.spreading import generate, load
+from cdmafusion.spreading import SpreadingMatrix, generate, load
 
 
 def make_params(**kw) -> SystemParams:
@@ -72,6 +72,25 @@ class TestChannelCovariance:
     def test_exactly_symmetric(self):
         cov = channel_covariance(model_for(make_params(N=24, Ns=31), seed=3))
         assert np.array_equal(cov, cov.T)
+
+    @pytest.mark.parametrize("k,N,Ns", [(None, 24, 31), (None, 128, 512), (1, 1, 3), (3, 33, 2),
+                                        (16, 32, 64), (4, 128, 64), (1, 128, 512)])
+    def test_exactly_symmetric_alone_stacked_and_in_place(self, k, N, Ns):
+        # there is no symmetrizing pass: numpy's A A^T must be symmetric as built,
+        # for one matrix, for a stack, and into the leading block of a bordered buffer
+        p = make_params(N=N, Ns=Ns, sigma_v2=1.3, sigma_w2=0.7)
+        if k is None:
+            S = generate(N, Ns, seed=3)
+        else:
+            S = SpreadingMatrix(entries=np.stack([generate(N, Ns, seed).entries for seed in range(k)]), N=N, Ns=Ns)
+        model = ChannelModel(S, *snr_groups(p)[1:3])
+        cov = channel_covariance(model)
+        assert np.array_equal(cov, cov.mT)
+        bordered = np.full(cov.shape[:-2] + (N + 1, N + 1), np.nan)
+        block = bordered[..., :N, :N]
+        assert channel_covariance(model, out=block) is block
+        assert np.array_equal(block, cov)
+        assert np.isnan(bordered[..., N, :]).all() and np.isnan(bordered[..., :, N]).all()
 
     def test_positive_definite_floor(self):
         for seed in (0, 1, 2):
@@ -303,7 +322,7 @@ class TestQuadraticForms:
         s1 = A.sum(axis=1)
         return float(s1 @ np.linalg.solve(cov, s1)) * snr_groups(params)[0]
 
-    @pytest.mark.parametrize("N,Ns", [(1, 1), (1, 3), (7, 5), (16, 40), (33, 2)])
+    @pytest.mark.parametrize("N,Ns", [(1, 1), (1, 3), (7, 5), (16, 40), (33, 2), (128, 512), (128, 64)])
     def test_matches_one_matrix_route_and_dense_oracle(self, N, Ns):
         p = make_params(N=N, Ns=Ns, sigma_v2=1.3, sigma_w2=0.7)
         matrices = [generate(N, Ns, seed) for seed in range(6)]
@@ -352,7 +371,9 @@ class TestQuadraticForms:
 
     def test_not_positive_definite_is_numerical_failure(self, monkeypatch):
         original = exact.channel_covariance
-        monkeypatch.setattr(exact, "channel_covariance", lambda model: -original(model))
+        # the stand-in builds in the caller's buffer, as channel_covariance does
+        monkeypatch.setattr(exact, "channel_covariance",
+                            lambda model, out=None: np.negative(original(model, out=out), out=out))
         block = np.stack([generate(4, 4, seed).entries for seed in range(3)])
         with pytest.raises(NumericalFailure, match="factorization failed"):
             quadratic_forms(make_params(N=4, Ns=4), block)
