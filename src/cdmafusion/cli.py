@@ -37,13 +37,12 @@ line without a traceback.  Identical config and seed give a byte-identical
 output file.
 
 "--workers" ("mc.workers") sets the size of the one worker pool a run has
-(core.map_workers).  montecarlo runs its trial chunks on that many threads:
-its kernel is large numpy calls, which release the interpreter lock.
-sweep-grid runs its (N, alpha) grid points on that many forked processes,
-handed out costliest first while the parent only coordinates: a point is
-small numpy calls and Python glue, which spend most of their time under the
-lock, so threads would take turns.  The other modes, sweep-limits with its closed-form cells
-included, run no pool.
+(core.map_workers): forked processes, never more than the items to run or
+the CPUs the process may use, handed their items last first while the
+parent only coordinates.  montecarlo runs its trial chunks on it and
+sweep-grid its (N, alpha) grid points, listed cheapest first so the
+costliest start first.  The other modes, sweep-limits with its closed-form
+cells included, run no pool.
 A sweep-grid point runs its seeds in blocks of at most 2**16 stacked
 signature or covariance entries, with one batched covariance build, straight
 into the buffer that is factored, and one batched Cholesky factorization
@@ -430,7 +429,7 @@ def _run_sweep_grid(config: ExperimentConfig):
                 rows.append([pc.N, a, pc.Ns, seed, rep.pe, asym.pe, rel_gap])
         return rows
 
-    rows = [row for block in map_workers(point, points, config.mc.worker_hint, processes=True) for row in block]
+    rows = [row for block in map_workers(point, points, config.mc.worker_hint) for row in block]
     meta = _base_meta(config) + _grid_meta(config, alphas=True)
     meta.append(f"seeds_per_cell={config.cell_seeds}")
     columns = ["N", "alpha", "Ns", "seed", "pe_exact", "pe_asymptotic", "rel_gap"]

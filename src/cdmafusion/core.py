@@ -22,7 +22,6 @@ import numbers
 import os
 import pickle
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -71,39 +70,44 @@ def seed_sequence(master: int, *key: int) -> np.random.SeedSequence:
     return np.random.SeedSequence(entropy=master, spawn_key=key)
 
 
-def map_workers(fn, items, workers: int | None, *, processes: bool = False) -> list:
-    """[fn(x) for x in items], on a pool of `workers` threads, or of forked
-    processes with `processes`, when workers > 1.
+def map_workers(fn, items, workers: int | None) -> list:
+    """[fn(x) for x in items], on a pool of forked worker processes.
 
-    Threads suit work that releases the interpreter lock, such as the Monte
-    Carlo kernel; processes suit work made of small numpy calls and Python
-    glue, which spends most of its time under it (see _fork_map).  Either pool starts the items last
-    to first, so a caller that lists its work cheapest first keeps the
-    costliest item off the end of the schedule.  The results, and the first
-    exception raised, still follow the items' order.  Where os.fork is
-    missing, processes run the items in line.
+    The pool has min(workers, len(items), CPUs this process may run on)
+    processes; below 2, or where os.fork is missing, the items run in line.
+    Processes, not threads: a sweep-grid point is small numpy calls and
+    Python glue under the interpreter lock (on 2 cores, two threads
+    factoring 33 x 33 matrices ran at 0.45-0.86 times one thread's rate),
+    and a Monte Carlo chunk, large numpy calls, ran as fast or faster on
+    processes.  The results, and the first exception raised, follow the
+    items' order.
     """
-    if workers is None or workers < 2 or (processes and not hasattr(os, "fork")):
+    n = min(workers or 1, len(items), _cpus())
+    if n < 2 or not hasattr(os, "fork"):
         return [fn(x) for x in items]
-    if processes:
-        return _fork_map(fn, items, workers)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        futures = [pool.submit(fn, x) for x in reversed(items)]
-    return [f.result() for f in reversed(futures)]
+    return _fork_map(fn, items, n)
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _fork_map(fn, items, workers: int) -> list:
-    """map_workers on min(workers, len(items)) forked child processes.
+    """map_workers on `workers` forked child processes, workers <= len(items).
 
     The parent runs no item.  It hands each child one item index at a time
     over the child's own pipe, the last item first, so the load balances
-    whatever the items cost, and reads back the pickled result, or the
-    exception raised, over a second pipe.  A child leaves only through
-    os._exit, so it never flushes the parent's stdio or runs its exit
-    handlers; on Linux it is also killed when the thread that forked it
-    ends (_die_with_parent).  A child that ends without sending its result
-    raises RuntimeError here, and every child is reaped before this returns
-    or raises.
+    whatever the items cost, and a caller that lists its work cheapest
+    first keeps the costliest item off the end of the schedule.  It reads
+    back the pickled result, or the exception raised, over a second pipe.
+    A child leaves only through os._exit, so it never flushes the parent's
+    stdio or runs its exit handlers; on Linux it is also killed when the
+    thread that forked it ends (_die_with_parent).  A child that ends
+    without sending its result raises RuntimeError here, and every child is
+    reaped before this returns or raises.
 
     From Python 3.12, os.fork warns (DeprecationWarning) when the process
     has more than one OS thread, and OpenBLAS's idle server thread counts:
@@ -119,7 +123,7 @@ def _fork_map(fn, items, workers: int) -> list:
     poller = select.poll()
     parent, ok = os.getpid(), False
     try:
-        for _ in range(min(workers, len(items))):
+        for _ in range(workers):
             task_r, task_w = os.pipe()
             result_r, result_w = os.pipe()
             # the parent's ends of the pipes of the children forked so far

@@ -17,20 +17,13 @@ costs no solve.  The covariance is built straight into the leading block of
 that bordered buffer (channel_covariance's `out`), so it is never copied.
 numpy has no triangular solve, so the few that remain substitute over
 diagonal blocks (see _solve_lower).
-
-Small factorizations do not gain from threads: on a 2-core machine, two
-threads calling np.linalg.cholesky on one 33 x 33 matrix, or on a stack of
-9 x 9 ones, ran at 0.45-0.86 times the rate of one thread (129 x 129
-matrices gained 1.4-1.6 times).  So sweep-grid, whose points are such
-factorizations and the Python around them, runs its points on forked
-processes, while montecarlo, whose kernel is large numpy calls, runs
-threads (core.map_workers).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,20 +34,6 @@ from .spreading import SpreadingMatrix
 
 _BLOCK = 32
 """Width of the diagonal blocks _solve_lower substitutes over."""
-
-
-def _once(method):
-    """A read-only attribute computed on first use and kept on the instance, with
-    no class-wide lock (functools.cached_property holds one before Python 3.12)."""
-    name = method.__name__
-
-    def get(self):
-        value = self.__dict__.get(name)
-        if value is None:
-            value = self.__dict__[name] = method(self)
-        return value
-
-    return property(get, doc=method.__doc__)
 
 
 @dataclass(frozen=True)
@@ -78,7 +57,7 @@ class ChannelModel:
             )
         return cls(S, *snr_groups(params)[1:3])  # (c, w) of (U, c, w, s)
 
-    @_once
+    @cached_property
     def _bordered(self) -> np.ndarray:
         return _bordered_covariance(self)
 
@@ -90,7 +69,7 @@ class ChannelModel:
         cov.flags.writeable = False
         return cov
 
-    @_once
+    @cached_property
     def _factor(self) -> np.ndarray:
         # the same arithmetic, and so the same quadratic form, as quadratic_forms
         # gives each matrix of a stack
@@ -101,12 +80,12 @@ class ChannelModel:
         factor of Sigma / U, so that (L^{-1} a)^T (L^{-1} b) = U a^T Sigma^{-1} b."""
         return _solve_lower(self._factor[:-1, :-1], B)
 
-    @_once
+    @cached_property
     def s1(self) -> np.ndarray:
         """The summed signature S 1."""
         return self.S.entries.sum(axis=1)
 
-    @_once
+    @cached_property
     def detector(self) -> np.ndarray:
         """The detector direction U Sigma^{-1} S 1 = L^{-T} (L^{-1} S 1).
 

@@ -15,9 +15,10 @@ _BoxMuller).  A chunk draws its normals _DRAW_ROWS rows at a time and
 folds each block into the noise term before drawing the next, so a worker
 holds about 1.45 MiB (one 1 MiB block, the sampler's 192 KiB of scratch
 and two CHUNK_TRIALS vectors) whatever Ns + N is.
-Chunk counts are integers merged by addition, so the estimate is a pure
-function of (inputs, seed) regardless of how many workers execute chunks
-or in what order they finish.
+Chunks run on the forked worker processes of core.map_workers, and their
+counts are integers merged by addition, so the estimate is a pure function
+of (inputs, seed) regardless of how many workers execute chunks or in what
+order they finish.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ like the identifiers above, not a run option.
 class McConfig:
     """Simulation budget: trials per hypothesis, master seed, worker hint.
 
-    worker_hint caps the thread pool size; None or 1 runs sequentially.
-    It never affects the numerical result, only wall time.
+    worker_hint caps the forked worker pool (core.map_workers); None or 1
+    runs sequentially.  It never affects the numerical result, only wall time.
     """
 
     trials_per_hypothesis: int

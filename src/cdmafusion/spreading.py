@@ -158,23 +158,27 @@ def load_csv(path) -> SpreadingMatrix:
     """
     seed: int | None = None
     rows: list[list[float]] = []
-    with open(path, "r", encoding="ascii") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith("#"):
-                for tok in line[1:].split():
-                    if tok.startswith("seed=") and tok != "seed=none":
-                        try:
-                            seed = int(tok[len("seed="):])
-                        except ValueError as exc:
-                            raise ParseError(f"{path}: bad seed token {tok!r} on line {lineno}") from exc
-                continue
-            try:
-                rows.append([float(tok) for tok in line.split(",")])
-            except ValueError as exc:
-                raise ParseError(f"{path}: non-numeric entry on line {lineno}") from exc
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not ASCII text: {exc}") from None
+    for lineno, raw in enumerate(text.split("\n"), start=1):  # read() turns \r\n and \r into \n
+        line = raw.strip()
+        if not line:
+            continue
+        if line.startswith("#"):
+            for tok in line[1:].split():
+                if tok.startswith("seed=") and tok != "seed=none":
+                    try:
+                        seed = int(tok[len("seed="):])
+                    except ValueError as exc:
+                        raise ParseError(f"{path}: bad seed token {tok!r} on line {lineno}") from exc
+            continue
+        try:
+            rows.append([float(tok) for tok in line.split(",")])
+        except ValueError as exc:
+            raise ParseError(f"{path}: non-numeric entry on line {lineno}") from exc
     if not rows:
         raise ParseError(f"{path}: no matrix rows found")
     width = len(rows[0])

@@ -6,7 +6,7 @@ from collections import Counter
 
 import pytest
 
-from cdmafusion import DetectorSpec, SystemParams, asymptotic_performance, exact
+from cdmafusion import DetectorSpec, SystemParams, asymptotic_performance, core, exact
 
 
 _SESSION_PID = os.getpid()
@@ -25,6 +25,9 @@ def _check_process(when: str) -> None:
         pytest.fail(f"a child process is still running {when}")
     os.waitpid(child.si_pid, 0)
     pytest.fail(f"child process {child.si_pid} was left unreaped {when}")
+
+
+needs_two_cpus = pytest.mark.skipif(core._cpus() < 2, reason="the worker pool forks no child on fewer than 2 CPUs")
 
 
 def assert_no_child() -> None:

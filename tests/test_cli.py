@@ -22,11 +22,11 @@ import numpy._core._multiarray_umath as np_cpu
 import pytest
 
 import cdmafusion
-from cdmafusion import DomainError, InvalidParam, ParseError, cli, convergence, exact
+from cdmafusion import DomainError, InvalidParam, ParseError, cli, convergence, core, exact, montecarlo
 from cdmafusion.cli import main, parse_config
 from cdmafusion.core import CRITERIA
 from cdmafusion.spreading import generate, save_csv
-from conftest import assert_no_child
+from conftest import assert_no_child, needs_two_cpus
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 # a JSON integer of 401 digits: past the float range, within the interpreter's digit limit
@@ -509,13 +509,16 @@ class TestReproducibility:
         assert a.read_bytes() == b.read_bytes()
 
     def test_montecarlo_worker_invariance(self, tmp_path):
+        # three chunks, so 2 and 4 workers fork as many children as the CPUs allow
         doc = {"mode": "montecarlo", "seed": 4, "params": {"N": 8, "Ns": 8},
                "mc": {"trials": 40000}}
         cfg = config_file(tmp_path, doc)
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        assert main(["--config", cfg, "--out", str(a), "--quiet"]) == 0
-        assert main(["--config", cfg, "--out", str(b), "--workers", "4", "--quiet"]) == 0
-        assert a.read_bytes() == b.read_bytes()
+        outs = []
+        for workers in ("1", "2", "4"):
+            outs.append(tmp_path / f"w{workers}.csv")
+            assert main(["--config", cfg, "--out", str(outs[-1]), "--workers", workers, "--quiet"]) == 0
+            assert_no_child()
+        assert outs[0].read_bytes() == outs[1].read_bytes() == outs[2].read_bytes()
 
     def test_seed_override_changes_everything(self, tmp_path):
         doc = {"mode": "montecarlo", "params": {"N": 8, "Ns": 8}, "mc": {"trials": 2000}}
@@ -586,6 +589,18 @@ class TestMatrixPath:
         )
         assert main(["--config", cfg, "--quiet"]) == 1
         assert capsys.readouterr().err.startswith("error: seed=-7")
+        assert not out.exists()
+
+    def test_non_ascii_matrix_exits_1(self, tmp_path, capsys):
+        mat = tmp_path / "sigs.csv"
+        mat.write_bytes(b"0.7,0.7\n0.7,-0.7\xe9\n")
+        out = tmp_path / "a.csv"
+        cfg = config_file(tmp_path, {"mode": "analyze", "params": {"N": 2, "Ns": 2},
+                                     "matrix_path": str(mat), "output": str(out)})
+        assert main(["--config", cfg, "--quiet"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {mat}: not ASCII text: 'ascii' codec can't decode byte 0xe9")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_missing_matrix_exits_1(self, tmp_path):
@@ -1363,6 +1378,7 @@ class TestSweepGridProcesses:
         assert lines[0].startswith("numerical failure: covariance factorization failed: ")
         assert lines[0].count("\n") == 1
 
+    @needs_two_cpus
     def test_a_worker_killed_mid_point_is_one_line_runtime_failure(self, tmp_path, monkeypatch, capsys):
         session, generate = os.getpid(), cli.generate
 
@@ -1382,6 +1398,7 @@ class TestSweepGridProcesses:
         assert err.endswith(" ended without a result (exit code -9)\n")
         assert err.count("\n") == 1
 
+    @needs_two_cpus
     @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="needs /proc")
     def test_killing_the_cli_kills_its_workers(self, tmp_path):
         # each of the two points runs for several seconds, so a worker that outlived
@@ -1400,6 +1417,59 @@ class TestSweepGridProcesses:
             proc.wait()
         time.sleep(2)
         assert [pid for pid in workers if alive(pid)] == []
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="montecarlo runs its chunks in line without os.fork")
+class TestMontecarloProcesses:
+    # two full chunks and a remainder
+    DOC = {"mode": "montecarlo", "seed": 3, "params": {"N": 12, "Ns": 20}, "mc": {"trials": 2 * 16384 + 5}}
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The pids of the workers os.fork starts."""
+        pids, fork = [], os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    @needs_two_cpus
+    def test_a_worker_killed_mid_chunk_is_one_line_runtime_failure(self, tmp_path, monkeypatch, capsys):
+        session, count_errors = os.getpid(), montecarlo._count_errors
+
+        def killed_in_a_worker(*args):
+            if os.getpid() != session:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return count_errors(*args)
+
+        monkeypatch.setattr(montecarlo, "_count_errors", killed_in_a_worker)
+        out = tmp_path / "mc.csv"
+        assert main(["--config", config_file(tmp_path, self.DOC), "--out", str(out), "--workers", "2", "--quiet"]) == 2
+        assert_no_child()
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("error: RuntimeError: worker process ")
+        assert err.endswith(" ended without a result (exit code -9)\n")
+        assert err.count("\n") == 1
+
+    def test_one_chunk_forks_no_worker(self, tmp_path, forks):
+        out = tmp_path / "mc.csv"
+        doc = dict(self.DOC, mc={"trials": 2000})
+        assert main(["--config", config_file(tmp_path, doc), "--out", str(out), "--workers", "4", "--quiet"]) == 0
+        assert forks == []
+
+    def test_workers_past_the_cpus_fork_one_per_cpu(self, tmp_path, monkeypatch, forks):
+        monkeypatch.setattr(core, "_cpus", lambda: 2)
+        out = tmp_path / "mc.csv"
+        assert main(["--config", config_file(tmp_path, self.DOC), "--out", str(out), "--workers", str(10**12),
+                     "--quiet"]) == 0
+        assert len(forks) == 2
+        assert_no_child()
 
 
 class TestMontecarloGolden:

@@ -11,6 +11,7 @@ import json
 import math
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from statistics import NormalDist
 
@@ -513,12 +514,13 @@ class TestDrawCount:
             return np.zeros(size)
 
     def count_draws(self, monkeypatch, params, mc):
-        """Normals drawn from each stream that estimate opens."""
+        """Normals drawn from each stream that estimate opens, with its chunks
+        run in line: a forked worker's streams end with the worker."""
         streams = []
 
         def chunk_rng(*key):
             stream = self.Counting()
-            streams.append(stream)  # chunks run on the pool: each stream counts alone
+            streams.append(stream)  # each stream counts alone
             return stream
 
         monkeypatch.setattr(montecarlo, "_chunk_rng", chunk_rng)
@@ -533,8 +535,11 @@ class TestDrawCount:
         assert sum(log) == n * (p.Ns + p.N)
 
     def test_benchmark_config_draws_each_normal_once(self, monkeypatch):
+        # on the config's 2 workers the streams would count in the forked workers, out of
+        # sight; test_worker_count_does_not_change_result pins that workers change no draw
         cfg = cli.parse_config(json.dumps(montecarlo_workload(monkeypatch).config))
-        log = self.count_draws(monkeypatch, cfg.params, cfg.mc)
+        assert cfg.mc.worker_hint == 2
+        log = self.count_draws(monkeypatch, cfg.params, replace(cfg.mc, worker_hint=None))
         n = cfg.mc.trials_per_hypothesis
         assert len(log) == math.ceil(n / CHUNK_TRIALS) == 25
         assert sum(log) == n * (cfg.params.Ns + cfg.params.N) == 76_800_000
