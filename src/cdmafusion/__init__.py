@@ -37,10 +37,8 @@ from .core import (
     DetectorSpec,
     SystemParams,
     amplifier_gain,
-    bayes_threshold,
-    np_threshold,
+    detector_bounds,
     sensors_for_load,
-    threshold_for,
     validate,
 )
 from .errors import (
@@ -87,10 +85,10 @@ __all__ = [
     "amplifier_gain",
     "asymptotic_params",
     "asymptotic_performance",
-    "bayes_threshold",
     "beta0",
     "channel_covariance",
     "cross_term_experiment",
+    "detector_bounds",
     "diagonal_term_experiment",
     "estimate",
     "exact_performance",
@@ -98,12 +96,10 @@ __all__ = [
     "large_alpha_pe",
     "mil_residual_experiment",
     "mu",
-    "np_threshold",
     "quadratic_form",
     "quadratic_form_convergence",
     "sensors_for_load",
     "simulate_trials",
     "single_sensor_pe",
-    "threshold_for",
     "validate",
 ]

@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import DetectorSpec, SystemParams, log_tails, root_snr, snr_groups
+from .core import DetectorSpec, SystemParams, _is_real, log_ndtr, root_snr, snr_groups
 from .errors import DomainError, NumericalFailure
 from .exact import PerformanceReport, exact_report
 
@@ -64,14 +64,16 @@ def beta0(alpha: float, gamma_val: float, sigma_w2: float) -> float:
     linear coefficient is positive so the root survives extreme loads
     (alpha ~ 1e4 with gamma ~ 1e-6) without cancellation; it also covers
     gamma == 0, where the quadratic is linear with root 1/sigma_w2.  At
-    alpha == 0 the root is exactly 1/sigma_w2.
+    alpha == 0 the root is exactly 1/sigma_w2.  The inputs are finite reals,
+    as SystemParams takes them (a bool is not one), solved in double precision.
     """
-    if not (isinstance(sigma_w2, (int, float)) and math.isfinite(sigma_w2) and sigma_w2 > 0):
+    if not (_is_real(sigma_w2) and sigma_w2 > 0):
         raise DomainError(f"beta0 requires sigma_w2 > 0, got {sigma_w2!r}")
-    if not (isinstance(alpha, (int, float)) and math.isfinite(alpha) and alpha >= 0):
+    if not (_is_real(alpha) and alpha >= 0):
         raise DomainError(f"beta0 requires finite alpha >= 0, got {alpha!r}")
-    if not (isinstance(gamma_val, (int, float)) and math.isfinite(gamma_val) and gamma_val >= 0):
+    if not (_is_real(gamma_val) and gamma_val >= 0):
         raise DomainError(f"beta0 requires finite gamma >= 0, got {gamma_val!r}")
+    alpha, gamma_val, sigma_w2 = float(alpha), float(gamma_val), float(sigma_w2)
     if alpha == 0.0:
         return 1.0 / sigma_w2
     b = alpha * (gamma_val + sigma_w2) - gamma_val
@@ -97,9 +99,9 @@ def mu(params: SystemParams, beta0_val: float) -> float:
     second is the channel-plus-interference penalty, inf where P beta0
     underflows.  Uses the finite-size sensor count Ns of params.
     """
-    if not (isinstance(beta0_val, (int, float)) and math.isfinite(beta0_val) and beta0_val > 0):
+    if not (_is_real(beta0_val) and beta0_val > 0):
         raise DomainError(f"mu requires beta0 > 0, got {beta0_val!r}")
-    penalty = params.P * beta0_val
+    penalty = params.P * float(beta0_val)
     return params.sigma_v2 / params.Ns + ((params.m**2 + params.sigma_v2) / penalty if penalty > 0.0 else math.inf)
 
 
@@ -144,8 +146,9 @@ def asymptotic_performance(params: SystemParams, spec: DetectorSpec) -> Performa
 
 
 def _zero_threshold_pe(params: SystemParams, q: float) -> float:
-    # at tau == 0 the two tails coincide, so either one is the error probability
-    return math.exp(log_tails(root_snr(params, q), 0.0)[0])
+    # at tau == 0 the two tails coincide, Q(r) = Phi(-r), so either one is the error
+    # probability; q > 0 here, so r > 0 and the tie rule does not arise
+    return math.exp(log_ndtr(-root_snr(params, q)))
 
 
 def large_alpha_pe(params: SystemParams) -> float:

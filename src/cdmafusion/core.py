@@ -1,5 +1,6 @@
 """Scalar foundations: model parameters, integer and seed checks, the worker
-map, the dimensionless groups, Gaussian tails, thresholds.
+map, the dimensionless groups, Gaussian tails, and the detector's decision
+(detector_bounds), which every route reads.
 
 The model: Ns sensors each observe z_n = +-m + v_n with v_n ~ N(0, sigma_v2),
 scale their observation by a common gain g, and transmit simultaneously over
@@ -27,7 +28,7 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .errors import DomainError, InvalidParam
+from .errors import InvalidParam
 
 BAYES = "bayes"
 NEYMAN_PEARSON = "np"
@@ -359,7 +360,7 @@ def root_snr(params: SystemParams, q: float) -> float:
     """r = m sqrt(x) = s sqrt(q) for a form q = U qf in the units of snr_groups.
 
     A positive root below every float is the least positive double, at which
-    the tails of log_tails are their r -> 0 limits: r is 0 only when q is,
+    the tails of detector_bounds are their r -> 0 limits: r is 0 only when q is,
     which is decided before s, inf where sigma_w2 is subnormal, multiplies it.
     """
     return 0.0 if q == 0.0 else max(snr_groups(params)[3] * math.sqrt(q), _LEAST)
@@ -387,56 +388,6 @@ def log_ndtr(z: float) -> float:
     return -0.5 * z * z - math.log(-z) - _LOG_SQRT_2PI + math.log1p(series)
 
 
-def log_tails(r: float, tau: float) -> tuple[float, float]:
-    """(log pf, log pm) of the threshold tau on a fusion statistic of root SNR r.
-
-    The statistic is the log-likelihood ratio, N(-+ 2 r^2, 4 r^2) under H0
-    and H1, and declares H1 when T >= tau, so pf = Q(r + tau / 2r) and
-    pm = Q(r - tau / 2r).  Both are carried in the log domain, where they
-    stay finite far past the point where the tails themselves underflow.  At
-    r == 0 the statistic is identically zero and the tie rule decides: H1
-    whenever tau <= 0.
-    """
-    if r == 0.0:
-        return (0.0, -math.inf) if tau <= 0.0 else (-math.inf, 0.0)
-    half = tau / (2.0 * r)
-    return log_ndtr(-half - r), log_ndtr(half - r)
-
-
-def bayes_threshold(p0: float, p1: float) -> float:
-    """Threshold on the fusion statistic minimizing p0 Pf + p1 Pm.
-
-    The statistic is the log-likelihood ratio, Gaussian with conditional
-    means -+ 2 r^2 and common variance 4 r^2 (see log_tails), so the
-    minimizer is log(p0 / p1), independent of the channel realization.
-    """
-    for name, val in (("p0", p0), ("p1", p1)):
-        if not (_is_real(val) and 0.0 < val < 1.0):
-            raise DomainError(f"bayes_threshold requires {name} in (0, 1), got {val!r}")
-    if abs(p0 + p1 - 1.0) > 1e-12:
-        raise DomainError(f"priors must sum to 1, got p0 + p1 = {p0 + p1!r}")
-    return math.log(p0 / p1)
-
-
-def np_quantile(alpha_fa: float) -> float:
-    """Q^{-1}(alpha_fa), with Q the standard normal upper tail."""
-    if not (_is_real(alpha_fa) and 0.0 < alpha_fa < 1.0):
-        raise DomainError(f"np_threshold requires alpha_fa in (0, 1), got {alpha_fa!r}")
-    return -_STANDARD_NORMAL.inv_cdf(alpha_fa)
-
-
-def np_threshold(r: float, alpha_fa: float) -> float:
-    """Threshold pinning the false-alarm probability at alpha_fa.
-
-    r is the root SNR of the channel in use; the statistic under the null
-    is N(-2 r^2, 4 r^2), so the threshold is 2 r Q^{-1}(alpha_fa) - 2 r^2,
-    formed as 2 r (Q^{-1}(alpha_fa) - r), which is -inf at r == inf.
-    """
-    if isinstance(r, bool) or not (isinstance(r, numbers.Real) and r > 0):
-        raise DomainError(f"np_threshold requires r > 0, got {r!r}")
-    return 2.0 * r * (np_quantile(alpha_fa) - r)
-
-
 @dataclass(frozen=True)
 class DetectorSpec:
     """How the fusion threshold is chosen.
@@ -461,14 +412,28 @@ class DetectorSpec:
                 raise InvalidParam("tau_prime", self.tau_prime, "criterion 'fixed' needs a finite tau_prime")
 
 
-def threshold_for(spec: DetectorSpec, params: SystemParams, r: float) -> float:
-    """Resolve the effective threshold for a channel of root SNR r.
+def detector_bounds(spec: DetectorSpec, params: SystemParams, r: float) -> tuple[float, float, float]:
+    """(tau, a, b): the threshold of spec on a channel of root SNR r, and the
+    bounds it puts on the noise of the fusion statistic.
 
-    np_threshold's formula is taken to its limit 0 at r == 0, where the
-    statistic is identically 0 and the tie rule of log_tails decides.
+    The statistic is the log-likelihood ratio T = 2 r (-+r + d), d ~ N(0, 1)
+    under H0 and H1, and declares H1 when T >= tau.  A false alarm is d >= a
+    and a miss is d < b, so pf = Q(a) and pm = Phi(b), and a >= b always.
+    Bayes takes tau = log(p0 / p1), which minimizes p0 pf + p1 pm on every
+    channel; fixed takes tau_prime; np pins pf at alpha_fa with
+    a = Q^{-1}(alpha_fa), so its tau is 2 r (a - r), -inf at r == inf.
+    At r == 0, T is identically 0 and np's tau is its limit 0; the tie rule,
+    H1 when T == tau, is then a = b = -inf when tau <= 0 and +inf otherwise,
+    so no route needs a branch of its own for it.
     """
-    if spec.criterion == BAYES:
-        return bayes_threshold(params.p0, params.p1)
     if spec.criterion == NEYMAN_PEARSON:
-        return np_threshold(r, spec.alpha_fa) if r > 0.0 else 0.0
-    return float(spec.tau_prime)
+        if r == 0.0:
+            return 0.0, -math.inf, -math.inf
+        z = -_STANDARD_NORMAL.inv_cdf(spec.alpha_fa)
+        return 2.0 * r * (z - r), z, z - 2.0 * r
+    tau = math.log(params.p0 / params.p1) if spec.criterion == BAYES else float(spec.tau_prime)
+    if r == 0.0:
+        bound = -math.inf if tau <= 0.0 else math.inf
+        return tau, bound, bound
+    half = tau / (2.0 * r)
+    return tau, half + r, half - r

@@ -8,7 +8,9 @@ probabilities depend on the channel only through its root detection SNR
 r = m sqrt(x), x = g^2 qf with qf = (S 1)^T Sigma^{-1} (S 1).  Everything is
 computed in the units U of core.snr_groups, where Sigma / U gives the form
 q = U qf; exact_report turns q and a detector into the report every analytic
-route returns, with its tails carried in the log domain by core.log_tails.
+route returns: the threshold and the bounds on the statistic's noise come
+from core.detector_bounds, and the tails are carried in the log domain by
+core.log_ndtr.
 
 The linear algebra is numpy's alone.  Each covariance is factored once, as
 the Cholesky factor of the bordered matrix [[Sigma / U, b], [b^T, d]] (see
@@ -27,8 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import NEYMAN_PEARSON, DetectorSpec, SystemParams, log_ndtr, log_tails, np_quantile, root_snr, snr_groups
-from .core import threshold_for
+from .core import NEYMAN_PEARSON, DetectorSpec, SystemParams, detector_bounds, log_ndtr, root_snr, snr_groups
 from .errors import DimensionMismatch, NumericalFailure
 from .spreading import SpreadingMatrix
 
@@ -51,9 +52,12 @@ class ChannelModel:
 
     @classmethod
     def from_params(cls, params: SystemParams, S: SpreadingMatrix) -> "ChannelModel":
-        if (S.N, S.Ns) != (params.N, params.Ns):
+        # the matrix's own shape, not its declared N and Ns: the channel is built from
+        # the entries (the last two axes, for quadratic_forms' stacks)
+        shape = S.entries.shape[-2:]
+        if shape != (params.N, params.Ns):
             raise DimensionMismatch(
-                f"signature matrix is {S.N}x{S.Ns} but params declare N={params.N}, Ns={params.Ns}"
+                f"signature matrix is {'x'.join(map(str, shape))} but params declare N={params.N}, Ns={params.Ns}"
             )
         return cls(S, *snr_groups(params)[1:3])  # (c, w) of (U, c, w, s)
 
@@ -261,18 +265,18 @@ def quadratic_forms(params: SystemParams, block) -> list[float]:
 def exact_report(params: SystemParams, q: float, spec: DetectorSpec) -> PerformanceReport:
     """Error probabilities of the detector spec on a channel of form q = U qf.
 
-    The threshold is resolved against r = core.root_snr(params, q); pf and
-    pm are the exponentials of core.log_tails, pe = p0 pf + p1 pm, and log_pe
-    is the log of the same mix, summed in the log domain.  np's pf is
-    alpha_fa by construction and its pm = Q(2 r - Q^{-1}(alpha_fa)) is taken
-    directly, as the two terms of its threshold cancel once r is large.
+    The threshold tau and the bounds (a, b) on the statistic's noise are
+    core.detector_bounds at r = core.root_snr(params, q); pf = Q(a) and
+    pm = Phi(b) are carried in the log domain by core.log_ndtr, where they
+    stay finite far past the point where the tails themselves underflow.
+    np's pf is alpha_fa by construction, and its log is taken as such.
+    pe = p0 pf + p1 pm, and log_pe is the log of the same mix, summed in the
+    log domain.
     """
     r = root_snr(params, q)
-    tau = threshold_for(spec, params, r)
-    if spec.criterion == NEYMAN_PEARSON and r > 0.0:
-        log_pf, log_pm = math.log(spec.alpha_fa), log_ndtr(np_quantile(spec.alpha_fa) - 2.0 * r)
-    else:
-        log_pf, log_pm = log_tails(r, tau)
+    tau, a, b = detector_bounds(spec, params, r)
+    log_pf = math.log(spec.alpha_fa) if spec.criterion == NEYMAN_PEARSON and r > 0.0 else log_ndtr(-a)
+    log_pm = log_ndtr(b)
     pf, pm = math.exp(log_pf), math.exp(log_pm)
     log_pe = float(np.logaddexp(math.log(params.p0) + log_pf, math.log(params.p1) + log_pm))
     return PerformanceReport(pf=pf, pm=pm, pe=params.p0 * pf + params.p1 * pm, log_pe=log_pe, tau_prime=tau, q=q)

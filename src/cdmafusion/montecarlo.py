@@ -4,7 +4,9 @@ Each trial draws sensor observations z = -+m + v, amplifies them, spreads
 them through the signature matrix and adds receiver noise, then thresholds
 the fusion statistic.  The statistic is linear in the two noise vectors, so
 a trial is one weighted sum of its Ns + N standard normals, with a weight of
-unit norm (see estimate); the received chip vector itself is never formed.
+unit norm (see estimate); the received chip vector itself is never formed,
+and the sum is compared with the noise bounds of core.detector_bounds, the
+same decision whose tails the exact route takes.
 That noise term has the same law under both hypotheses, so one draw of it
 serves a false-alarm trial and a miss trial (common random numbers; RNG_ID
 names this scheme, from artifact 0.5.0 on).  Trials are produced in
@@ -28,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import NEYMAN_PEARSON, DetectorSpec, SystemParams, amplifier_gain, check_count, check_seed, map_workers
-from .core import np_quantile, root_snr, seed_sequence, threshold_for
+from .core import DetectorSpec, SystemParams, amplifier_gain, check_count, check_seed, detector_bounds, map_workers
+from .core import root_snr, seed_sequence
 from .errors import DomainError
 from .exact import ChannelModel, McDiagnostics, PerformanceReport, quadratic_form
 from .spreading import SpreadingMatrix
@@ -188,20 +190,16 @@ def _count_errors(
     seed: int,
     chunk_idx: int,
     size: int,
-) -> tuple[int, int, int]:
-    """(false alarms, misses, both) among a chunk's trials of the noise term
+) -> tuple[int, int]:
+    """(false alarms, misses) among a chunk's trials of the noise term
     d = noise_weight . n.  One draw of d serves both hypotheses: a trial is a
-    false alarm when d >= bounds[0] and a miss when d < bounds[1]; `both`
-    counts the trials that are an error under each."""
+    false alarm when d >= bounds[0] and a miss when d < bounds[1]."""
     rng = _chunk_rng(seed, chunk_idx)
     d = np.zeros(size)
     for r0 in range(0, noise_weight.size, _DRAW_ROWS):
         w = noise_weight[r0:r0 + _DRAW_ROWS]
         d += w @ rng.standard_normal((w.size, size))
-    false_alarm = d >= bounds[0]
-    miss = d < bounds[1]
-    return (int(np.count_nonzero(false_alarm)), int(np.count_nonzero(miss)),
-            int(np.count_nonzero(false_alarm & miss)))
+    return int(np.count_nonzero(d >= bounds[0])), int(np.count_nonzero(d < bounds[1]))
 
 
 def estimate(
@@ -226,11 +224,10 @@ def estimate(
     exact_report(params, report.q, spec) gives the closed form without
     factorizing again.
 
-    T >= tau is the noise term u . n against tau / 2r + r under H0 and
-    tau / 2r - r under H1, so the noise is not lost in the rounding of a mean
-    far larger than it; np's bound under the null is Q^{-1}(alpha_fa).  Ties
-    (T == tau) decide the alternative, which is what makes the degenerate
-    q == 0 channel, r == 0, agree with the closed form.
+    T >= tau is the noise term u . n against the bounds (a, b) of
+    core.detector_bounds, a under H0 and b under H1, so the noise is not lost
+    in the rounding of a mean far larger than it, and the degenerate q == 0
+    channel, whose u is 0, meets the tie rule there as the closed form does.
 
     That noise term has the same law under both hypotheses, so each chunk
     draws it once and counts a false alarm and a miss on every draw: one
@@ -238,37 +235,31 @@ def estimate(
     Binomial(n, p) with a binomial stderr_pf or stderr_pm.  stderr_pe is
     the standard error of the coupled pair,
 
-        sqrt(p0^2 pf (1 - pf) + p1^2 pm (1 - pm) + 2 p0 p1 (both/n - pf pm)) / sqrt(n),
+        sqrt(p0^2 pf (1 - pf) + p1^2 pm (1 - pm) - 2 p0 p1 pf pm) / sqrt(n):
 
-    where `both` counts the draws in error under each hypothesis; the
-    bounds are ordered (r >= 0), so both is 0.
+    the bounds are ordered, a >= b, so no draw is an error under both
+    hypotheses, and the two counts' covariance is -pf pm / n.
     """
     model = ChannelModel.from_params(params, S)
     noise_weight = _collapsed_weight(model)
     q = quadratic_form(model)
     r = root_snr(params, q)
-    tau = threshold_for(spec, params, r)
-    if r == 0.0:
-        bounds = (tau, tau)
-    elif spec.criterion == NEYMAN_PEARSON:
-        bounds = (np_quantile(spec.alpha_fa), np_quantile(spec.alpha_fa) - 2.0 * r)
-    else:
-        bounds = (tau / (2.0 * r) + r, tau / (2.0 * r) - r)
+    tau, *bounds = detector_bounds(spec, params, r)
 
     n = mc.trials_per_hypothesis
 
-    def run(job: tuple[int, int]) -> tuple[int, int, int]:
+    def run(job: tuple[int, int]) -> tuple[int, int]:
         return _count_errors(noise_weight, bounds, mc.seed, *job)
 
     counts = map_workers(run, _chunk_plan(n), mc.worker_hint)
-    false_alarms, misses, both = (sum(c) for c in zip(*counts))
+    false_alarms, misses = (sum(c) for c in zip(*counts))
     pf = false_alarms / n
     pm = misses / n
     pe = params.p0 * pf + params.p1 * pm
     se_pf = math.sqrt(pf * (1.0 - pf) / n)
     se_pm = math.sqrt(pm * (1.0 - pm) / n)
     var_pe = (params.p0**2 * pf * (1.0 - pf) + params.p1**2 * pm * (1.0 - pm)
-              + 2.0 * params.p0 * params.p1 * (both / n - pf * pm))
+              - 2.0 * params.p0 * params.p1 * (pf * pm))
     se_pe = math.sqrt(max(var_pe, 0.0) / n)
     diag = McDiagnostics(
         trials_per_hypothesis=n,

@@ -138,11 +138,19 @@ class TestBeta0:
     @pytest.mark.parametrize(
         "alpha,gv,sw",
         [(-0.1, 1.0, 1.0), (math.inf, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, math.nan, 1.0),
-         (1.0, 1.0, 0.0), (1.0, 1.0, -2.0)],
+         (1.0, 1.0, 0.0), (1.0, 1.0, -2.0),
+         # as in SystemParams, a bool is no number, not a load, power or variance of 1
+         (True, 0.5, 1.0), (1.0, True, 1.0), (1.0, 0.5, True)],
     )
     def test_domain(self, alpha, gv, sw):
         with pytest.raises(DomainError):
             beta0(alpha, gv, sw)
+
+    def test_numpy_reals_are_solved_in_double_precision(self):
+        # as SystemParams: a numpy float32 is a finite real
+        got = beta0(np.float32(1.0), np.float32(0.5), np.float32(1.0))
+        assert type(got) is float
+        assert got == beta0(1.0, 0.5, 1.0) == pytest.approx(math.sqrt(3.0) - 1.0, abs=1e-12)
 
 
 class TestMu:
@@ -159,9 +167,13 @@ class TestMu:
 
     def test_rejects_bad_root(self):
         p = make_params()
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        for bad in (0.0, -1.0, math.inf, math.nan, True):
             with pytest.raises(DomainError):
                 mu(p, bad)
+
+    def test_numpy_real_root(self):
+        p = make_params()
+        assert mu(p, np.float32(0.75)) == mu(p, 0.75)
 
     def test_chain_helper_consistent(self):
         p = make_params(N=64, Ns=32, P=5.0, sigma_v2=2.0, sigma_w2=0.5)

@@ -1508,6 +1508,64 @@ class TestMontecarloGolden:
                [[row[header.index(c)] for c in columns] for row in rows]
 
 
+class TestDetectorGoldens:
+    # sha256 of whole artifacts for the np and fixed detectors, whose bounds the
+    # Bayes goldens above do not reach, frozen from the runner's output
+    DETECTORS = {
+        "np": {"criterion": "np", "alpha_fa": 0.05},
+        "fixed-low": {"criterion": "fixed", "tau_prime": -0.7},
+        "fixed-high": {"criterion": "fixed", "tau_prime": 2.5},
+    }
+    CONFIGS = {
+        "analyze": {"mode": "analyze", "seed": 5, "params": {"N": 16, "Ns": 24, "P": 4.0, "sigma_v2": 0.5}},
+        "montecarlo": {"mode": "montecarlo", "seed": 3, "params": {"N": 12, "Ns": 20, "P": 4.0, "sigma_v2": 0.5},
+                       "mc": {"trials": 2 * 16384 + 5, "workers": 2}},
+        "sweep-grid": {"mode": "sweep-grid", "seed": 2, "grid": {"N": [8, 16], "alpha": [0.5, 2.0], "seeds": 3}},
+    }
+    GOLDEN = {
+        ("analyze", "np"): "1022807ca73141f85b2f3595b4471f5467a950a8394a2ad47e6bd10bc2c231c1",
+        ("analyze", "fixed-low"): "d0c6f6fd00f97d27d079a0fe198d60186ef8e5924919132f0508ba830385da0a",
+        ("analyze", "fixed-high"): "42f2cbac5b8f3e2fb9a45f2cf4d33df94f50a10c5b97a55656c18458f78fdece",
+        ("montecarlo", "np"): "3baee763440ea8660f761ed67e2847d60c88b7cc037769aca9628136ea591f2f",
+        ("montecarlo", "fixed-low"): "f2191fed6f7da1ef0049b1570e9345bf5c845f250eb33f58c962fe44d96e171f",
+        ("montecarlo", "fixed-high"): "6c59464537c826f3bac800077f3507a46889173229ec6ae08a208e6cf44e362b",
+        ("sweep-grid", "np"): "d09098b0de8c646c90ba35da38c02011c4bf7165145fd96019c4af8bebb87169",
+        ("sweep-grid", "fixed-low"): "569749773320ab21c2b7443ac78b1950948b87e904e988f1bbe8b5b2a79d8697",
+        ("sweep-grid", "fixed-high"): "a80fb5b3fac4b2ec6a517766b62dfd1b20e08545b3b4ccca818907c2f5fffbe2",
+    }
+    # a 2 x 2 matrix whose columns cancel: S 1 = 0, so q = r = 0, T is
+    # identically 0 and the tie rule (T >= tau declares H1) decides every trial
+    CANCELLING = {"bayes": {"criterion": "bayes"}, **DETECTORS}
+    CANCELLING_GOLDEN = {
+        ("analyze", "bayes"): "0fe0394d9d6be73647b1a4f12d73223a9fd5cee749eea3595a400720a15b9a4e",
+        ("analyze", "np"): "507e1be338543526491a09a3222bbefebe98f0037852fc7102d2fe99e9fd65ed",
+        ("analyze", "fixed-low"): "7fcdb39f1c53909a4fd498b3af1810fe17d331dbf913023e2b1cad54ab0a25c5",
+        ("analyze", "fixed-high"): "a60b1ea548f18aeab1c212e50ea28e24b6e934e13d09482076a44fc1d1d84ca4",
+        ("montecarlo", "bayes"): "d3ee277773a2f64a57d349f8e3aa1ece8429d122067ff0bcf54af71cdf6f78d7",
+        ("montecarlo", "np"): "172671ff89357dfe161c95405f3452de49a86671319901eed9106477f75bec54",
+        ("montecarlo", "fixed-low"): "32a843a6dc92683ce89de28e07b16d0ec5bc9944b2f7eadd7baee7b64b27967d",
+        ("montecarlo", "fixed-high"): "9f708e800012f1c450c8dedcd89c55c1ce97b45819f82535c37c5687474523b6",
+    }
+
+    @pytest.mark.parametrize("mode, detector", sorted(GOLDEN))
+    def test_golden_artifact(self, tmp_path, mode, detector):
+        doc = dict(self.CONFIGS[mode], detector=self.DETECTORS[detector])
+        out = tmp_path / "out.csv"
+        assert main(["--config", config_file(tmp_path, doc), "--out", str(out), "--quiet"]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[mode, detector]
+
+    @pytest.mark.parametrize("mode, detector", sorted(CANCELLING_GOLDEN))
+    def test_cancelling_matrix_golden_artifact(self, tmp_path, monkeypatch, mode, detector):
+        # a relative matrix_path, so that the artifact's matrix_source line is fixed
+        monkeypatch.chdir(tmp_path)
+        s = format(1.0 / math.sqrt(2.0), ".17g")
+        Path("m.csv").write_text(f"{s},-{s}\n{s},-{s}\n")
+        doc = {"mode": mode, "seed": 7, "params": {"N": 2, "Ns": 2}, "matrix_path": "m.csv",
+               "detector": self.CANCELLING[detector], "mc": {"trials": 1000}}
+        assert main(["--config", config_file(tmp_path, doc), "--out", "out.csv", "--quiet"]) == 0
+        assert hashlib.sha256(Path("out.csv").read_bytes()).hexdigest() == self.CANCELLING_GOLDEN[mode, detector]
+
+
 class TestOneFactorizationPerRun:
     @pytest.mark.parametrize("doc", [
         {"mode": "analyze", "seed": 3, "params": {"N": 16, "Ns": 24}},

@@ -1,4 +1,4 @@
-"""Scalar layer: parameter validation, Gaussian tails, gains, thresholds.
+"""Scalar layer: parameter validation, Gaussian tails, gains, the detector's bounds.
 
 Expected values are frozen from the independent oracles defined at the top
 of this file (adaptive quadrature of the normal density, bisection on that
@@ -19,17 +19,15 @@ from scipy.integrate import quad
 
 from cdmafusion import (
     DetectorSpec,
-    DomainError,
     InvalidParam,
     SystemParams,
     amplifier_gain,
-    bayes_threshold,
-    np_threshold,
+    detector_bounds,
     sensors_for_load,
-    threshold_for,
     validate,
 )
-from cdmafusion.core import SEED_MAX, check_count, check_seed, is_int, log_ndtr, log_tails, seed_sequence
+from cdmafusion.core import SEED_MAX, check_count, check_seed, is_int, log_ndtr, root_snr, seed_sequence
+from cdmafusion.exact import exact_report
 from conftest import q
 
 
@@ -74,6 +72,23 @@ def make_params(**kw) -> SystemParams:
     base = dict(N=16, Ns=16, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5, p1=0.5)
     base.update(kw)
     return SystemParams(**base)
+
+
+def log_tails(r: float, tau: float) -> tuple[float, float]:
+    """(log pf, log pm) of the threshold tau on a channel of root SNR r: the
+    tails Q(a) and Phi(b) of detector_bounds' noise bounds, as exact_report takes them."""
+    _, a, b = detector_bounds(DetectorSpec(criterion="fixed", tau_prime=tau), make_params(), r)
+    return log_ndtr(-a), log_ndtr(b)
+
+
+def bayes_tau(p0: float, r: float = 1.0) -> float:
+    """The Bayes threshold detector_bounds resolves for the priors (p0, 1 - p0)."""
+    return detector_bounds(DetectorSpec(), make_params(p0=p0, p1=1.0 - p0), r)[0]
+
+
+def np_tau(r: float, alpha_fa: float) -> float:
+    """The threshold detector_bounds resolves for np at level alpha_fa and root SNR r."""
+    return detector_bounds(DetectorSpec(criterion="np", alpha_fa=alpha_fa), make_params(), r)[0]
 
 
 class TestSystemParams:
@@ -273,7 +288,7 @@ class TestLogNdtr:
 
 
 class TestLogTails:
-    """log_tails against 50-digit tails, over SNRs where the tails underflow.
+    """The tails of detector_bounds against 50-digit tails, over SNRs where the tails underflow.
 
     The root SNR of each case is m sqrt(x), for a detection SNR x.
     """
@@ -299,6 +314,11 @@ class TestLogTails:
         assert log_tails(0.0, 0.0) == (0.0, -math.inf)
         assert log_tails(0.0, -2.0) == (0.0, -math.inf)
         assert log_tails(0.0, 0.5) == (-math.inf, 0.0)
+        # T == 0 == tau declares H1, np's tau included: every draw is a false alarm
+        p = make_params(p0=0.3, p1=0.7)
+        assert detector_bounds(DetectorSpec(criterion="np", alpha_fa=0.05), p, 0.0) == (0.0, -math.inf, -math.inf)
+        assert detector_bounds(DetectorSpec(), p, 0.0) == (math.log(0.3 / 0.7), -math.inf, -math.inf)
+        assert detector_bounds(DetectorSpec(criterion="fixed", tau_prime=0.5), p, 0.0) == (0.5, math.inf, math.inf)
 
     def test_limits_of_resolution(self):
         # at the least positive r the statistic's spread is lost against tau: the
@@ -329,12 +349,12 @@ class TestLogTails:
 
 
 def inv_q(p: float) -> float:
-    """The normal quantile inside np_threshold: at r = 1/2 the threshold is Q^{-1}(p) - 1/2."""
-    return np_threshold(0.5, p) + 0.5
+    """The normal quantile Q^{-1}(p): np's bound a on the noise under the null."""
+    return detector_bounds(DetectorSpec(criterion="np", alpha_fa=p), make_params(), 0.5)[1]
 
 
 class TestInvQ:
-    """The quantile of np_threshold inverts q and matches the bisection oracle."""
+    """np's bound a inverts q and matches the bisection oracle."""
 
     def test_roundtrip_band(self):
         for x in np.linspace(-6.0, 6.0, 49):
@@ -362,7 +382,8 @@ class TestInvQ:
 
     @pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, math.nan])
     def test_domain(self, p):
-        with pytest.raises(DomainError):
+        # the level is checked where the detector is specified, before any quantile
+        with pytest.raises(InvalidParam):
             inv_q(p)
 
 
@@ -395,15 +416,15 @@ class TestBayesThreshold:
     """log(p0/p1) minimizes the prior-weighted error objective."""
 
     def test_equals_log_prior_ratio(self):
-        assert bayes_threshold(0.75, 0.25) == pytest.approx(math.log(3.0), rel=1e-15)
-        assert bayes_threshold(0.5, 0.5) == 0.0
+        assert bayes_tau(0.75) == pytest.approx(math.log(3.0), rel=1e-15)
+        assert bayes_tau(0.5) == 0.0
 
     def test_grid_search_oracle(self):
         taus = np.linspace(math.log(3.0) - 1.7, math.log(3.0) + 2.3, 2001)
         vals = [error_objective(float(t), 0.75, 1.0, 1.0, 1.0) for t in taus]
         t_star = float(taus[int(np.argmin(vals))])
         spacing = float(taus[1] - taus[0])
-        assert abs(bayes_threshold(0.75, 0.25) - t_star) <= spacing
+        assert abs(bayes_tau(0.75) - t_star) <= spacing
 
     @pytest.mark.parametrize("delta", [1e-3, 1e-2, 1e-1])
     def test_local_optimality(self, delta):
@@ -413,22 +434,23 @@ class TestBayesThreshold:
             g = float(rng.uniform(0.2, 3.0))
             m = float(rng.uniform(0.2, 3.0))
             qf = float(rng.uniform(0.1, 20.0))
-            tau = bayes_threshold(p0, 1.0 - p0)
+            tau = bayes_tau(p0, g * m * math.sqrt(qf))
             best = error_objective(tau, p0, g, m, qf)
             assert best <= error_objective(tau + delta, p0, g, m, qf) + 1e-13
             assert best <= error_objective(tau - delta, p0, g, m, qf) + 1e-13
 
     @pytest.mark.parametrize("p0,p1", [(0.0, 1.0), (1.0, 0.0), (-0.1, 1.1), (0.6, 0.6)])
     def test_domain(self, p0, p1):
-        with pytest.raises(DomainError):
-            bayes_threshold(p0, p1)
+        # the threshold reads the priors of a SystemParams, which rejects these
+        with pytest.raises(InvalidParam):
+            detector_bounds(DetectorSpec(), make_params(p0=p0, p1=p1), 1.0)
 
 
 class TestNpThreshold:
     """The threshold pins the false-alarm rate at the requested level."""
 
     def test_frozen_example(self):
-        assert np_threshold(1.0, 0.05) == pytest.approx(NP_THR_EXAMPLE, abs=1e-9)
+        assert np_tau(1.0, 0.05) == pytest.approx(NP_THR_EXAMPLE, abs=1e-9)
 
     def test_achieves_false_alarm_rate(self):
         rng = np.random.default_rng(17)
@@ -437,20 +459,17 @@ class TestNpThreshold:
             g = float(rng.uniform(0.1, 3.0))
             m = float(rng.uniform(0.1, 3.0))
             a = float(rng.uniform(0.001, 0.5))
-            tau = np_threshold(g * m * math.sqrt(qf), a)
+            tau = np_tau(g * m * math.sqrt(qf), a)
             scale = 2.0 * g * m * math.sqrt(qf)
             shift = 2.0 * g * g * m * m * qf
             assert q((tau + shift) / scale) == pytest.approx(a, abs=1e-9)
 
-    @pytest.mark.parametrize(
-        "qf,g,m,a",
-        [(0.0, 1, 1, 0.1), (-1.0, 1, 1, 0.1), (1.0, 0.0, 1, 0.1), (1.0, 1, -1.0, 0.1),
-         (1.0, 1, 1, 0.0), (1.0, 1, 1, 1.0)],
-    )
+    @pytest.mark.parametrize("qf,g,m,a", [(1.0, 1, 1, 0.0), (1.0, 1, 1, 1.0)])
     def test_domain(self, qf, g, m, a):
-        # the threshold sees the channel only through the root SNR r = g m sqrt(qf)
-        with pytest.raises(DomainError):
-            np_threshold(g * m * math.copysign(math.sqrt(abs(qf)), qf), a)
+        # the level is checked where the detector is specified; a channel with
+        # r == 0 is no longer outside the domain, the tie rule decides it
+        with pytest.raises(InvalidParam):
+            np_tau(g * m * math.sqrt(qf), a)
 
 
 class TestDetectorSpec:
@@ -481,15 +500,58 @@ class TestThresholdFor:
 
     def test_bayes_ignores_channel(self):
         p = make_params(p0=0.75, p1=0.25)
-        assert threshold_for(DetectorSpec(), p, 3.0) == threshold_for(DetectorSpec(), p, 30.0)
-        assert threshold_for(DetectorSpec(), p, 3.0) == pytest.approx(math.log(3.0))
+        assert detector_bounds(DetectorSpec(), p, 3.0)[0] == detector_bounds(DetectorSpec(), p, 30.0)[0]
+        assert detector_bounds(DetectorSpec(), p, 3.0)[0] == pytest.approx(math.log(3.0))
 
     def test_np_uses_channel(self):
-        p = make_params()
-        spec = DetectorSpec(criterion="np", alpha_fa=0.05)
-        expected = np_threshold(2.0, 0.05)
-        assert threshold_for(spec, p, 2.0) == expected
+        # tau = 2 r (a - r), with a = Q^{-1}(alpha_fa) and b = a - 2 r
+        tau, a, b = detector_bounds(DetectorSpec(criterion="np", alpha_fa=0.05), make_params(), 2.0)
+        assert a == pytest.approx(INVQ_AT_005, abs=1e-9)
+        assert (tau, b) == (4.0 * (a - 2.0), a - 4.0)
 
     def test_fixed_verbatim(self):
         p = make_params()
-        assert threshold_for(DetectorSpec(criterion="fixed", tau_prime=-1.25), p, 9.0) == -1.25
+        assert detector_bounds(DetectorSpec(criterion="fixed", tau_prime=-1.25), p, 9.0)[0] == -1.25
+
+
+class TestDetectorBounds:
+    """One decision: the bounds are ordered, and exact_report's tails are theirs."""
+
+    SPECS = st.one_of(
+        st.just(DetectorSpec()),
+        st.builds(lambda a: DetectorSpec(criterion="np", alpha_fa=a),
+                  st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+        st.builds(lambda t: DetectorSpec(criterion="fixed", tau_prime=t),
+                  st.floats(allow_nan=False, allow_infinity=False)),
+    )
+
+    @hypothesis.seed(20261020)
+    @hypothesis.settings(max_examples=400, deadline=None, database=None)
+    @hypothesis.given(
+        spec=SPECS,
+        p0=st.floats(1e-6, 1.0 - 1e-6),
+        P=st.floats(5e-324, 1e300),
+        sigma_w2=st.floats(5e-324, 1e300),
+        form=st.one_of(st.just(0.0), st.just(5e-324), st.floats(5e-324, 1e300), st.just(math.inf)),
+    )
+    # one example per kind of root SNR: 0, the least positive double, finite and inf
+    @hypothesis.example(spec=DetectorSpec(), p0=0.3, P=10.0, sigma_w2=1.0, form=0.0)
+    @hypothesis.example(spec=DetectorSpec(criterion="np", alpha_fa=0.05), p0=0.5, P=5e-324, sigma_w2=1.0, form=5e-324)
+    @hypothesis.example(spec=DetectorSpec(criterion="fixed", tau_prime=2.5), p0=0.5, P=10.0, sigma_w2=1.0, form=3.0)
+    @hypothesis.example(spec=DetectorSpec(criterion="np", alpha_fa=0.3), p0=0.5, P=10.0, sigma_w2=1.0, form=math.inf)
+    def test_ordered_and_the_tails_of_exact_report(self, spec, p0, P, sigma_w2, form):
+        params = make_params(P=P, sigma_w2=sigma_w2, p0=p0, p1=1.0 - p0)
+        r = root_snr(params, form)
+        tau, a, b = detector_bounds(spec, params, r)
+        assert a >= b
+        rep = exact_report(params, form, spec)
+        assert rep.tau_prime == tau
+        assert rep.pf == pytest.approx(q(a), rel=1e-12, abs=1e-300)
+        assert rep.pm == pytest.approx(q(-b), rel=1e-12, abs=1e-300)
+        if spec.criterion == "np" and r > 0.0:
+            assert rep.pf == pytest.approx(spec.alpha_fa, rel=1e-12, abs=1e-300)
+
+    def test_examples_reach_every_kind_of_root_snr(self):
+        p = make_params(P=5e-324)
+        assert [root_snr(make_params(), 0.0), root_snr(p, 5e-324), root_snr(make_params(), math.inf)] == \
+               [0.0, 5e-324, math.inf]

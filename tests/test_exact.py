@@ -17,12 +17,14 @@ from cdmafusion import (
     ChannelModel,
     DetectorSpec,
     DimensionMismatch,
+    McConfig,
     NumericalFailure,
     SystemParams,
     channel_covariance,
     amplifier_gain,
     asymptotic_params,
     asymptotic_performance,
+    estimate,
     exact_performance,
     quadratic_form,
 )
@@ -55,6 +57,20 @@ class TestChannelModel:
             ChannelModel.from_params(make_params(N=16, Ns=8), generate(16, 4, seed=0))
         with pytest.raises(DimensionMismatch):
             ChannelModel.from_params(make_params(N=16, Ns=8), generate(8, 8, seed=0))
+
+    def test_checks_the_entries_not_the_declared_size(self):
+        # a 4 x 4 matrix that declares 8 x 8 would give a 4-chip channel's q
+        p = make_params(N=8, Ns=8)
+        S = SpreadingMatrix(entries=generate(4, 4, seed=0).entries, N=8, Ns=8)
+        with pytest.raises(DimensionMismatch, match="signature matrix is 4x4 but params declare N=8, Ns=8"):
+            ChannelModel.from_params(p, S)
+        with pytest.raises(DimensionMismatch):
+            exact_performance(p, S, DetectorSpec())
+        with pytest.raises(DimensionMismatch):
+            estimate(p, S, DetectorSpec(), McConfig(trials_per_hypothesis=100, seed=0))
+        # a stack's matrices are the last two axes, as quadratic_forms builds them
+        stack = SpreadingMatrix(entries=np.stack([generate(8, 8, seed=k).entries for k in range(3)]), N=8, Ns=8)
+        assert ChannelModel.from_params(p, stack).S is stack
 
     def test_carries_gain(self):
         # Ns g^2 (m^2 + sigma_v2) = P  =>  g = sqrt(8 / (2 * 2)) = sqrt(2); g^2 sigma_v2 = 2

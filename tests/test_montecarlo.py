@@ -26,11 +26,11 @@ from cdmafusion import (
     InvalidParam,
     McConfig,
     SystemParams,
+    detector_bounds,
     estimate,
     exact_performance,
     quadratic_form,
     simulate_trials,
-    threshold_for,
 )
 from cdmafusion import amplifier_gain, cli, montecarlo
 from cdmafusion.core import root_snr, snr_groups
@@ -251,7 +251,7 @@ class TestEstimate:
         assert rep.pm == 0.0
         r = root_snr(p, rep.q)
         assert 1e99 < r < 1e101
-        assert rep.tau_prime == threshold_for(spec, p, r) == pytest.approx(-2 * r * r, rel=1e-12)
+        assert rep.tau_prime == detector_bounds(spec, p, r)[0] == pytest.approx(-2 * r * r, rel=1e-12)
 
 
 class TestCollapsedKernel:
@@ -313,7 +313,7 @@ class TestCollapsedKernel:
         self.check_counts_against_reference_path(DetectorSpec())
 
     def test_np_counts_match_reference_path(self):
-        # np's bound on the noise term is its threshold on T, np_threshold
+        # np's bounds on the noise term are its threshold on T (core.detector_bounds)
         self.check_counts_against_reference_path(DetectorSpec(criterion="np", alpha_fa=0.2))
 
     def check_counts_against_reference_path(self, spec):
@@ -323,7 +323,7 @@ class TestCollapsedKernel:
         S = generate(6, 9, seed=2)
         model = ChannelModel.from_params(p, S)
         weight = self.weight(p, model)
-        tau = threshold_for(spec, p, root_snr(p, quadratic_form(model)))
+        tau = detector_bounds(spec, p, root_snr(p, quadratic_form(model)))[0]
         n = 2 * CHUNK_TRIALS + 101
         counts = [0, 0]
         for hyp in (0, 1):
@@ -367,7 +367,8 @@ class TestCoupledEstimator:
 
     @staticmethod
     def coupled_stderr_pe(p, rep):
-        # both = 0: the bounds on the noise term are ordered, so the covariance is -pf pm
+        # no draw is in error under both hypotheses: the bounds on the noise term are
+        # ordered, so the covariance is -pf pm
         n = rep.mc.trials_per_hypothesis
         var = p.p0**2 * rep.pf * (1 - rep.pf) + p.p1**2 * rep.pm * (1 - rep.pm) - 2 * p.p0 * p.p1 * rep.pf * rep.pm
         return math.sqrt(var / n)
@@ -396,16 +397,13 @@ class TestCoupledEstimator:
 
     @pytest.mark.parametrize("bounds", [(0.4, -0.4), (0.0, 0.0), (-0.3, -0.3 - 1e-300)])
     def test_ordered_bounds_count_no_trial_twice(self, bounds):
-        noise_weight = np.random.default_rng(1).standard_normal(16)
-        assert _count_errors(noise_weight, bounds, 3, 0, 5000)[2] == 0
-
-    def test_crossed_bounds_count_the_overlap(self):
-        # bounds[0] < bounds[1]: both counts the draws in [bounds[0], bounds[1])
+        # bounds[0] >= bounds[1]: the false alarms and the misses are disjoint
+        # sets of draws, which is why estimate's stderr_pe has no overlap term
         noise_weight = np.random.default_rng(1).standard_normal(16)
         d = noise_weight @ _chunk_rng(3, 0).standard_normal((16, 5000))
-        false_alarms, misses, both = _count_errors(noise_weight, (-0.5, 0.5), 3, 0, 5000)
-        assert (false_alarms, misses) == (np.count_nonzero(d >= -0.5), np.count_nonzero(d < 0.5))
-        assert both == np.count_nonzero((d >= -0.5) & (d < 0.5)) > 0
+        false_alarms, misses = _count_errors(noise_weight, bounds, 3, 0, 5000)
+        assert (false_alarms, misses) == (np.count_nonzero(d >= bounds[0]), np.count_nonzero(d < bounds[1]))
+        assert false_alarms + misses == np.count_nonzero((d >= bounds[0]) | (d < bounds[1]))
 
     @pytest.mark.parametrize("spec", [DetectorSpec(), DetectorSpec(criterion="np", alpha_fa=0.2)], ids=["bayes", "np"])
     def test_false_alarms_are_those_of_the_keyed_stream(self, spec):
