@@ -16,13 +16,14 @@ The keys, each at its default where it has one (the table _SCHEMA):
                  "sigma_v2": 1.0, "sigma_w2": 1.0, "p0": 0.5},
       "detector": {"criterion": "bayes" | "np" | "fixed",
                    "alpha_fa": 0.05, "tau_prime": 0.0},
-      "mc": {"trials": 100000, "seed": 0, "workers": 1},
+      "mc": {"trials": 100000, "seed": 0, "workers": <CPUs>},
       "grid": {"N": [8, 16, 32, 64, 128], "alpha": [0.5, 1.0, 2.0, 4.0],
                "seeds": 20}
     }
 
 "params" takes either "alpha" (sensor count rounds to alpha * N) or an
-explicit "Ns", not both.  "mc.seed" defaults to the top-level seed.
+explicit "Ns", not both.  "mc.seed" defaults to the top-level seed, and
+"mc.workers" to the CPUs the process may use (core._cpus).
 "grid.seeds" is the number of seeds per (N, alpha) point in sweep-grid and
 per N in converge.
 "matrix_path" (analyze and montecarlo only) loads the signature matrix
@@ -39,10 +40,11 @@ output file.
 "--workers" ("mc.workers") sets the size of the one worker pool a run has
 (core.map_workers): forked processes, never more than the items to run or
 the CPUs the process may use, handed their items last first while the
-parent only coordinates.  montecarlo runs its trial chunks on it and
-sweep-grid its (N, alpha) grid points, listed cheapest first so the
-costliest start first.  The other modes, sweep-limits with its closed-form
-cells included, run no pool.
+parent only coordinates; 1 runs the items in line.  montecarlo runs its
+trial chunks on it, sweep-grid its (N, alpha) grid points and converge its
+(N, seed) cells, both listed cheapest first so the costliest start first.
+analyze, asymptotic and sweep-limits, whose cells are closed forms, run no
+pool.
 A sweep-grid point runs its seeds in blocks of at most 2**16 stacked
 signature or covariance entries, with one batched covariance build, straight
 into the buffer that is factored, and one batched Cholesky factorization
@@ -76,7 +78,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__
+from . import __version__, core
 from .asymptotics import (
     asymptotic_params,
     asymptotic_performance,
@@ -142,7 +144,7 @@ _SCHEMA = {
         "m": ("num", 1.0), "sigma_v2": ("num", 1.0), "sigma_w2": ("num", 1.0), "p0": ("num", 0.5),
     },
     "detector": {"criterion": (CRITERIA, BAYES), "alpha_fa": ("num", None), "tau_prime": ("num", None)},
-    # mc.seed defaults to the top-level seed
+    # mc.seed defaults to the top-level seed, and mc.workers to one per usable CPU
     "mc": {"trials": ("int", 100_000), "seed": ("seed", None), "workers": ("int", None)},
     "grid": {"N": ("count[]", (8, 16, 32, 64, 128)), "alpha": ("positive[]", (0.5, 1.0, 2.0, 4.0)),
              "seeds": ("count", 20)},
@@ -262,7 +264,8 @@ def parse_config(text: bytes | str, *, mode: str | None = None, flags: dict | No
         mode=mode,
         params=SystemParams(**p, Ns=sensors_for_load(alpha, p["N"]) if Ns is None else Ns, p1=1.0 - p["p0"]),
         detector=DetectorSpec(**det),
-        mc=McConfig(mc["trials"], top["seed"] if mc["seed"] is None else mc["seed"], mc["workers"]),
+        mc=McConfig(mc["trials"], top["seed"] if mc["seed"] is None else mc["seed"],
+                    core._cpus() if mc["workers"] is None else mc["workers"]),
         seed=top["seed"], grid_N=grid["N"], grid_alpha=grid["alpha"], cell_seeds=grid["seeds"],
         output=top["output"], matrix_path=top["matrix_path"],
     )
@@ -385,7 +388,7 @@ def _run_converge(config: ExperimentConfig):
     seeds = [int(s) for s in state]
     # one draw, two factorizations and one whitening solve per (N, seed) cell
     # feed all four statistics
-    records = _experiments(template, list(config.grid_N), seeds)
+    records = _experiments(template, list(config.grid_N), seeds, workers=config.mc.worker_hint)
     meta = _base_meta(config) + _instance_meta(config) + _grid_meta(config, alphas=False)
     meta.append(f"seeds_per_cell={config.cell_seeds}")
     columns = ["statistic", "N", "alpha", "Ns", "seed", "observed", "predicted", "abs_error", "rel_error"]

@@ -8,15 +8,19 @@ Convergence is judged across seeds (medians), never from a single draw.
 Every statistic comes from one shared pass over the (N, seed) schedule, in
 which each cell draws its matrix once, builds Sigma once and factorizes two
 covariances: Sigma and sensor 0's leave-one-out Q_0 = Sigma - c s_0 s_0^T,
-its rank-one downdate.  One triangular solve per cell whitens the
+its rank-one downdate, each built straight into the bordered buffer that
+is factored (see exact).  One triangular solve per cell whitens the
 signatures, Y = L^{-1} S with Sigma = L L^T, so that every form
 s_i^T Sigma^{-1} s_j is the dot product of columns i and j of Y; the
 decomposition check, the cross terms and sensor 0's full form all read Y,
 and no Ns x Ns matrix is formed.  The CLI's converge mode computes all four
 statistics from that one draw, those two factorizations and that one
-whitening per cell; each public experiment runs the same pass for its own
-statistic alone.  Forms are computed in the units U of core.snr_groups and
-divided by U at the end, so the records keep their physical units.
+whitening per cell, and runs the cells on its worker pool
+(core.map_workers); each public experiment runs the same pass for its own
+statistic alone, in line.  A cell's records depend on its N and seed
+alone, so the worker count moves no value.  Forms are computed in the
+units U of core.snr_groups and divided by U at the end, so the records
+keep their physical units.
 
 All experiments require sigma_v2 > 0 in the template: without relayed
 observation noise there is no multi-access interference and the limits
@@ -30,10 +34,10 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .asymptotics import asymptotic_params
-from .core import SystemParams, root_snr, seed_sequence, sensors_for_load, snr_groups
+from .asymptotics import AsymptoticParams, asymptotic_params
+from .core import SystemParams, map_workers, root_snr, seed_sequence, sensors_for_load, snr_groups
 from .errors import DomainError, InvalidParam, NumericalFailure
-from .exact import ChannelModel, inverse_form, quadratic_form
+from .exact import ChannelModel, _bordered_cholesky, _inverse_forms, quadratic_form
 from .spreading import generate
 
 _PAIR_STREAM = 0x9A1C
@@ -96,11 +100,16 @@ def _diag_forms(model: ChannelModel, Y: np.ndarray) -> tuple[float, float]:
 
     The first is the squared norm of s's whitened column in Y.  Q, the
     covariance of the channel without s, is Sigma less s's rank-one term,
-    c s s^T in units of U, and gets a factorization of its own.
+    c s s^T in units of U, built straight into the leading block of a
+    bordered buffer, whose factorization gives q with no solve.
     """
     s, y = model.S.entries[:, _PROBE_SENSOR], Y[:, _PROBE_SENSOR]
-    leave_out = model.covariance - model.c * np.outer(s, s)
-    return float(y @ y), inverse_form(leave_out, s, model.w)
+    n = s.size
+    bordered = np.empty((n + 1, n + 1))
+    leave_out = np.outer(s, s, out=bordered[:n, :n])
+    leave_out *= model.c
+    np.subtract(model.covariance, leave_out, out=leave_out)
+    return float(y @ y), float(_inverse_forms(_bordered_cholesky(bordered, s, model.w)))
 
 
 def _mil_residual(full: float, leave: float, c: float) -> float:
@@ -126,17 +135,49 @@ def _snr_records(params: SystemParams, seed: int, model: ChannelModel, Y: np.nda
     ]
 
 
-def _cross_mean(Y: np.ndarray, seed: int, pairs) -> float:
-    # s_i^T Sigma^{-1} s_j is the dot product of whitened columns i and j
-    rows, cols = pairs
-    n_all = rows.size
+def _cross_mean(Y: np.ndarray, seed: int) -> float:
+    # s_i^T Sigma^{-1} s_j is the dot product of whitened columns i and j.  The
+    # pairs i < j are numbered row by row, as np.triu_indices(Ns, 1) lists
+    # them: row i starts at i Ns - i (i + 1) / 2, so a number's row is the
+    # last start at or below it, and no index of all the pairs is built
+    Ns = Y.shape[1]
+    n_all = Ns * (Ns - 1) // 2
     if n_all > _MAX_PAIRS:
         pick_rng = np.random.Generator(np.random.Philox(seed_sequence(seed, _PAIR_STREAM)))
         idx = pick_rng.choice(n_all, size=_MAX_PAIRS, replace=False)
-        pi, pj = rows[idx], cols[idx]
     else:
-        pi, pj = rows, cols
+        idx = np.arange(n_all)
+    rows = np.arange(Ns - 1)
+    starts = rows * Ns - rows * (rows + 1) // 2
+    pi = np.searchsorted(starts, idx, side="right") - 1
+    pj = idx - starts[pi] + pi + 1
     return float(np.mean(np.abs(np.einsum("ki,ki->i", Y[:, pi], Y[:, pj]))))
+
+
+def _cell(wanted, params: SystemParams, unit: float, ap: AsymptoticParams | None, seed: int) -> dict:
+    """The wanted statistics' records of one (N, seed) cell, by statistic.
+
+    The cell raises its N's snr limit failure itself, so that the failure
+    raised by a schedule is its first in schedule order (see _experiments).
+    """
+    if "snr" in wanted and not (ap.mu > 0.0 and 1.0 / ap.mu < math.inf):  # no error against inf is a number
+        raise NumericalFailure(f"limiting snr 1 / mu overflows to inf at N={params.N}, mu={ap.mu!r}")
+    out = {name: [] for name in wanted}
+    model = ChannelModel.from_params(params, generate(params.N, params.Ns, seed))
+    Y = model.whiten(model.S.entries)
+    if "snr" in wanted:
+        out["snr"] += _snr_records(params, seed, model, Y, 1.0 / ap.mu)
+    if "diag" in wanted or "mil" in wanted:
+        full, leave = _diag_forms(model, Y)
+    if "diag" in wanted:
+        predicted = ap.beta0 / (1.0 + model.c * unit * ap.beta0)
+        out["diag"].append(_record("diag_leave_out", params, seed, leave / unit, ap.beta0))
+        out["diag"].append(_record("diag_full", params, seed, full / unit, predicted))
+    if "cross" in wanted:
+        out["cross"].append(_record("cross_mean", params, seed, _cross_mean(Y, seed) / unit, 0.0))
+    if "mil" in wanted:
+        out["mil"].append(_record("mil_residual", params, seed, _mil_residual(full, leave, model.c) / unit, 0.0))
+    return out
 
 
 def _experiments(
@@ -144,16 +185,22 @@ def _experiments(
     N_values,
     seeds,
     wanted=("snr", "diag", "cross", "mil"),
+    workers: int | None = None,
 ) -> list[ConvergenceRecord]:
     """Records of the wanted statistics from one pass over the (N, seed) schedule.
 
-    The whole schedule is checked before the first draw.  Each cell draws S
-    once, factorizes Sigma once and whitens all of S once, and factorizes the
-    leave-one-out covariance of sensor 0 when "diag" or "mil" is wanted.
+    The whole schedule is checked, and each N's limit solved, before the
+    first draw.  Each cell draws S once, factorizes Sigma once and
+    whitens all of S once, and factorizes the leave-one-out covariance of
+    sensor 0 when "diag" or "mil" is wanted.
     "diag" and "mil" alone read only sensor 0's whitened column, but whitening
     that column alone would round it differently from the whole: O(N^2 Ns)
     work instead of O(N^2) buys each statistic the same value alone as with
     the others.
+    The cells, in schedule order, run on core.map_workers with at most
+    `workers` processes (None or 1: in line), which starts the largest N's
+    cells first; the error raised is the first in schedule order at any
+    worker count.
     Records come back grouped by statistic in the order of wanted, each
     group in schedule order.
     """
@@ -164,30 +211,13 @@ def _experiments(
             raise InvalidParam(
                 "Ns", params.Ns, f"cross terms need at least 2 sensors, got Ns={params.Ns} at N={params.N}"
             )
-    out = {name: [] for name in wanted}
+    cells = []
     for params in scaled:
         unit = snr_groups(params)[0]
         ap = asymptotic_params(params) if "snr" in wanted or "diag" in wanted else None
-        if "snr" in wanted and not (ap.mu > 0.0 and 1.0 / ap.mu < math.inf):  # no error against inf is a number
-            raise NumericalFailure(f"limiting snr 1 / mu overflows to inf at N={params.N}, mu={ap.mu!r}")
-        pairs = np.triu_indices(params.Ns, k=1) if "cross" in wanted else None
-        for seed in seeds:
-            model = ChannelModel.from_params(params, generate(params.N, params.Ns, seed))
-            Y = model.whiten(model.S.entries)
-            if "snr" in wanted:
-                out["snr"] += _snr_records(params, seed, model, Y, 1.0 / ap.mu)
-            if "diag" in wanted or "mil" in wanted:
-                full, leave = _diag_forms(model, Y)
-            if "diag" in wanted:
-                predicted = ap.beta0 / (1.0 + model.c * unit * ap.beta0)
-                out["diag"].append(_record("diag_leave_out", params, seed, leave / unit, ap.beta0))
-                out["diag"].append(_record("diag_full", params, seed, full / unit, predicted))
-            if "cross" in wanted:
-                observed = _cross_mean(Y, seed, pairs) / unit
-                out["cross"].append(_record("cross_mean", params, seed, observed, 0.0))
-            if "mil" in wanted:
-                out["mil"].append(_record("mil_residual", params, seed, _mil_residual(full, leave, model.c) / unit, 0.0))
-    return [r for name in wanted for r in out[name]]
+        cells += [(params, unit, ap, seed) for seed in seeds]
+    done = map_workers(lambda cell: _cell(wanted, *cell), cells, workers)
+    return [r for name in wanted for out in done for r in out[name]]
 
 
 def mil_residual_experiment(template: SystemParams, N_values, seeds) -> list[ConvergenceRecord]:

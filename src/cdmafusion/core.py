@@ -246,7 +246,14 @@ def _die_with_parent(parent: int) -> None:
 
 
 def _is_real(x: object) -> bool:
-    return isinstance(x, numbers.Real) and not isinstance(x, bool) and math.isfinite(float(x))
+    """True for a real number, bool aside, that is a finite float: an integer
+    past the float range is not one."""
+    if not isinstance(x, numbers.Real) or isinstance(x, bool):
+        return False
+    try:
+        return math.isfinite(float(x))
+    except OverflowError:
+        return False
 
 
 @dataclass(frozen=True)

@@ -208,15 +208,6 @@ def _inverse_forms(factor: np.ndarray) -> np.ndarray:
     return np.einsum("...i,...i->...", last, last)
 
 
-def inverse_form(cov: np.ndarray, b: np.ndarray, w: float) -> float:
-    """b^T cov^{-1} b for a finite covariance cov >= w I, from one bordered
-    factorization and no solve."""
-    n = cov.shape[-1]
-    bordered = np.empty((n + 1, n + 1))
-    bordered[:n, :n] = cov
-    return float(_inverse_forms(_bordered_cholesky(bordered, b, w)))
-
-
 def _solve_lower(L: np.ndarray, B) -> np.ndarray:
     """L^{-1} B for a lower-triangular L and a finite vector or matrix B.
 

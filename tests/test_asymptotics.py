@@ -140,7 +140,9 @@ class TestBeta0:
         [(-0.1, 1.0, 1.0), (math.inf, 1.0, 1.0), (1.0, -1.0, 1.0), (1.0, math.nan, 1.0),
          (1.0, 1.0, 0.0), (1.0, 1.0, -2.0),
          # as in SystemParams, a bool is no number, not a load, power or variance of 1
-         (True, 0.5, 1.0), (1.0, True, 1.0), (1.0, 0.5, True)],
+         (True, 0.5, 1.0), (1.0, True, 1.0), (1.0, 0.5, True),
+         # an integer past the float range is no finite real
+         (10**400, 0.5, 1.0)],
     )
     def test_domain(self, alpha, gv, sw):
         with pytest.raises(DomainError):

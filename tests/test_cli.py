@@ -22,7 +22,8 @@ import numpy._core._multiarray_umath as np_cpu
 import pytest
 
 import cdmafusion
-from cdmafusion import DomainError, InvalidParam, ParseError, cli, convergence, core, exact, montecarlo
+from cdmafusion import DomainError, InvalidParam, NumericalFailure, ParseError
+from cdmafusion import cli, convergence, core, exact, montecarlo
 from cdmafusion.cli import main, parse_config
 from cdmafusion.core import CRITERIA
 from cdmafusion.spreading import generate, save_csv
@@ -237,6 +238,11 @@ class TestParseConfig:
         # a flag that is None, or absent, leaves its key alone
         cfg = parse_config(doc, mode="montecarlo", flags={"seed": None, "quiet": True})
         assert (cfg.seed, cfg.mc.seed, cfg.output) == (3, 4, "a.csv")
+
+    def test_unset_workers_are_one_per_usable_cpu(self, monkeypatch):
+        monkeypatch.setattr(core, "_cpus", lambda: 3)
+        assert parse_config("{}", mode="converge").mc.worker_hint == 3
+        assert parse_config('{"mc": {"workers": 1}}', mode="converge").mc.worker_hint == 1
 
     def test_flags_pass_their_keys_checks(self):
         for seed in (-3, 2**64):
@@ -1140,8 +1146,10 @@ class TestAllocator:
         # rises to the largest mapped block freed so far, so the count would
         # depend on what the process freed before the run (one 1.1 MB array
         # freed first took the ratio from 2.9 to 1.1)
+        # one worker: the faults of forked workers would not be the run child's
         cfg = config_file(tmp_path, {"mode": "sweep-grid", "output": str(tmp_path / "out.csv"),
-                                     "grid": {"N": [64, 128], "alpha": [2.0, 4.0], "seeds": 10}})
+                                     "grid": {"N": [64, 128], "alpha": [2.0, 4.0], "seeds": 10},
+                                     "mc": {"workers": 1}})
         parse = f"from cdmafusion import cli; config = cli.parse_config(open({cfg!r}, 'rb').read())"
         defaults = "import ctypes; ctypes.CDLL(None).mallopt(-3, 128 << 10); ctypes.CDLL(None).mallopt(-1, 128 << 10)"
 
@@ -1248,8 +1256,9 @@ class TestConvergeSinglePass:
         self.count_calls(monkeypatch, convergence, "generate", calls)
         self.count_calls(monkeypatch, exact, "_cholesky", calls)
         self.count_calls(monkeypatch, exact, "channel_covariance", calls)
+        # one worker, so that the cells run in this process, where the calls are counted
         cfg = config_file(tmp_path, {"mode": "converge", "seed": 1, "params": {"N": 8, "alpha": 2.0},
-                                     "grid": {"N": [8, 16, 32], "seeds": 4}})
+                                     "grid": {"N": [8, 16, 32], "seeds": 4}, "mc": {"workers": 1}})
         assert main(["--config", cfg, "--out", str(tmp_path / "c.csv"), "--quiet"]) == 0
         cells = 3 * 4
         assert calls == {"generate": cells, "_cholesky": 2 * cells, "channel_covariance": cells}
@@ -1257,9 +1266,10 @@ class TestConvergeSinglePass:
     def test_one_whitening_solve_per_cell(self, tmp_path, linalg_calls):
         # per cell: Sigma bordered by S 1 and Q_0 bordered by s_0 factored, so
         # qf and s_0^T Q_0^{-1} s_0 need no solve; one whitening L^{-1} S for
-        # the residual, the cross terms and s_0^T Sigma^{-1} s_0
+        # the residual, the cross terms and s_0^T Sigma^{-1} s_0; on one worker,
+        # so that the cells run in this process, where the calls are counted
         cfg = config_file(tmp_path, {"mode": "converge", "seed": 1, "params": {"N": 8, "alpha": 2.0},
-                                     "grid": {"N": [8, 16, 32], "seeds": 4}})
+                                     "grid": {"N": [8, 16, 32], "seeds": 4}, "mc": {"workers": 1}})
         assert main(["--config", cfg, "--out", str(tmp_path / "c.csv"), "--quiet"]) == 0
         cells = 3 * 4
         assert linalg_calls == {"cholesky": 2 * cells, "solve_lower": cells}
@@ -1307,7 +1317,8 @@ class TestSweepGridBlocks:
             return original(params, block)
 
         monkeypatch.setattr(cli, "quadratic_forms", recorded)
-        self.run_grid(tmp_path)
+        # one worker, so that the points run in this process, where the shapes are recorded
+        self.run_grid(tmp_path, "--workers", "1")
         per_point = {}
         for k, N, Ns in shapes:
             assert k == 1 or k * N * max(N, Ns) <= 2**16
@@ -1317,7 +1328,7 @@ class TestSweepGridBlocks:
     def test_one_draw_and_one_factorization_per_cell(self, tmp_path, monkeypatch, linalg_calls):
         calls = {"generate": 0}
         TestConvergeSinglePass.count_calls(monkeypatch, cli, "generate", calls)
-        self.run_grid(tmp_path)
+        self.run_grid(tmp_path, "--workers", "1")
         cells = 2 * 2 * 5
         assert calls["generate"] == cells
         assert linalg_calls == {"cholesky": cells}
@@ -1419,24 +1430,25 @@ class TestSweepGridProcesses:
         assert [pid for pid in workers if alive(pid)] == []
 
 
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids of the workers os.fork starts."""
+    pids, fork = [], os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    return pids
+
+
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="montecarlo runs its chunks in line without os.fork")
 class TestMontecarloProcesses:
     # two full chunks and a remainder
     DOC = {"mode": "montecarlo", "seed": 3, "params": {"N": 12, "Ns": 20}, "mc": {"trials": 2 * 16384 + 5}}
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids of the workers os.fork starts."""
-        pids, fork = [], os.fork
-
-        def counted():
-            pid = fork()
-            if pid:
-                pids.append(pid)
-            return pid
-
-        monkeypatch.setattr(os, "fork", counted)
-        return pids
 
     @needs_two_cpus
     def test_a_worker_killed_mid_chunk_is_one_line_runtime_failure(self, tmp_path, monkeypatch, capsys):
@@ -1470,6 +1482,71 @@ class TestMontecarloProcesses:
                      "--quiet"]) == 0
         assert len(forks) == 2
         assert_no_child()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="converge runs its cells in line without os.fork")
+class TestConvergeProcesses:
+    # an odd N, and N = 32 with more than 200 sensor pairs
+    DOC = {"mode": "converge", "seed": 6, "params": {"N": 8, "alpha": 2.0},
+           "grid": {"N": [7, 8, 16, 32], "seeds": 3}}
+
+    def run(self, tmp_path, doc, *extra, name="c.csv"):
+        out = tmp_path / name
+        code = main(["--config", config_file(tmp_path, doc), "--out", str(out), "--quiet", *extra])
+        assert_no_child()
+        return code, out
+
+    def test_worker_counts_write_the_same_bytes(self, tmp_path):
+        outs = []
+        for workers in ("1", "2", "4"):
+            code, out = self.run(tmp_path, self.DOC, "--workers", workers, name=f"w{workers}.csv")
+            assert code == 0
+            outs.append(out.read_bytes())
+        assert outs[0] == outs[1] == outs[2]
+
+    def test_the_first_failing_cell_in_schedule_order_is_the_one_line(self, tmp_path, monkeypatch, capsys):
+        # every cell at N >= 16 fails; the pool starts the N = 32 cells first
+        real = convergence.generate
+
+        def failing(N, Ns, seed):
+            if N >= 16:
+                raise NumericalFailure(f"cell N={N} seed={seed} failed")
+            return real(N, Ns, seed)
+
+        monkeypatch.setattr(convergence, "generate", failing)
+        first = int(core.seed_sequence(6, cli._CONVERGE_SEED_STREAM).generate_state(1, np.uint64)[0])
+        for workers in ("1", "2"):
+            code, out = self.run(tmp_path, self.DOC, "--workers", workers)
+            assert (code, out.exists()) == (2, False)
+            assert capsys.readouterr().err == f"numerical failure: cell N=16 seed={first} failed\n"
+
+    def test_a_singular_cell_is_the_same_one_line_at_any_worker_count(self, tmp_path, capsys):
+        # Ns = N / 2 with sigma_w2 = 1e-300: every covariance is singular in floating point
+        doc = {"mode": "converge", "params": {"N": 8, "Ns": 4, "sigma_w2": 1e-300},
+               "grid": {"N": [8, 16, 32], "seeds": 3}}
+        lines = []
+        for workers in ("1", "2"):
+            code, out = self.run(tmp_path, doc, "--workers", workers)
+            assert (code, out.exists()) == (2, False)
+            lines.append(capsys.readouterr().err)
+        assert lines[0] == lines[1]
+        assert lines[0].startswith("numerical failure: covariance factorization failed: ")
+        assert lines[0].count("\n") == 1
+
+    # 2 or 6 cells on 1 or 3 CPUs
+    @pytest.mark.parametrize("cpus, seeds, children", [(3, 1, 2), (3, 3, 3), (1, 3, 0)])
+    def test_unset_workers_fork_one_per_cpu_up_to_the_cells(self, tmp_path, monkeypatch, forks, cpus, seeds,
+                                                            children):
+        monkeypatch.setattr(core, "_cpus", lambda: cpus)
+        doc = {"mode": "converge", "params": {"N": 8, "alpha": 2.0}, "grid": {"N": [8, 16], "seeds": seeds}}
+        code, _ = self.run(tmp_path, doc)
+        assert code == 0
+        assert len(forks) == children
+
+    def test_one_worker_forks_none(self, tmp_path, forks):
+        code, _ = self.run(tmp_path, self.DOC, "--workers", "1")
+        assert code == 0
+        assert forks == []
 
 
 class TestMontecarloGolden:

@@ -6,6 +6,7 @@ baked in here, so every check is deterministic at test time.
 """
 
 import math
+import os
 import statistics
 from dataclasses import replace
 
@@ -195,6 +196,39 @@ class TestSinglePass:
         tiny_first = SystemParams(N=8, Ns=1, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0)
         with pytest.raises(InvalidParam, match="cross terms need at least 2 sensors, got Ns=1 at N=8"):
             cross_term_experiment(tiny_first, [8, 16], [0])
+
+
+class TestWorkers:
+    def test_public_experiments_run_in_line(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("a convergence experiment forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        for experiment in (quadratic_form_convergence, diagonal_term_experiment, cross_term_experiment,
+                           mil_residual_experiment):
+            assert len(experiment(TEMPLATE, [8, 16], SEEDS[:3])) >= 2 * 3
+
+    def test_worker_count_does_not_change_the_records(self):
+        # compared by repr: the rel_error nan of a record from a worker is not the in-line one's nan object
+        N_values, seeds = [8, 24], SEEDS[:3]
+        assert repr(_experiments(TEMPLATE, N_values, seeds, workers=2)) == repr(_experiments(TEMPLATE, N_values, seeds))
+
+
+class TestPairIndex:
+    # 1, 3, 210 and 130816 sensor pairs: every pair at Ns = 2 and 3, a
+    # 200-pair subset at Ns = 21 and 512
+    @pytest.mark.parametrize("Ns", [2, 3, 21, 512])
+    def test_pairs_are_those_of_triu_indices(self, Ns):
+        Y = np.random.default_rng(Ns).normal(size=(6, Ns))
+        rows, cols = np.triu_indices(Ns, k=1)
+        for seed in SEEDS[:3]:
+            pi, pj = rows, cols
+            if rows.size > convergence._MAX_PAIRS:
+                pick = np.random.Generator(np.random.Philox(seed_sequence(seed, convergence._PAIR_STREAM)))
+                idx = pick.choice(rows.size, size=convergence._MAX_PAIRS, replace=False)
+                pi, pj = rows[idx], cols[idx]
+            expected = float(np.mean(np.abs(np.einsum("ki,ki->i", Y[:, pi], Y[:, pj]))))
+            assert convergence._cross_mean(Y, seed) == expected
 
 
 class TestWhitenedStatistics:

@@ -115,6 +115,8 @@ class TestSystemParams:
             ("p1", 0.0), ("p1", 1.0),
             # every route forms floats from the counts
             pytest.param("N", 10**400, id="N-past-float-range"), pytest.param("Ns", 10**400, id="Ns-past-float-range"),
+            # an integer past the float range is no finite real
+            pytest.param("P", 10**400, id="P-past-float-range"),
         ],
     )
     def test_field_violations(self, field, value):

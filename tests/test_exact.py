@@ -28,7 +28,7 @@ from cdmafusion import (
     exact_performance,
     quadratic_form,
 )
-from cdmafusion import exact
+from cdmafusion import convergence, exact
 from cdmafusion.core import snr_groups
 from cdmafusion.exact import exact_report, quadratic_forms
 from cdmafusion.spreading import SpreadingMatrix, generate, load
@@ -177,8 +177,12 @@ class TestFactoredChannel:
     def test_solve_against_dense_solve(self):
         mdl = model_for(make_params(N=16, Ns=24, sigma_v2=1.3, sigma_w2=0.8), seed=2)
         cov = channel_covariance(mdl)
-        for b in np.random.default_rng(4).normal(size=(3, 16)):
-            assert exact.inverse_form(cov, b, mdl.w) == pytest.approx(b @ np.linalg.solve(cov, b), rel=1e-10)
+        # converge's diagonal forms of sensor 0: the bordered factor of its
+        # leave-one-out covariance, and the whitened signatures
+        s = mdl.S.entries[:, 0]
+        full, leave = convergence._diag_forms(mdl, mdl.whiten(mdl.S.entries))
+        assert leave == pytest.approx(s @ np.linalg.solve(cov - mdl.c * np.outer(s, s), s), rel=1e-10)
+        assert full == pytest.approx(s @ np.linalg.solve(cov, s), rel=1e-10)
         np.testing.assert_array_equal(mdl.s1, mdl.S.entries.sum(axis=1))
         np.testing.assert_allclose(
             mdl.detector, np.linalg.solve(channel_covariance(mdl), mdl.s1), rtol=1e-10

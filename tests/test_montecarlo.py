@@ -9,6 +9,7 @@ with negligible probability.
 import importlib.util
 import json
 import math
+import os
 import sys
 import tracemalloc
 from dataclasses import replace
@@ -178,6 +179,15 @@ class TestEstimate:
         par = estimate(p, S, DetectorSpec(), McConfig(trials_per_hypothesis=n, seed=7, worker_hint=4))
         assert (seq.mc.false_alarms, seq.mc.misses) == (par.mc.false_alarms, par.mc.misses)
         assert (seq.pf, seq.pm, seq.pe) == (par.pf, par.pm, par.pe)
+
+    def test_default_worker_hint_runs_in_line(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("estimate forked a worker")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        rep = estimate(make_params(), generate(8, 8, seed=0), DetectorSpec(),
+                       McConfig(trials_per_hypothesis=3 * CHUNK_TRIALS, seed=7, worker_hint=None))
+        assert rep.mc.trials_per_hypothesis == 3 * CHUNK_TRIALS
 
     def test_chunk_boundary_totals(self):
         p = make_params()
