@@ -6,10 +6,10 @@ code-dependent quantity, and pairs it with its deterministic limit.
 Convergence is judged across seeds (medians), never from a single draw.
 
 Every statistic comes from one shared pass over the (N, seed) schedule, in
-which each cell draws its matrix once, builds Sigma once and factorizes two
-covariances: Sigma and sensor 0's leave-one-out Q_0 = Sigma - c s_0 s_0^T,
-its rank-one downdate, each built straight into the bordered buffer that
-is factored (see exact).  One triangular solve per cell whitens the
+which each cell draws its matrix once, and its exact.ChannelModel builds
+Sigma once and factorizes two covariances: Sigma and sensor 0's
+leave-one-out Q_0 = Sigma - c s_0 s_0^T, its rank-one downdate
+(ChannelModel.leave_one_out_form).  One triangular solve per cell whitens the
 signatures, Y = L^{-1} S with Sigma = L L^T, so that every form
 s_i^T Sigma^{-1} s_j is the dot product of columns i and j of Y; the
 decomposition check, the cross terms and sensor 0's full form all read Y,
@@ -37,7 +37,7 @@ import numpy as np
 from .asymptotics import AsymptoticParams, asymptotic_params
 from .core import SystemParams, map_workers, root_snr, seed_sequence, sensors_for_load, snr_groups
 from .errors import DomainError, InvalidParam, NumericalFailure
-from .exact import ChannelModel, _bordered_cholesky, _inverse_forms, quadratic_form
+from .exact import ChannelModel, quadratic_form
 from .spreading import generate
 
 _PAIR_STREAM = 0x9A1C
@@ -50,33 +50,34 @@ _MAX_PAIRS = 200
 
 @dataclass(frozen=True)
 class ConvergenceRecord:
-    """One measurement of a code-dependent statistic against its limit."""
+    """One measurement of a code-dependent statistic against its limit.
+
+    It stores what was measured; the load and the errors are derived.
+    """
 
     statistic: str
     N: int
-    alpha: float
     Ns: int
     seed: int
     observed: float
     predicted: float
-    abs_error: float
-    rel_error: float
+
+    @property
+    def alpha(self) -> float:
+        return self.Ns / self.N
+
+    @property
+    def abs_error(self) -> float:
+        return abs(self.observed - self.predicted)
+
+    @property
+    def rel_error(self) -> float:
+        """abs_error relative to the limit, nan where the limit is 0."""
+        return self.abs_error / abs(self.predicted) if self.predicted != 0.0 else math.nan
 
 
 def _record(statistic: str, params: SystemParams, seed: int, observed: float, predicted: float) -> ConvergenceRecord:
-    abs_error = abs(observed - predicted)
-    rel_error = abs_error / abs(predicted) if predicted != 0.0 else math.nan
-    return ConvergenceRecord(
-        statistic=statistic,
-        N=params.N,
-        alpha=params.Ns / params.N,
-        Ns=params.Ns,
-        seed=seed,
-        observed=observed,
-        predicted=predicted,
-        abs_error=abs_error,
-        rel_error=rel_error,
-    )
+    return ConvergenceRecord(statistic, params.N, params.Ns, seed, observed, predicted)
 
 
 def _scaled(template: SystemParams, N: int) -> SystemParams:
@@ -93,23 +94,6 @@ def _check_schedule(template: SystemParams, N_values, seeds) -> None:
         raise InvalidParam("N_values", list(N_values), "must be strictly increasing")
     if len(seeds) == 0:
         raise InvalidParam("seeds", seeds, "at least one seed required")
-
-
-def _diag_forms(model: ChannelModel, Y: np.ndarray) -> tuple[float, float]:
-    """(s^T Sigma^{-1} s, q = s^T Q^{-1} s), times U, for the probe sensor's signature s.
-
-    The first is the squared norm of s's whitened column in Y.  Q, the
-    covariance of the channel without s, is Sigma less s's rank-one term,
-    c s s^T in units of U, built straight into the leading block of a
-    bordered buffer, whose factorization gives q with no solve.
-    """
-    s, y = model.S.entries[:, _PROBE_SENSOR], Y[:, _PROBE_SENSOR]
-    n = s.size
-    bordered = np.empty((n + 1, n + 1))
-    leave_out = np.outer(s, s, out=bordered[:n, :n])
-    leave_out *= model.c
-    np.subtract(model.covariance, leave_out, out=leave_out)
-    return float(y @ y), float(_inverse_forms(_bordered_cholesky(bordered, s, model.w)))
 
 
 def _mil_residual(full: float, leave: float, c: float) -> float:
@@ -168,7 +152,10 @@ def _cell(wanted, params: SystemParams, unit: float, ap: AsymptoticParams | None
     if "snr" in wanted:
         out["snr"] += _snr_records(params, seed, model, Y, 1.0 / ap.mu)
     if "diag" in wanted or "mil" in wanted:
-        full, leave = _diag_forms(model, Y)
+        # sensor 0's s^T Sigma^{-1} s and s^T Q_0^{-1} s, times U: the first is
+        # the squared norm of its whitened column
+        y = Y[:, _PROBE_SENSOR]
+        full, leave = float(y @ y), model.leave_one_out_form(_PROBE_SENSOR)
     if "diag" in wanted:
         predicted = ap.beta0 / (1.0 + model.c * unit * ap.beta0)
         out["diag"].append(_record("diag_leave_out", params, seed, leave / unit, ap.beta0))

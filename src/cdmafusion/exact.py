@@ -12,13 +12,16 @@ route returns: the threshold and the bounds on the statistic's noise come
 from core.detector_bounds, and the tails are carried in the log domain by
 core.log_ndtr.
 
-The linear algebra is numpy's alone.  Each covariance is factored once, as
-the Cholesky factor of the bordered matrix [[Sigma / U, b], [b^T, d]] (see
-_bordered_cholesky): its last row holds L^{-1} b, so a form b^T (Sigma / U)^{-1} b
-costs no solve.  The covariance is built straight into the leading block of
-that bordered buffer (channel_covariance's `out`), so it is never copied.
-numpy has no triangular solve, so the few that remain substitute over
-diagonal blocks (see _solve_lower).
+The linear algebra is numpy's alone.  Each covariance is factored once, by
+ChannelModel alone, as the Cholesky factor of the bordered matrix
+[[Sigma / U, b], [b^T, d]] (see _bordered_cholesky): its last row holds
+L^{-1} b, so a form b^T (Sigma / U)^{-1} b costs no solve.  The covariance
+is built straight into the leading block of that bordered buffer
+(channel_covariance's `out`), so it is never copied.  The same layout
+serves the SNR form (bordered by S 1), a stack of them in one batched
+factorization (quadratic_forms), and one sensor's leave-one-out form
+(ChannelModel.leave_one_out_form).  numpy has no triangular solve, so the
+few that remain substitute over diagonal blocks (see _solve_lower).
 """
 
 from __future__ import annotations
@@ -43,7 +46,9 @@ class ChannelModel:
 
     Every route shares it as the factored channel: that covariance and its
     Cholesky factor, bordered by S 1, are built once, on first use, and serve
-    the quadratic form, the detector and every whitening.
+    the quadratic form, the detector, every whitening and the leave-one-out
+    forms.  S may be a (k, N, Ns) stack, whose k covariances are built and
+    factored in one batched call (see quadratic_forms).
     """
 
     S: SpreadingMatrix
@@ -52,32 +57,42 @@ class ChannelModel:
 
     @classmethod
     def from_params(cls, params: SystemParams, S: SpreadingMatrix) -> "ChannelModel":
-        # the matrix's own shape, not its declared N and Ns: the channel is built from
-        # the entries (the last two axes, for quadratic_forms' stacks)
-        shape = S.entries.shape[-2:]
-        if shape != (params.N, params.Ns):
+        if (S.N, S.Ns) != (params.N, params.Ns):
             raise DimensionMismatch(
-                f"signature matrix is {'x'.join(map(str, shape))} but params declare N={params.N}, Ns={params.Ns}"
+                f"signature matrix is {S.N}x{S.Ns} but params declare N={params.N}, Ns={params.Ns}"
             )
         return cls(S, *snr_groups(params)[1:3])  # (c, w) of (U, c, w, s)
 
     @cached_property
     def _bordered(self) -> np.ndarray:
-        return _bordered_covariance(self)
-
-    @property
-    def covariance(self) -> np.ndarray:
-        """Sigma / U = channel_covariance(self), checked finite: a read-only view
-        of the leading block of the buffer that _factor factors."""
-        cov = self._bordered[:-1, :-1]
-        cov.flags.writeable = False
-        return cov
+        """A (..., N + 1, N + 1) buffer, one per matrix of S, with Sigma / U built
+        in its leading N x N block and checked finite; the border is left for
+        _bordered_cholesky."""
+        n = self.S.N
+        bordered = np.empty(self.S.entries.shape[:-2] + (n + 1, n + 1))
+        if not np.isfinite(channel_covariance(self, out=bordered[..., :n, :n])).all():
+            raise NumericalFailure("covariance has non-finite entries")
+        return bordered
 
     @cached_property
     def _factor(self) -> np.ndarray:
-        # the same arithmetic, and so the same quadratic form, as quadratic_forms
-        # gives each matrix of a stack
         return _bordered_cholesky(self._bordered, self.s1, self.w)
+
+    def leave_one_out_form(self, k: int) -> float:
+        """q_k = s_k^T (Q_k / U)^{-1} s_k for sensor k's signature s_k, of one matrix S.
+
+        Q_k / U = Sigma / U - c s_k s_k^T is the covariance of the channel
+        without sensor k: Sigma's rank-one downdate, built straight into the
+        leading block of its own bordered buffer, whose factor gives q_k with
+        no solve.
+        """
+        s = self.S.entries[:, k]
+        n = s.size
+        bordered = np.empty((n + 1, n + 1))
+        leave_out = np.outer(s, s, out=bordered[:n, :n])
+        leave_out *= self.c
+        np.subtract(self._bordered[:n, :n], leave_out, out=leave_out)
+        return float(_inverse_forms(_bordered_cholesky(bordered, s, self.w)))
 
     def whiten(self, B) -> np.ndarray:
         """L^{-1} B for a finite vector or matrix B, with L the lower Cholesky
@@ -86,8 +101,8 @@ class ChannelModel:
 
     @cached_property
     def s1(self) -> np.ndarray:
-        """The summed signature S 1."""
-        return self.S.entries.sum(axis=1)
+        """The summed signature S 1, one per matrix of a stack."""
+        return self.S.entries.sum(axis=-1)
 
     @cached_property
     def detector(self) -> np.ndarray:
@@ -148,7 +163,7 @@ def channel_covariance(model: ChannelModel, out: np.ndarray | None = None) -> np
     When model.S.entries is a (k, N, Ns) stack of signature matrices, as
     in quadratic_forms, the result is the (k, N, N) stack of covariances.
     With `out`, an array of the result's shape (the leading block of a
-    _bordered_covariance buffer), it is built there and `out` is returned.
+    ChannelModel's bordered buffer), it is built there and `out` is returned.
     c and w are at most 1, so no entry overflows; a non-finite one, from a
     stack outside the signature alphabet, is rejected by the factoring routes.
     """
@@ -160,28 +175,12 @@ def channel_covariance(model: ChannelModel, out: np.ndarray | None = None) -> np
     return cov
 
 
-def _finite(cov: np.ndarray) -> np.ndarray:
-    if not np.isfinite(cov).all():
-        raise NumericalFailure("covariance has non-finite entries")
-    return cov
-
-
 def _cholesky(a: np.ndarray) -> np.ndarray:
     """Lower Cholesky factor of a finite matrix, or of each matrix of a stack."""
     try:
         return np.linalg.cholesky(a)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailure(f"covariance factorization failed: {exc}") from exc
-
-
-def _bordered_covariance(model: ChannelModel) -> np.ndarray:
-    """A (..., N + 1, N + 1) buffer, one per matrix of model.S.entries, with
-    Sigma / U built in its leading N x N block and checked finite; the border
-    is left for _bordered_cholesky."""
-    n = model.S.entries.shape[-2]
-    bordered = np.empty(model.S.entries.shape[:-2] + (n + 1, n + 1))
-    _finite(channel_covariance(model, out=bordered[..., :n, :n]))
-    return bordered
 
 
 def _bordered_cholesky(bordered: np.ndarray, b: np.ndarray, w: float) -> np.ndarray:
@@ -239,18 +238,17 @@ def quadratic_form(model: ChannelModel) -> float:
 def quadratic_forms(params: SystemParams, block) -> list[float]:
     """quadratic_form of every signature matrix in a (k, N, Ns) stack.
 
-    The k covariances come from one batched build, straight into the
-    leading blocks of the bordered buffer, and one finiteness check, and are
-    factored in one batched call; every value equals
-    quadratic_form(ChannelModel.from_params(params, S)) for its matrix S.
+    The stack is one ChannelModel, so its k covariances come from one
+    batched build and finiteness check and are factored in one batched call;
+    every value equals quadratic_form(ChannelModel.from_params(params, S))
+    for its matrix S.
     """
     block = np.asarray(block, dtype=np.float64)
     if block.ndim != 3 or block.shape[1:] != (params.N, params.Ns):
         raise DimensionMismatch(
             f"signature stack has shape {block.shape}, expected (k, {params.N}, {params.Ns})"
         )
-    model = ChannelModel.from_params(params, SpreadingMatrix(entries=block, N=params.N, Ns=params.Ns))
-    return _inverse_forms(_bordered_cholesky(_bordered_covariance(model), block.sum(axis=2), model.w)).tolist()
+    return _inverse_forms(ChannelModel.from_params(params, SpreadingMatrix(entries=block))._factor).tolist()
 
 
 def exact_report(params: SystemParams, q: float, spec: DetectorSpec) -> PerformanceReport:

@@ -28,16 +28,24 @@ _STREAMS = threading.local()  # one Philox bit generator per thread, re-keyed pe
 
 @dataclass(frozen=True)
 class SpreadingMatrix:
-    """An N x Ns signature matrix with entries +-1/sqrt(N).
+    """An N x Ns signature matrix with entries +-1/sqrt(N), or a stack of them.
 
     entries is read-only; seed records the generator seed when the matrix
     was drawn by generate(), and is None for externally supplied matrices.
+    N and Ns are the last two axes of entries, so a (k, N, Ns) stack, as
+    exact.quadratic_forms builds, reports the size of each of its matrices.
     """
 
     entries: np.ndarray = field(repr=False)
-    N: int
-    Ns: int
     seed: int | None = None
+
+    @property
+    def N(self) -> int:
+        return self.entries.shape[-2]
+
+    @property
+    def Ns(self) -> int:
+        return self.entries.shape[-1]
 
 
 def _freeze(arr: np.ndarray) -> np.ndarray:
@@ -102,7 +110,7 @@ def generate(N: int, Ns: int, seed: int, *, out: np.ndarray | None = None) -> Sp
     bits ^= np.float64(-1.0 / math.sqrt(N)).view(np.uint64)
     entries = out.view()
     entries.setflags(write=False)
-    return SpreadingMatrix(entries=entries, N=N, Ns=Ns, seed=seed)
+    return SpreadingMatrix(entries=entries, seed=seed)
 
 
 def load(matrix, seed: int | None = None) -> SpreadingMatrix:
@@ -116,7 +124,7 @@ def load(matrix, seed: int | None = None) -> SpreadingMatrix:
     arr = np.asarray(matrix, dtype=np.float64)
     if arr.ndim != 2 or arr.size == 0:
         raise InvalidSpreadingMatrix(f"expected a non-empty 2-D matrix, got shape {arr.shape}")
-    N, Ns = arr.shape
+    N = arr.shape[0]
     scale = 1.0 / math.sqrt(N)
     # comparisons against NaN are False, so non-finite entries need their own check
     bad = ~np.isfinite(arr) | (np.abs(np.abs(arr) - scale) > _ENTRY_RTOL * scale)
@@ -132,7 +140,7 @@ def load(matrix, seed: int | None = None) -> SpreadingMatrix:
         raise InvalidSpreadingMatrix(
             f"column {j} has squared norm {norms2[j]!r}, expected 1", col=j
         )
-    return SpreadingMatrix(entries=_freeze(arr), N=int(N), Ns=int(Ns), seed=seed)
+    return SpreadingMatrix(entries=_freeze(arr), seed=seed)
 
 
 def save_csv(sm: SpreadingMatrix, path) -> None:

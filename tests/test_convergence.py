@@ -209,9 +209,8 @@ class TestWorkers:
             assert len(experiment(TEMPLATE, [8, 16], SEEDS[:3])) >= 2 * 3
 
     def test_worker_count_does_not_change_the_records(self):
-        # compared by repr: the rel_error nan of a record from a worker is not the in-line one's nan object
         N_values, seeds = [8, 24], SEEDS[:3]
-        assert repr(_experiments(TEMPLATE, N_values, seeds, workers=2)) == repr(_experiments(TEMPLATE, N_values, seeds))
+        assert _experiments(TEMPLATE, N_values, seeds, workers=2) == _experiments(TEMPLATE, N_values, seeds)
 
 
 class TestPairIndex:
@@ -246,7 +245,8 @@ class TestWhitenedStatistics:
         # from S without sensor 0 and solves both covariances densely
         params = replace(TEMPLATE, N=N, Ns=Ns, sigma_v2=0.7)
         model = ChannelModel.from_params(params, generate(N, Ns, 3))
-        full, leave = convergence._diag_forms(model, model.whiten(model.S.entries))
+        y = model.whiten(model.S.entries)[:, 0]
+        full, leave = y @ y, model.leave_one_out_form(0)
         g, S = amplifier_gain(params), model.S.entries
         s, rest = S[:, 0], S[:, 1:]
         cov = g * g * params.sigma_v2 * (S @ S.T) + params.sigma_w2 * np.eye(N)

@@ -28,7 +28,7 @@ from cdmafusion import (
     exact_performance,
     quadratic_form,
 )
-from cdmafusion import convergence, exact
+from cdmafusion import exact
 from cdmafusion.core import snr_groups
 from cdmafusion.exact import exact_report, quadratic_forms
 from cdmafusion.spreading import SpreadingMatrix, generate, load
@@ -59,9 +59,9 @@ class TestChannelModel:
             ChannelModel.from_params(make_params(N=16, Ns=8), generate(8, 8, seed=0))
 
     def test_checks_the_entries_not_the_declared_size(self):
-        # a 4 x 4 matrix that declares 8 x 8 would give a 4-chip channel's q
+        # a 4 x 4 matrix against N = 8 params would give a 4-chip channel's q
         p = make_params(N=8, Ns=8)
-        S = SpreadingMatrix(entries=generate(4, 4, seed=0).entries, N=8, Ns=8)
+        S = generate(4, 4, seed=0)
         with pytest.raises(DimensionMismatch, match="signature matrix is 4x4 but params declare N=8, Ns=8"):
             ChannelModel.from_params(p, S)
         with pytest.raises(DimensionMismatch):
@@ -69,7 +69,7 @@ class TestChannelModel:
         with pytest.raises(DimensionMismatch):
             estimate(p, S, DetectorSpec(), McConfig(trials_per_hypothesis=100, seed=0))
         # a stack's matrices are the last two axes, as quadratic_forms builds them
-        stack = SpreadingMatrix(entries=np.stack([generate(8, 8, seed=k).entries for k in range(3)]), N=8, Ns=8)
+        stack = SpreadingMatrix(entries=np.stack([generate(8, 8, seed=k).entries for k in range(3)]))
         assert ChannelModel.from_params(p, stack).S is stack
 
     def test_carries_gain(self):
@@ -98,7 +98,7 @@ class TestChannelCovariance:
         if k is None:
             S = generate(N, Ns, seed=3)
         else:
-            S = SpreadingMatrix(entries=np.stack([generate(N, Ns, seed).entries for seed in range(k)]), N=N, Ns=Ns)
+            S = SpreadingMatrix(entries=np.stack([generate(N, Ns, seed).entries for seed in range(k)]))
         model = ChannelModel(S, *snr_groups(p)[1:3])
         cov = channel_covariance(model)
         assert np.array_equal(cov, cov.mT)
@@ -180,7 +180,8 @@ class TestFactoredChannel:
         # converge's diagonal forms of sensor 0: the bordered factor of its
         # leave-one-out covariance, and the whitened signatures
         s = mdl.S.entries[:, 0]
-        full, leave = convergence._diag_forms(mdl, mdl.whiten(mdl.S.entries))
+        y = mdl.whiten(mdl.S.entries)[:, 0]
+        full, leave = y @ y, mdl.leave_one_out_form(0)
         assert leave == pytest.approx(s @ np.linalg.solve(cov - mdl.c * np.outer(s, s), s), rel=1e-10)
         assert full == pytest.approx(s @ np.linalg.solve(cov, s), rel=1e-10)
         np.testing.assert_array_equal(mdl.s1, mdl.S.entries.sum(axis=1))

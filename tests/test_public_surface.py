@@ -37,3 +37,21 @@ def test_every_public_name_has_a_caller():
     used = package_references() | traced
     assert sorted(set(cdmafusion.__all__) - used) == []
 
+
+def test_only_exact_reads_its_private_names():
+    # exact is the one home of the bordered factor: no other module imports
+    # its private helpers, or reads them off the module, to lay out, build
+    # or factor a covariance
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.ImportFrom) and node.module in ("exact", "cdmafusion.exact"):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "exact":
+                names = [node.attr]
+            else:
+                continue
+            found += [f"{path.name}: {name}" for name in names if name.startswith("_")]
+    assert found == []

@@ -316,3 +316,8 @@ class TestSpreadingMatrixType:
         s = generate(4, 2, seed=42)
         with pytest.raises(Exception):
             s.N = 8
+
+    def test_a_stack_reports_the_size_of_each_matrix(self):
+        # N and Ns are the last two axes, so a stack reports each matrix's size
+        stack = SpreadingMatrix(entries=np.stack([generate(6, 5, seed=k).entries for k in range(3)]))
+        assert (stack.N, stack.Ns, stack.seed) == (6, 5, None)
