@@ -96,9 +96,9 @@ from .errors import (
     NumericalFailure,
     ParseError,
 )
-from .exact import exact_performance, exact_report, quadratic_forms
+from .exact import ChannelModel, exact_performance, exact_report, quadratic_form
 from .montecarlo import CHUNK_TRIALS, NORMAL_SAMPLER_ID, RNG_ID, McConfig, estimate
-from .spreading import GENERATOR_ID, generate, load_csv
+from .spreading import GENERATOR_ID, SpreadingMatrix, generate, load_csv
 
 MODES = ("analyze", "asymptotic", "montecarlo", "converge", "sweep-grid", "sweep-limits")
 
@@ -260,6 +260,8 @@ def parse_config(text: bytes | str, *, mode: str | None = None, flags: dict | No
         raise ParseError("detector.alpha_fa only applies to criterion 'np'")
     if det["criterion"] != FIXED and det["tau_prime"] is not None:
         raise ParseError("detector.tau_prime only applies to criterion 'fixed'")
+    if 1.0 - p["p0"] == 1.0 and p["p0"] > 0.0:  # p1 is no key, so its failure is named by p0
+        raise InvalidParam("params.p0", p["p0"], "p1 = 1 - p0 rounds to 1.0; it must lie strictly inside (0, 1)")
     return ExperimentConfig(
         mode=mode,
         params=SystemParams(**p, Ns=sensors_for_load(alpha, p["N"]) if Ns is None else Ns, p1=1.0 - p["p0"]),
@@ -420,7 +422,7 @@ def _run_sweep_grid(config: ExperimentConfig):
             stack = np.empty((len(block), pc.N, pc.Ns))
             for seed, out in zip(block, stack):
                 generate(pc.N, pc.Ns, seed, out=out)
-            qs = quadratic_forms(pc, stack)
+            qs = quadratic_form(ChannelModel.from_params(pc, SpreadingMatrix(entries=stack)))
             for seed, q in zip(block, qs):
                 rep = exact_report(pc, q, config.detector)
                 # |pe_exact / pe_asymptotic - 1| from the logs, which stay finite

@@ -18,8 +18,8 @@ ChannelModel alone, as the Cholesky factor of the bordered matrix
 L^{-1} b, so a form b^T (Sigma / U)^{-1} b costs no solve.  The covariance
 is built straight into the leading block of that bordered buffer
 (channel_covariance's `out`), so it is never copied.  The same layout
-serves the SNR form (bordered by S 1), a stack of them in one batched
-factorization (quadratic_forms), and one sensor's leave-one-out form
+serves the SNR form (bordered by S 1), a batched stack of them (a stacked
+model's quadratic_form), and one sensor's leave-one-out form
 (ChannelModel.leave_one_out_form).  numpy has no triangular solve, so the
 few that remain substitute over diagonal blocks (see _solve_lower).
 """
@@ -40,7 +40,7 @@ _BLOCK = 32
 """Width of the diagonal blocks _solve_lower substitutes over."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ChannelModel:
     """A signature matrix plus the two scalars of its covariance Sigma / U = c S S^T + w I.
 
@@ -48,7 +48,8 @@ class ChannelModel:
     Cholesky factor, bordered by S 1, are built once, on first use, and serve
     the quadratic form, the detector, every whitening and the leave-one-out
     forms.  S may be a (k, N, Ns) stack, whose k covariances are built and
-    factored in one batched call (see quadratic_forms).
+    factored in one batched call for quadratic_form; the calls that serve
+    one channel (see _one_matrix) raise DimensionMismatch on a stack.
     """
 
     S: SpreadingMatrix
@@ -78,6 +79,11 @@ class ChannelModel:
     def _factor(self) -> np.ndarray:
         return _bordered_cholesky(self._bordered, self.s1, self.w)
 
+    def _one_matrix(self) -> None:
+        """Raise DimensionMismatch when S is a stack, for the calls that serve one matrix."""
+        if self.S.entries.ndim != 2:
+            raise DimensionMismatch(f"expected one signature matrix, got a stack of shape {self.S.entries.shape}")
+
     def leave_one_out_form(self, k: int) -> float:
         """q_k = s_k^T (Q_k / U)^{-1} s_k for sensor k's signature s_k, of one matrix S.
 
@@ -86,6 +92,7 @@ class ChannelModel:
         leading block of its own bordered buffer, whose factor gives q_k with
         no solve.
         """
+        self._one_matrix()
         s = self.S.entries[:, k]
         n = s.size
         bordered = np.empty((n + 1, n + 1))
@@ -97,6 +104,7 @@ class ChannelModel:
     def whiten(self, B) -> np.ndarray:
         """L^{-1} B for a finite vector or matrix B, with L the lower Cholesky
         factor of Sigma / U, so that (L^{-1} a)^T (L^{-1} b) = U a^T Sigma^{-1} b."""
+        self._one_matrix()
         return _solve_lower(self._factor[:-1, :-1], B)
 
     @cached_property
@@ -111,6 +119,7 @@ class ChannelModel:
         L^{-1} S 1 is read off the factor; L^T is upper triangular, so it is
         solved as its row- and column-reversed copy, which is lower.
         """
+        self._one_matrix()
         factor = self._factor
         return _solve_lower(factor[:-1, :-1].T[::-1, ::-1], factor[-1, :-1][::-1])[::-1]
 
@@ -161,7 +170,7 @@ def channel_covariance(model: ChannelModel, out: np.ndarray | None = None) -> np
     does not apply, sums the same products in the same order for (i, j) and
     (j, i)).  With c == 0 it is exactly diagonal.
     When model.S.entries is a (k, N, Ns) stack of signature matrices, as
-    in quadratic_forms, the result is the (k, N, N) stack of covariances.
+    in sweep-grid's blocks, the result is the (k, N, N) stack of covariances.
     With `out`, an array of the result's shape (the leading block of a
     ChannelModel's bordered buffer), it is built there and `out` is returned.
     c and w are at most 1, so no entry overflows; a non-finite one, from a
@@ -225,30 +234,15 @@ def _solve_lower(L: np.ndarray, B) -> np.ndarray:
     return X
 
 
-def quadratic_form(model: ChannelModel) -> float:
+def quadratic_form(model: ChannelModel) -> float | list[float]:
     """The quadratic form q = U qf = (S 1)^T (Sigma / U)^{-1} (S 1).
 
     Read off the model's bordered Cholesky factor, with no solve; the
     covariance is positive definite, so q >= 0, with equality exactly when
-    the signature columns sum to zero.
+    the signature columns sum to zero.  A model over a (k, N, Ns) stack gives
+    its k forms as a list, each bit for bit the form of its matrix alone.
     """
-    return float(_inverse_forms(model._factor))
-
-
-def quadratic_forms(params: SystemParams, block) -> list[float]:
-    """quadratic_form of every signature matrix in a (k, N, Ns) stack.
-
-    The stack is one ChannelModel, so its k covariances come from one
-    batched build and finiteness check and are factored in one batched call;
-    every value equals quadratic_form(ChannelModel.from_params(params, S))
-    for its matrix S.
-    """
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 3 or block.shape[1:] != (params.N, params.Ns):
-        raise DimensionMismatch(
-            f"signature stack has shape {block.shape}, expected (k, {params.N}, {params.Ns})"
-        )
-    return _inverse_forms(ChannelModel.from_params(params, SpreadingMatrix(entries=block))._factor).tolist()
+    return _inverse_forms(model._factor).tolist()
 
 
 def exact_report(params: SystemParams, q: float, spec: DetectorSpec) -> PerformanceReport:
@@ -273,4 +267,6 @@ def exact_report(params: SystemParams, q: float, spec: DetectorSpec) -> Performa
 
 def exact_performance(params: SystemParams, S: SpreadingMatrix, spec: DetectorSpec) -> PerformanceReport:
     """Closed-form error probabilities for one signature matrix (see exact_report)."""
-    return exact_report(params, quadratic_form(ChannelModel.from_params(params, S)), spec)
+    model = ChannelModel.from_params(params, S)
+    model._one_matrix()
+    return exact_report(params, quadratic_form(model), spec)

@@ -3,10 +3,10 @@
 Each trial draws sensor observations z = -+m + v, amplifies them, spreads
 them through the signature matrix and adds receiver noise, then thresholds
 the fusion statistic.  The statistic is linear in the two noise vectors, so
-a trial is one weighted sum of its Ns + N standard normals, with a weight of
-unit norm (see estimate); the received chip vector itself is never formed,
-and the sum is compared with the noise bounds of core.detector_bounds, the
-same decision whose tails the exact route takes.
+a trial is one weighted sum u . n of its Ns + N standard normals n, of
+variance d^T (Sigma / U) d / q = 1 (see estimate); the chip vector is never
+formed, and the sum is compared with the noise bounds of
+core.detector_bounds, the same decision whose tails the exact route takes.
 That noise term has the same law under both hypotheses, so one draw of it
 serves a false-alarm trial and a miss trial (common random numbers; RNG_ID
 names this scheme, from artifact 0.5.0 on).  Trials are produced in
@@ -155,7 +155,7 @@ def simulate_trials(
     if hypothesis not in (0, 1):
         raise DomainError(f"hypothesis must be 0 or 1, got {hypothesis!r}")
     n_trials = check_count("n_trials", n_trials, "trial count")
-    ChannelModel.from_params(params, S)  # checks S against params
+    ChannelModel.from_params(params, S)._one_matrix()  # checks S: one matrix, of the params' size
     g = amplifier_gain(params)
     mean = params.m if hypothesis == 1 else -params.m
     z = mean + math.sqrt(params.sigma_v2) * rng.standard_normal((params.Ns, n_trials))
@@ -174,14 +174,13 @@ def _chunk_plan(total: int) -> list[tuple[int, int]]:
     return sizes
 
 
-def _collapsed_weight(model: ChannelModel) -> np.ndarray:
-    """The unit vector u with T(r_chips) / 2r == -+r + u . [n_v, n_w] for
-    r_chips = g S (-+m 1 + sqrt(sigma_v2) n_v) + sqrt(sigma_w2) n_w (see estimate);
-    0 on the channel whose statistic is identically 0."""
+def _collapsed_weight(model: ChannelModel, q: float) -> np.ndarray:
+    """The weight u with T(r_chips) / 2r == -+r + u . [n_v, n_w] for
+    r_chips = g S (-+m 1 + sqrt(sigma_v2) n_v) + sqrt(sigma_w2) n_w and the
+    model's form q (see estimate); 0 on the channel whose statistic is 0."""
     d = model.detector
     v = np.concatenate((math.sqrt(model.c) * (model.S.entries.T @ d), math.sqrt(model.w) * d))
-    norm = math.sqrt(v @ v)
-    return v / norm if norm > 0.0 else v
+    return v / math.sqrt(q) if q > 0.0 else v
 
 
 def _count_errors(
@@ -215,7 +214,8 @@ def estimate(
 
         T / 2r = -+r + u . [n_v, n_w],  u = [sqrt(c) S^T d, sqrt(w) d] / sqrt(q),
 
-    a unit vector, so no scale of the model can overflow it.  Each chunk
+    and u . n has variance d^T (Sigma / U) d / q: 1 when the factor is right,
+    off 1 when it is not.  No scale of the model overflows u.  Each chunk
     takes one weighted sum per trial of its Ns + N standard normals, drawn
     by the Box-Muller transform of its stream's uniforms (_BoxMuller; no
     normal exceeds 8.57 in size) and summed _DRAW_ROWS rows at a time
@@ -241,8 +241,8 @@ def estimate(
     hypotheses, and the two counts' covariance is -pf pm / n.
     """
     model = ChannelModel.from_params(params, S)
-    noise_weight = _collapsed_weight(model)
     q = quadratic_form(model)
+    noise_weight = _collapsed_weight(model, q)
     r = root_snr(params, q)
     tau, *bounds = detector_bounds(spec, params, r)
 

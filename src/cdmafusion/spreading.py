@@ -26,14 +26,15 @@ _SIGN_BIT = np.uint64(1 << 63)
 _STREAMS = threading.local()  # one Philox bit generator per thread, re-keyed per draw
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpreadingMatrix:
     """An N x Ns signature matrix with entries +-1/sqrt(N), or a stack of them.
 
     entries is read-only; seed records the generator seed when the matrix
     was drawn by generate(), and is None for externally supplied matrices.
     N and Ns are the last two axes of entries, so a (k, N, Ns) stack, as
-    exact.quadratic_forms builds, reports the size of each of its matrices.
+    sweep-grid's blocks build, reports the size of each of its matrices.
+    Equality is identity, so == never compares entries.
     """
 
     entries: np.ndarray = field(repr=False)

@@ -215,6 +215,14 @@ class TestParseConfig:
         cfg = parse_config('{"params": {"p0": 0.7}}', mode="analyze")
         assert cfg.params.p1 == pytest.approx(0.3, abs=1e-15)
 
+    @pytest.mark.parametrize("p0", [1e-20, 2.0**-54])
+    def test_p0_that_rounds_p1_to_1_names_p0(self, p0):
+        # p1 = 1 - p0 is no key, so its failure is reported against params.p0
+        with pytest.raises(InvalidParam, match=r"^params\.p0=.* violates: p1 = 1 - p0 rounds to 1\.0"):
+            parse_config(json.dumps({"params": {"p0": p0}}), mode="asymptotic")
+        # the smallest p0 whose p1 is below 1
+        assert parse_config(json.dumps({"params": {"p0": 2.0**-53}}), mode="asymptotic").params.p1 == 1.0 - 2.0**-53
+
     def test_mc_seed_defaults_to_master(self):
         cfg = parse_config('{"seed": 77}', mode="montecarlo")
         assert cfg.mc.seed == 77
@@ -788,6 +796,12 @@ class TestExitCodes:
         assert proc.returncode == 1
         assert proc.stderr.startswith("error: m=1e-200 violates:")
 
+    def test_p0_that_rounds_p1_to_1_is_config_error_naming_p0(self, tmp_path):
+        # the config has no p1 key, so the error names the key that set it
+        proc = self.run_child(tmp_path, "asymptotic", {"p0": 1e-20})
+        assert proc.returncode == 1
+        assert proc.stderr.startswith("error: params.p0=1e-20 violates: p1 = 1 - p0 rounds to 1.0")
+
     @pytest.mark.parametrize("mode", ["asymptotic", "sweep-limits"])
     def test_overflowing_limit_snr_vanishes_the_tails(self, tmp_path, capsys, mode):
         # mu = m^2 sigma_w2 / P underflows to 0, so the limiting SNR (~1e341) is +inf
@@ -858,8 +872,8 @@ class TestExitCodes:
         assert proc.stderr.startswith(f"numerical failure: {message}")
 
     @pytest.mark.parametrize("mode, params, detector", [
-        # Sigma^{-1} S 1 is ~1e300 at sigma_w2 = 1e-300, and g S^T of it overflowed;
-        # the weight is a unit vector now, and r ~ 1e150 separates the hypotheses
+        # Sigma^{-1} S 1 is ~1e300 at sigma_w2 = 1e-300, so g S^T of it would overflow;
+        # the weight divides it by sqrt(q), and r ~ 1e150 separates the hypotheses
         ("montecarlo", {"N": 8, "Ns": 8, "sigma_v2": 0, "sigma_w2": 1e-300, "m": 1e-20}, None),
         # P beta0 underflows to 0, and r ~ 4e-170 is a coin flip
         ("asymptotic", {"N": 2, "Ns": 1, "P": 6.29e-271, "m": 1.67e148, "sigma_v2": 0, "sigma_w2": 4.45e68},
@@ -1310,13 +1324,13 @@ class TestSweepGridBlocks:
 
     def test_blocks_are_bounded_and_cover_each_point_in_order(self, tmp_path, monkeypatch):
         shapes = []
-        original = cli.quadratic_forms
+        original = cli.quadratic_form
 
-        def recorded(params, block):
-            shapes.append(block.shape)
-            return original(params, block)
+        def recorded(model):
+            shapes.append(model.S.entries.shape)
+            return original(model)
 
-        monkeypatch.setattr(cli, "quadratic_forms", recorded)
+        monkeypatch.setattr(cli, "quadratic_form", recorded)
         # one worker, so that the points run in this process, where the shapes are recorded
         self.run_grid(tmp_path, "--workers", "1")
         per_point = {}

@@ -27,10 +27,11 @@ from cdmafusion import (
     estimate,
     exact_performance,
     quadratic_form,
+    simulate_trials,
 )
 from cdmafusion import exact
 from cdmafusion.core import snr_groups
-from cdmafusion.exact import exact_report, quadratic_forms
+from cdmafusion.exact import exact_report
 from cdmafusion.spreading import SpreadingMatrix, generate, load
 
 
@@ -42,6 +43,11 @@ def make_params(**kw) -> SystemParams:
 
 def model_for(params: SystemParams, seed: int = 0) -> ChannelModel:
     return ChannelModel.from_params(params, generate(params.N, params.Ns, seed=seed))
+
+
+def stack_forms(params: SystemParams, block) -> list[float]:
+    """quadratic_form of one model over a (k, N, Ns) stack, as sweep-grid's blocks take it."""
+    return quadratic_form(ChannelModel.from_params(params, SpreadingMatrix(entries=block)))
 
 
 def qf_oracle(model: ChannelModel) -> float:
@@ -68,9 +74,33 @@ class TestChannelModel:
             exact_performance(p, S, DetectorSpec())
         with pytest.raises(DimensionMismatch):
             estimate(p, S, DetectorSpec(), McConfig(trials_per_hypothesis=100, seed=0))
-        # a stack's matrices are the last two axes, as quadratic_forms builds them
+        # a stack's matrices are the last two axes, as sweep-grid's blocks build them
         stack = SpreadingMatrix(entries=np.stack([generate(8, 8, seed=k).entries for k in range(3)]))
         assert ChannelModel.from_params(p, stack).S is stack
+
+    @pytest.mark.parametrize("call", [
+        lambda p, S, model: model.whiten(np.ones(8)),
+        lambda p, S, model: model.detector,
+        lambda p, S, model: model.leave_one_out_form(0),
+        lambda p, S, model: exact_performance(p, S, DetectorSpec()),
+        lambda p, S, model: estimate(p, S, DetectorSpec(), McConfig(trials_per_hypothesis=100, seed=0)),
+        lambda p, S, model: simulate_trials(p, S, 0, 10, np.random.default_rng(0)),
+    ], ids=["whiten", "detector", "leave_one_out_form", "exact_performance", "estimate", "simulate_trials"])
+    def test_single_matrix_calls_refuse_a_stack(self, call):
+        # a stacked model serves quadratic_form alone; each call that serves one
+        # channel raises the package's error, not numpy's
+        p = make_params(N=8, Ns=8)
+        stack = SpreadingMatrix(entries=np.stack([generate(8, 8, seed=k).entries for k in range(3)]))
+        model = ChannelModel.from_params(p, stack)
+        with pytest.raises(DimensionMismatch, match=r"stack of shape \(3, 8, 8\)"):
+            call(p, stack, model)
+        assert len(quadratic_form(model)) == 3
+
+    def test_equality_is_identity(self):
+        p = make_params(N=8, Ns=8)
+        one, two = model_for(p), model_for(p)
+        assert one == one
+        assert (one == two) is False and (one != two) is True
 
     def test_carries_gain(self):
         # Ns g^2 (m^2 + sigma_v2) = P  =>  g = sqrt(8 / (2 * 2)) = sqrt(2); g^2 sigma_v2 = 2
@@ -347,7 +377,7 @@ class TestQuadraticForms:
     def test_matches_one_matrix_route_and_dense_oracle(self, N, Ns):
         p = make_params(N=N, Ns=Ns, sigma_v2=1.3, sigma_w2=0.7)
         matrices = [generate(N, Ns, seed) for seed in range(6)]
-        qfs = quadratic_forms(p, np.stack([S.entries for S in matrices]))
+        qfs = stack_forms(p, np.stack([S.entries for S in matrices]))
         assert len(qfs) == len(matrices)
         for qf, S in zip(qfs, matrices):
             # bit for bit, which is what keeps the sweep-grid CSV unchanged
@@ -357,7 +387,7 @@ class TestQuadraticForms:
     def test_cancelling_signatures_give_zero_and_the_tie_rule(self):
         p = make_params(N=1, Ns=2, P=1.0)
         block = np.array([[[1.0, -1.0]], [[1.0, 1.0]], [[-1.0, 1.0]]])
-        qfs = quadratic_forms(p, block)
+        qfs = stack_forms(p, block)
         assert qfs[0] == 0.0 and qfs[2] == 0.0
         assert qfs[1] == pytest.approx(self.dense_qf(p, block[1]), rel=1e-12)
         rep = exact_report(p, qfs[0], DetectorSpec())
@@ -367,12 +397,12 @@ class TestQuadraticForms:
         p = make_params(N=8, Ns=12)
         S = generate(8, 12, seed=3)
         for spec in (DetectorSpec(), DetectorSpec(criterion="np", alpha_fa=0.1)):
-            (qf,) = quadratic_forms(p, S.entries[None])
+            (qf,) = stack_forms(p, S.entries[None])
             assert exact_report(p, qf, spec) == exact_performance(p, S, spec)
 
     def test_one_factorization_and_no_solve_per_matrix(self, linalg_calls):
         p = make_params(N=8, Ns=4)
-        quadratic_forms(p, np.stack([generate(8, 4, seed).entries for seed in range(5)]))
+        stack_forms(p, np.stack([generate(8, 4, seed).entries for seed in range(5)]))
         assert linalg_calls == {"cholesky": 5}
 
     @pytest.mark.parametrize("sigma_w2", [1e-300, 1e-20, 1e20, 1e300])
@@ -383,11 +413,11 @@ class TestQuadraticForms:
         # 1 + ||S 1||^2 / w grows to 1e301 and 1e21
         p = make_params(N=16, Ns=24, sigma_v2=0.0, sigma_w2=sigma_w2)
         block = np.stack([generate(16, 24, seed).entries for seed in range(3)])
-        for q, A in zip(quadratic_forms(p, block), block):
+        for q, A in zip(stack_forms(p, block), block):
             s1 = A.sum(axis=1)
             assert q == pytest.approx(s1 @ s1, rel=1e-14)
         p = make_params(N=16, Ns=24, sigma_v2=1.3, sigma_w2=sigma_w2)
-        for q, A in zip(quadratic_forms(p, block), block):
+        for q, A in zip(stack_forms(p, block), block):
             assert q == pytest.approx(self.dense_qf(p, A), rel=1e-10)
 
     def test_not_positive_definite_is_numerical_failure(self, monkeypatch):
@@ -397,7 +427,7 @@ class TestQuadraticForms:
                             lambda model, out=None: np.negative(original(model, out=out), out=out))
         block = np.stack([generate(4, 4, seed).entries for seed in range(3)])
         with pytest.raises(NumericalFailure, match="factorization failed"):
-            quadratic_forms(make_params(N=4, Ns=4), block)
+            stack_forms(make_params(N=4, Ns=4), block)
 
     def test_non_finite_covariance_is_numerical_failure(self):
         # in the units of snr_groups c and w are at most 1, so only a stack with
@@ -405,11 +435,13 @@ class TestQuadraticForms:
         block = np.stack([generate(4, 4, seed).entries for seed in range(2)])
         block[1, 2, 3] = np.nan
         with pytest.raises(NumericalFailure, match="non-finite"):
-            quadratic_forms(make_params(N=4, Ns=4), block)
+            stack_forms(make_params(N=4, Ns=4), block)
 
     def test_shape_check(self):
         p = make_params(N=8, Ns=4)
+        # one matrix is one model, whose form is one float
+        S = generate(8, 4, seed=0)
+        q = stack_forms(p, S.entries)
+        assert type(q) is float and q == quadratic_form(ChannelModel.from_params(p, S))
         with pytest.raises(DimensionMismatch):
-            quadratic_forms(p, generate(8, 4, seed=0).entries)
-        with pytest.raises(DimensionMismatch):
-            quadratic_forms(p, np.stack([generate(8, 5, seed=0).entries]))
+            stack_forms(p, np.stack([generate(8, 5, seed=0).entries]))

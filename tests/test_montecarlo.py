@@ -33,8 +33,9 @@ from cdmafusion import (
     quadratic_form,
     simulate_trials,
 )
-from cdmafusion import amplifier_gain, cli, montecarlo
+from cdmafusion import amplifier_gain, cli, exact, montecarlo
 from cdmafusion.core import root_snr, snr_groups
+from cdmafusion.exact import exact_report
 from cdmafusion.montecarlo import (
     CHUNK_TRIALS,
     NORMAL_SAMPLER_ID,
@@ -232,6 +233,30 @@ class TestEstimate:
         assert hits_pf >= 45
         assert hits_pm >= 45
 
+    def test_a_wrong_covariance_misses_its_own_closed_form(self, monkeypatch):
+        # the weight is divided by the model's own form q, so u . n has variance
+        # d^T (Sigma / U) d / q; factoring 2 c S S^T + w I in place of Sigma / U
+        # leaves d and q consistent with each other but not with the noise drawn,
+        # which a weight of unit norm would hide
+        p = make_params(N=16, Ns=16)
+        S = generate(16, 16, seed=3)
+        spec = DetectorSpec()
+        mc = McConfig(trials_per_hypothesis=100_000, seed=7)
+
+        def doubled(model, out=None):
+            A = model.S.entries
+            cov = np.matmul(A, A.mT, out=out)
+            cov *= 2.0 * model.c
+            cov[..., range(A.shape[-2]), range(A.shape[-2])] += model.w
+            return cov
+
+        right = estimate(p, S, spec, mc)
+        assert abs(right.pe - exact_report(p, right.q, spec).pe) < 3.0 * right.mc.stderr_pe
+        monkeypatch.setattr(exact, "channel_covariance", doubled)
+        wrong = estimate(p, S, spec, mc)
+        assert wrong.q != right.q
+        assert abs(wrong.pe - exact_report(p, wrong.q, spec).pe) > 10.0 * wrong.mc.stderr_pe
+
     def test_degenerate_channel_matches_closed_form(self):
         p = make_params(N=1, Ns=2, P=1.0)
         S = load(np.array([[1.0, -1.0]]))
@@ -278,7 +303,7 @@ class TestCollapsedKernel:
         S = generate(N, Ns, seed=5)
         model = ChannelModel.from_params(p, S)
         weight = self.weight(p, model)
-        noise_weight = _collapsed_weight(model)
+        noise_weight = _collapsed_weight(model, quadratic_form(model))
         r = root_snr(p, quadratic_form(model))
         tau = 0.3
         half = tau / (2.0 * r)
@@ -300,7 +325,7 @@ class TestCollapsedKernel:
         r = root_snr(p, quadratic_form(model))
         at_mean = self.weight(p, model) @ (amplifier_gain(p) * p.m * S.entries.sum(axis=1))
         assert at_mean == pytest.approx(2.0 * r * r, rel=1e-10)
-        assert np.linalg.norm(_collapsed_weight(model)) == pytest.approx(1.0, rel=1e-14)
+        assert np.linalg.norm(_collapsed_weight(model, quadratic_form(model))) == pytest.approx(1.0, rel=1e-14)
 
     @staticmethod
     def weight(p, model):

@@ -321,3 +321,10 @@ class TestSpreadingMatrixType:
         # N and Ns are the last two axes, so a stack reports each matrix's size
         stack = SpreadingMatrix(entries=np.stack([generate(6, 5, seed=k).entries for k in range(3)]))
         assert (stack.N, stack.Ns, stack.seed) == (6, 5, None)
+
+    def test_equality_is_identity(self):
+        # == never compares the entries arrays, so it answers with a bool
+        S = generate(4, 2, seed=1)
+        assert S == S
+        assert (generate(4, 2, seed=1) == generate(4, 2, seed=1)) is False
+        assert len({S, S, generate(4, 2, seed=1)}) == 2
