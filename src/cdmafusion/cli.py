@@ -145,7 +145,7 @@ _SCHEMA = {
     },
     "detector": {"criterion": (CRITERIA, BAYES), "alpha_fa": ("num", None), "tau_prime": ("num", None)},
     # mc.seed defaults to the top-level seed, and mc.workers to one per usable CPU
-    "mc": {"trials": ("int", 100_000), "seed": ("seed", None), "workers": ("int", None)},
+    "mc": {"trials": ("count", 100_000), "seed": ("seed", None), "workers": ("count", None)},
     "grid": {"N": ("count[]", (8, 16, 32, 64, 128)), "alpha": ("positive[]", (0.5, 1.0, 2.0, 4.0)),
              "seeds": ("count", 20)},
 }
@@ -260,11 +260,9 @@ def parse_config(text: bytes | str, *, mode: str | None = None, flags: dict | No
         raise ParseError("detector.alpha_fa only applies to criterion 'np'")
     if det["criterion"] != FIXED and det["tau_prime"] is not None:
         raise ParseError("detector.tau_prime only applies to criterion 'fixed'")
-    if 1.0 - p["p0"] == 1.0 and p["p0"] > 0.0:  # p1 is no key, so its failure is named by p0
-        raise InvalidParam("params.p0", p["p0"], "p1 = 1 - p0 rounds to 1.0; it must lie strictly inside (0, 1)")
     return ExperimentConfig(
         mode=mode,
-        params=SystemParams(**p, Ns=sensors_for_load(alpha, p["N"]) if Ns is None else Ns, p1=1.0 - p["p0"]),
+        params=SystemParams(**p, Ns=sensors_for_load(alpha, p["N"]) if Ns is None else Ns),
         detector=DetectorSpec(**det),
         mc=McConfig(mc["trials"], top["seed"] if mc["seed"] is None else mc["seed"],
                     core._cpus() if mc["workers"] is None else mc["workers"]),
@@ -318,7 +316,8 @@ def _base_meta(config: ExperimentConfig) -> list[str]:
 
 def _instance_meta(config: ExperimentConfig) -> list[str]:
     p = config.params
-    return [f"N={p.N} Ns={p.Ns} alpha={_fmt(p.Ns / p.N)}"]
+    source = [] if config.matrix_path is None else [f"matrix_source={config.matrix_path}"]
+    return [f"N={p.N} Ns={p.Ns} alpha={_fmt(p.Ns / p.N)}"] + source
 
 
 def _grid_meta(config: ExperimentConfig, alphas: bool) -> list[str]:
@@ -342,8 +341,6 @@ def _run_analyze(config: ExperimentConfig):
     S = _signatures(config)
     rep = exact_performance(p, S, config.detector)
     meta = _base_meta(config) + _instance_meta(config)
-    if config.matrix_path is not None:
-        meta.append(f"matrix_source={config.matrix_path}")
     columns = ["N", "alpha", "Ns", "seed", "tau_prime", "qf", "pf", "pm", "pe"]
     rows = [[p.N, p.Ns / p.N, p.Ns, S.seed, rep.tau_prime, rep.q / snr_groups(p)[0], rep.pf, rep.pm, rep.pe]]
     return meta, columns, rows
@@ -352,7 +349,7 @@ def _run_analyze(config: ExperimentConfig):
 def _run_asymptotic(config: ExperimentConfig):
     p = config.params
     ap = asymptotic_params(p)
-    rep = asymptotic_performance(p, config.detector)
+    rep = exact_report(p, ap.q, config.detector)
     meta = _base_meta(config) + _instance_meta(config)
     columns = ["N", "alpha", "Ns", "gamma", "beta0", "mu", "tau_prime", "pf", "pm", "pe"]
     rows = [[p.N, ap.alpha, p.Ns, ap.gamma, ap.beta0, ap.mu, rep.tau_prime, rep.pf, rep.pm, rep.pe]]
@@ -365,8 +362,6 @@ def _run_montecarlo(config: ExperimentConfig):
     est = estimate(p, S, config.detector, config.mc)
     ref = exact_report(p, est.q, config.detector)
     meta = _base_meta(config) + _instance_meta(config)
-    if config.matrix_path is not None:
-        meta.append(f"matrix_source={config.matrix_path}")
     meta.append(
         f"mc_trials={config.mc.trials_per_hypothesis} mc_seed={config.mc.seed} "
         f"mc_chunk={CHUNK_TRIALS} mc_rng={RNG_ID} normal_sampler={NORMAL_SAMPLER_ID}"

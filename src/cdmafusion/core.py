@@ -12,7 +12,7 @@ Every error probability depends on the scalars only through the root SNR
 r = m sqrt(x), and r only through rho = P / sigma_w2 and kappa = sigma_v2 /
 (m^2 + sigma_v2), the groups every route computes in (snr_groups).
 
-Everything in this module is a pure function of its arguments.
+Everything here but the worker map and its fork pool is a pure function of its arguments.
 """
 
 from __future__ import annotations
@@ -263,7 +263,8 @@ class SystemParams:
     N is the spreading length (chips per symbol), Ns the number of sensors,
     P the total power budget, m the signal amplitude under either hypothesis,
     sigma_v2 the per-sensor observation noise variance, sigma_w2 the per-chip
-    receiver noise variance, and (p0, p1) the hypothesis priors.
+    receiver noise variance, and p0 the prior of H0.  A caller sets p0
+    alone: the prior of H1 is the property p1 = 1 - p0.
     """
 
     N: int
@@ -273,7 +274,6 @@ class SystemParams:
     sigma_v2: float
     sigma_w2: float
     p0: float = 0.5
-    p1: float = 0.5
 
     def __post_init__(self):
         validate(self)
@@ -282,6 +282,11 @@ class SystemParams:
     def alpha(self) -> float:
         """Load ratio: sensors per chip."""
         return self.Ns / self.N
+
+    @property
+    def p1(self) -> float:
+        """Prior of H1: 1 - p0."""
+        return 1.0 - self.p0
 
 
 def validate(params: SystemParams) -> SystemParams:
@@ -307,10 +312,8 @@ def validate(params: SystemParams) -> SystemParams:
         raise InvalidParam("sigma_w2", p.sigma_w2, "receiver noise variance must be finite and > 0")
     if not _is_real(p.p0) or not 0.0 < p.p0 < 1.0:
         raise InvalidParam("p0", p.p0, "prior must lie strictly inside (0, 1)")
-    if not _is_real(p.p1) or not 0.0 < p.p1 < 1.0:
-        raise InvalidParam("p1", p.p1, "prior must lie strictly inside (0, 1)")
-    if abs(p.p0 + p.p1 - 1.0) > 1e-12:
-        raise InvalidParam("p1", p.p1, f"priors must sum to 1, got p0 + p1 = {p.p0 + p.p1!r}")
+    if p.p1 == 1.0:
+        raise InvalidParam("p0", p.p0, "p1 = 1 - p0 rounds to 1.0; it must lie strictly inside (0, 1)")
     return params
 
 

@@ -36,7 +36,7 @@ from conftest import q, zero_threshold_pe
 
 MASTER = 20240816
 
-DEFAULTS = dict(P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5, p1=0.5)
+DEFAULTS = dict(P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5)
 
 
 def verdict(ok: bool, label: str, detail: str) -> None:
@@ -80,7 +80,7 @@ def test_criterion_2_scalar_oracle_chain():
     # exact analysis of the one-sensor one-chip system, the single-sensor
     # closed form, and simulation must agree on pe near 0.23975
     frozen = 0.2397500610934768  # q(1/sqrt(2)), frozen from quadrature
-    params = SystemParams(N=1, Ns=1, P=2.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5, p1=0.5)
+    params = SystemParams(N=1, Ns=1, P=2.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5)
     spec = DetectorSpec(criterion="fixed", tau_prime=0.0)
     S = load(np.array([[1.0]]))
     ex = exact_performance(params, S, spec)

@@ -34,7 +34,7 @@ from conftest import q, zero_threshold_pe
 
 
 def make_params(**kw) -> SystemParams:
-    base = dict(N=10, Ns=10, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5, p1=0.5)
+    base = dict(N=10, Ns=10, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5)
     base.update(kw)
     return SystemParams(**base)
 
@@ -209,7 +209,7 @@ class TestAsymptoticPerformance:
             assert rep.pf == pytest.approx(a, abs=1e-9)
 
     def test_pe_is_prior_mix(self):
-        p = make_params(p0=0.25, p1=0.75)
+        p = make_params(p0=0.25)
         rep = asymptotic_performance(p, DetectorSpec())
         assert rep.pe == p.p0 * rep.pf + p.p1 * rep.pm
         assert rep.tau_prime == pytest.approx(math.log(1.0 / 3.0), rel=1e-14)

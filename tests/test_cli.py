@@ -1,6 +1,7 @@
 """Config parsing, CSV artifacts, exit codes, reproducibility of the runner."""
 
 import ctypes
+import dataclasses
 import hashlib
 import inspect
 import json
@@ -22,7 +23,7 @@ import numpy._core._multiarray_umath as np_cpu
 import pytest
 
 import cdmafusion
-from cdmafusion import DomainError, InvalidParam, NumericalFailure, ParseError
+from cdmafusion import DomainError, InvalidParam, NumericalFailure, ParseError, SystemParams
 from cdmafusion import cli, convergence, core, exact, montecarlo
 from cdmafusion.cli import main, parse_config
 from cdmafusion.core import CRITERIA
@@ -211,14 +212,18 @@ class TestParseConfig:
         cfg = parse_config('{"params": {"N": 10, "alpha": 0.25}}', mode="analyze")
         assert cfg.params.Ns == 3  # 2.5 rounds half away from zero
 
+    def test_params_fields_are_the_params_keys(self):
+        # every params key but alpha, which only sets Ns, is a field, and no field is derived
+        assert {f.name for f in dataclasses.fields(SystemParams)} == set(cli._SCHEMA["params"]) - {"alpha"}
+
     def test_priors_derived(self):
         cfg = parse_config('{"params": {"p0": 0.7}}', mode="analyze")
         assert cfg.params.p1 == pytest.approx(0.3, abs=1e-15)
 
     @pytest.mark.parametrize("p0", [1e-20, 2.0**-54])
     def test_p0_that_rounds_p1_to_1_names_p0(self, p0):
-        # p1 = 1 - p0 is no key, so its failure is reported against params.p0
-        with pytest.raises(InvalidParam, match=r"^params\.p0=.* violates: p1 = 1 - p0 rounds to 1\.0"):
+        # p1 = 1 - p0 is no field, so its failure is reported against p0
+        with pytest.raises(InvalidParam, match=r"^p0=.* violates: p1 = 1 - p0 rounds to 1\.0"):
             parse_config(json.dumps({"params": {"p0": p0}}), mode="asymptotic")
         # the smallest p0 whose p1 is below 1
         assert parse_config(json.dumps({"params": {"p0": 2.0**-53}}), mode="asymptotic").params.p1 == 1.0 - 2.0**-53
@@ -258,9 +263,9 @@ class TestParseConfig:
                 parse_config("{}", mode="analyze", flags={"seed": seed})
         with pytest.raises(ParseError, match="mc.trials must be an integer"):
             parse_config("{}", mode="montecarlo", flags={"trials": 1.5})
-        with pytest.raises(InvalidParam, match="trials per hypothesis"):
+        with pytest.raises(ParseError, match=r"^mc\.trials must be >= 1, got 0$"):
             parse_config("{}", mode="montecarlo", flags={"trials": 0})
-        with pytest.raises(InvalidParam, match="worker hint"):
+        with pytest.raises(ParseError, match=r"^mc\.workers must be >= 1, got -1$"):
             parse_config("{}", mode="montecarlo", flags={"workers": -1})
         # the flag is written before the check, so it replaces a bad config seed
         assert parse_config('{"seed": -1}', mode="analyze", flags={"seed": 5}).seed == 5
@@ -631,7 +636,10 @@ class TestExitCodes:
         (["bogus"], "error: argument mode: invalid choice: 'bogus'"),
         (["analyze", "--seed", "abc"], "error: argument --seed: invalid int value: 'abc'"),
         (["analyze", "--frob", "1"], "error: unrecognized arguments: --frob 1"),
-    ], ids=["mode", "seed", "flag"])
+        # a flag's error names the config key it writes over
+        (["montecarlo", "--workers", "0"], "error: mc.workers must be >= 1, got 0"),
+        (["montecarlo", "--trials", "0"], "error: mc.trials must be >= 1, got 0"),
+    ], ids=["mode", "seed", "flag", "workers", "trials"])
     def test_bad_command_line_is_one_line_config_error(self, tmp_path, argv, message):
         out = tmp_path / "a.csv"
         proc = subprocess.run([sys.executable, "-m", "cdmafusion", *argv, "--out", str(out)],
@@ -797,10 +805,10 @@ class TestExitCodes:
         assert proc.stderr.startswith("error: m=1e-200 violates:")
 
     def test_p0_that_rounds_p1_to_1_is_config_error_naming_p0(self, tmp_path):
-        # the config has no p1 key, so the error names the key that set it
+        # p1 is no key and no field, so the error names the key that set it
         proc = self.run_child(tmp_path, "asymptotic", {"p0": 1e-20})
         assert proc.returncode == 1
-        assert proc.stderr.startswith("error: params.p0=1e-20 violates: p1 = 1 - p0 rounds to 1.0")
+        assert proc.stderr.startswith("error: p0=1e-20 violates: p1 = 1 - p0 rounds to 1.0")
 
     @pytest.mark.parametrize("mode", ["asymptotic", "sweep-limits"])
     def test_overflowing_limit_snr_vanishes_the_tails(self, tmp_path, capsys, mode):

@@ -69,7 +69,7 @@ NP_THR_EXAMPLE = 1.2897072539029448  # 2*inv_q_oracle(0.05) - 2
 
 
 def make_params(**kw) -> SystemParams:
-    base = dict(N=16, Ns=16, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5, p1=0.5)
+    base = dict(N=16, Ns=16, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5)
     base.update(kw)
     return SystemParams(**base)
 
@@ -83,7 +83,7 @@ def log_tails(r: float, tau: float) -> tuple[float, float]:
 
 def bayes_tau(p0: float, r: float = 1.0) -> float:
     """The Bayes threshold detector_bounds resolves for the priors (p0, 1 - p0)."""
-    return detector_bounds(DetectorSpec(), make_params(p0=p0, p1=1.0 - p0), r)[0]
+    return detector_bounds(DetectorSpec(), make_params(p0=p0), r)[0]
 
 
 def np_tau(r: float, alpha_fa: float) -> float:
@@ -112,7 +112,8 @@ class TestSystemParams:
             ("sigma_v2", -0.1),
             ("sigma_w2", 0.0), ("sigma_w2", -1.0),
             ("p0", 0.0), ("p0", 1.0), ("p0", -0.2), ("p0", 1.3),
-            ("p1", 0.0), ("p1", 1.0),
+            # p1 = 1 - p0 rounds to 1.0, and p1 is no field
+            pytest.param("p0", 1e-20, id="p0-rounds-p1-to-1"),
             # every route forms floats from the counts
             pytest.param("N", 10**400, id="N-past-float-range"), pytest.param("Ns", 10**400, id="Ns-past-float-range"),
             # an integer past the float range is no finite real
@@ -142,9 +143,13 @@ class TestSystemParams:
     def test_largest_finite_signal_power_allowed(self):
         assert make_params(m=1e154, sigma_v2=0.0).m == 1e154
 
-    def test_priors_must_sum_to_one(self):
-        with pytest.raises(InvalidParam):
-            make_params(p0=0.6, p1=0.6)
+    def test_p0_alone_sets_both_priors(self):
+        p = SystemParams(N=8, Ns=8, P=1.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.3)
+        assert p.p1 == 1.0 - 0.3
+
+    def test_p1_is_no_field(self):
+        with pytest.raises(TypeError):
+            SystemParams(N=8, Ns=8, P=1.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.3, p1=0.7)
 
     def test_zero_observation_noise_allowed(self):
         assert make_params(sigma_v2=0.0).sigma_v2 == 0.0
@@ -317,7 +322,7 @@ class TestLogTails:
         assert log_tails(0.0, -2.0) == (0.0, -math.inf)
         assert log_tails(0.0, 0.5) == (-math.inf, 0.0)
         # T == 0 == tau declares H1, np's tau included: every draw is a false alarm
-        p = make_params(p0=0.3, p1=0.7)
+        p = make_params(p0=0.3)
         assert detector_bounds(DetectorSpec(criterion="np", alpha_fa=0.05), p, 0.0) == (0.0, -math.inf, -math.inf)
         assert detector_bounds(DetectorSpec(), p, 0.0) == (math.log(0.3 / 0.7), -math.inf, -math.inf)
         assert detector_bounds(DetectorSpec(criterion="fixed", tau_prime=0.5), p, 0.0) == (0.5, math.inf, math.inf)
@@ -441,11 +446,12 @@ class TestBayesThreshold:
             assert best <= error_objective(tau + delta, p0, g, m, qf) + 1e-13
             assert best <= error_objective(tau - delta, p0, g, m, qf) + 1e-13
 
-    @pytest.mark.parametrize("p0,p1", [(0.0, 1.0), (1.0, 0.0), (-0.1, 1.1), (0.6, 0.6)])
-    def test_domain(self, p0, p1):
+    # each id is the prior pair (p0, p1 = 1 - p0)
+    @pytest.mark.parametrize("p0", [0.0, 1.0, -0.1], ids=lambda p0: f"{p0}-{1.0 - p0}")
+    def test_domain(self, p0):
         # the threshold reads the priors of a SystemParams, which rejects these
         with pytest.raises(InvalidParam):
-            detector_bounds(DetectorSpec(), make_params(p0=p0, p1=p1), 1.0)
+            detector_bounds(DetectorSpec(), make_params(p0=p0), 1.0)
 
 
 class TestNpThreshold:
@@ -501,7 +507,7 @@ class TestThresholdFor:
     """Threshold resolution matches each criterion's defining formula."""
 
     def test_bayes_ignores_channel(self):
-        p = make_params(p0=0.75, p1=0.25)
+        p = make_params(p0=0.75)
         assert detector_bounds(DetectorSpec(), p, 3.0)[0] == detector_bounds(DetectorSpec(), p, 30.0)[0]
         assert detector_bounds(DetectorSpec(), p, 3.0)[0] == pytest.approx(math.log(3.0))
 
@@ -542,7 +548,7 @@ class TestDetectorBounds:
     @hypothesis.example(spec=DetectorSpec(criterion="fixed", tau_prime=2.5), p0=0.5, P=10.0, sigma_w2=1.0, form=3.0)
     @hypothesis.example(spec=DetectorSpec(criterion="np", alpha_fa=0.3), p0=0.5, P=10.0, sigma_w2=1.0, form=math.inf)
     def test_ordered_and_the_tails_of_exact_report(self, spec, p0, P, sigma_w2, form):
-        params = make_params(P=P, sigma_w2=sigma_w2, p0=p0, p1=1.0 - p0)
+        params = make_params(P=P, sigma_w2=sigma_w2, p0=p0)
         r = root_snr(params, form)
         tau, a, b = detector_bounds(spec, params, r)
         assert a >= b

@@ -36,7 +36,7 @@ from cdmafusion.spreading import SpreadingMatrix, generate, load
 
 
 def make_params(**kw) -> SystemParams:
-    base = dict(N=16, Ns=16, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5, p1=0.5)
+    base = dict(N=16, Ns=16, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5)
     base.update(kw)
     return SystemParams(**base)
 
@@ -242,7 +242,7 @@ class TestExactPerformance:
         assert 0.0 < rep.pf < 0.5 and 0.0 < rep.pm < 0.5
 
     def test_pe_is_prior_mix(self):
-        p = make_params(p0=0.3, p1=0.7)
+        p = make_params(p0=0.3)
         for spec in (DetectorSpec(), DetectorSpec(criterion="fixed", tau_prime=1.5)):
             rep = exact_performance(p, generate(16, 16, seed=1), spec)
             assert rep.pe == p.p0 * rep.pf + p.p1 * rep.pm
@@ -306,7 +306,7 @@ detectors = st.one_of(
 )
 system_params = st.builds(
     lambda N, Ns, P, m, sigma_v2, sigma_w2, p0: SystemParams(
-        N=N, Ns=Ns, P=P, m=m, sigma_v2=sigma_v2, sigma_w2=sigma_w2, p0=p0, p1=1.0 - p0
+        N=N, Ns=Ns, P=P, m=m, sigma_v2=sigma_v2, sigma_w2=sigma_w2, p0=p0
     ),
     N=st.integers(1, 512),
     Ns=st.integers(1, 2048),

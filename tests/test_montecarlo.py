@@ -50,7 +50,7 @@ from cdmafusion.spreading import generate, load
 
 
 def make_params(**kw) -> SystemParams:
-    base = dict(N=8, Ns=8, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5, p1=0.5)
+    base = dict(N=8, Ns=8, P=10.0, m=1.0, sigma_v2=1.0, sigma_w2=1.0, p0=0.5)
     base.update(kw)
     return SystemParams(**base)
 
@@ -198,7 +198,7 @@ class TestEstimate:
         assert 0 <= rep.mc.false_alarms <= CHUNK_TRIALS + 3
 
     def test_report_structure(self):
-        p = make_params(p0=0.4, p1=0.6)
+        p = make_params(p0=0.4)
         S = generate(8, 8, seed=0)
         rep = estimate(p, S, DetectorSpec(), McConfig(trials_per_hypothesis=4000, seed=3))
         assert rep.pe == pytest.approx(0.4 * rep.pf + 0.6 * rep.pm, abs=1e-15)
@@ -415,7 +415,7 @@ class TestCoupledEstimator:
         # about sqrt(2/1999) = 0.032, so [0.88, 1.12] is about 3.7 sigma wide.  The
         # independent formula sqrt((p0 se_pf)^2 + (p1 se_pm)^2) reads 0.63 (bayes)
         # and 0.85 (np) on these replicates.
-        p = make_params(P=1.0, p0=p0, p1=1.0 - p0)
+        p = make_params(P=1.0, p0=p0)
         S = generate(8, 8, seed=11)
         reps = [estimate(p, S, spec, McConfig(trials_per_hypothesis=2000, seed=10_000 + k)) for k in range(2000)]
         empirical = np.var([r.pe for r in reps], ddof=1)
@@ -425,7 +425,7 @@ class TestCoupledEstimator:
     @pytest.mark.parametrize("spec", [DetectorSpec(), DetectorSpec(criterion="np", alpha_fa=0.2),
                                       DetectorSpec(criterion="fixed", tau_prime=-0.5)], ids=["bayes", "np", "fixed"])
     def test_stderr_pe_is_that_of_the_coupled_pair(self, spec):
-        p = make_params(N=12, Ns=20, P=4.0, sigma_v2=0.5, p0=0.4, p1=0.6)
+        p = make_params(N=12, Ns=20, P=4.0, sigma_v2=0.5, p0=0.4)
         rep = estimate(p, generate(12, 20, seed=3), spec, McConfig(trials_per_hypothesis=CHUNK_TRIALS + 77, seed=5))
         assert 0 < rep.pf < 1 and 0 < rep.pm < 1
         assert rep.mc.stderr_pe == pytest.approx(self.coupled_stderr_pe(p, rep), rel=1e-12)
